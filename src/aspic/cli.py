@@ -1,7 +1,8 @@
 """Command-line entry points: run, sweep, export.
 
 Output directory resolution: --out flag, else the ASPIC_OUTDIR environment
-variable, else ./aspic_results.  Exit code is nonzero if any run failed.
+variable, else ./aspic_results.  Exit code is 1 if any run failed, 2 if the
+config or the sweep values are invalid.
 """
 
 from __future__ import annotations
@@ -17,13 +18,6 @@ from .runner import (ExperimentConfig, RunError, RunResult, export,
 
 def _outdir(args) -> str:
     return args.out or os.environ.get("ASPIC_OUTDIR", "aspic_results")
-
-
-def _parse_values(raw: str, axis: str):
-    values = json.loads(raw)
-    if axis == "grid":
-        return [tuple(v) for v in values]
-    return values
 
 
 def _export_result(result: RunResult, fmt: str, outdir: str) -> None:
@@ -46,17 +40,16 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
+    values = raw.pop("sweep_values", None)
     if args.values:
-        values = _parse_values(args.values, args.axis)
-    elif "sweep_values" in raw:
-        values = _parse_values(json.dumps(raw["sweep_values"]), args.axis)
-    else:
+        values = json.loads(args.values)
+    if not values:
         print("error: no sweep values (--values or 'sweep_values' in config)",
               file=sys.stderr)
         return 2
-    config = ExperimentConfig.from_dict(
-        {k: v for k, v in raw.items() if k != "sweep_values"})
-    cells = sweep(config, args.axis, values)
+    if args.axis == "grid":
+        values = [tuple(v) for v in values]
+    cells = sweep(ExperimentConfig.from_dict(raw), args.axis, values)
     failed = False
     base = _outdir(args)
     for label, cell in cells.items():
@@ -72,14 +65,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export(args) -> int:
-    # Re-export a summary written by a previous run into the requested format.
+    # Re-print a summary written by a previous run, its config validated.
     with open(args.summary) as fh:
         payload = json.load(fh)
     config = ExperimentConfig.from_dict(payload["config"])
     print(json.dumps({"config_hash": payload["config_hash"],
                       "final_costs": payload["final_costs"],
-                      "config": config.to_dict()},
-                     indent=2) if args.format == "json" else payload)
+                      "config": config.to_dict()}, indent=2))
     return 0
 
 
@@ -108,16 +100,20 @@ def build_parser() -> argparse.ArgumentParser:
                          default="both")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_exp = sub.add_parser("export", help="re-export a saved summary")
+    p_exp = sub.add_parser("export", help="re-print a saved summary as JSON")
     p_exp.add_argument("summary")
-    p_exp.add_argument("--format", choices=["csv", "json"], default="json")
+    p_exp.add_argument("--format", choices=["json"], default="json")
     p_exp.set_defaults(func=cmd_export)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # an invalid config or values list
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

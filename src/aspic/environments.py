@@ -6,10 +6,13 @@ action channel and Euler-discretized dynamics:
     x_{k+1} = x_k + dt * (f(x_k) + g(x_k) * a_k),   a_k = u(x_k, k) + xi_k
 
 with xi_k ~ N(0, nu/dt) per action dimension.  State costs are delta events
-attached to grid indices (added once, without a dt factor); optional running
-costs accumulate as V(x, t) * dt.  The base policy is the zero-mean Gaussian
-with the same variance, so the per-step log-prob ratio is the discretized
-Girsanov quadratic control cost.
+at the grid indices an environment lists in ``event_indices`` (added once,
+without a dt factor); there are no running costs.  The base policy is the
+zero-mean Gaussian with the same variance, so the per-step log-prob ratio is
+the discretized Girsanov quadratic control cost.
+
+``sample_batch`` simulates N rollouts in lockstep straight into the arrays
+of a ``RolloutBatch``; ``rollout`` returns one rollout as a ``Trajectory``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ class Environment:
 
     ``step`` and ``event_cost`` are vectorized over leading batch dimensions
     of the state.  Event costs are keyed by grid index (1..num_steps), with
-    event times snapped to the nearest grid point.
+    event times snapped to the nearest grid point; ``event_indices`` lists
+    the indices that carry one.
     """
 
     state_dim: int
@@ -53,6 +57,7 @@ class Environment:
     horizon: float
     nu: float
     x0: np.ndarray
+    event_indices: tuple = ()
 
     def __init__(self):
         steps = self.horizon / self.dt
@@ -72,25 +77,19 @@ class Environment:
         raise NotImplementedError
 
     def step(self, x: np.ndarray, a: np.ndarray, t: int) -> np.ndarray:
-        """Euler step x + dt * (f(x) + g(x) a)."""
+        """Euler step x + dt * (f(x) + g(x) a); raises ``RolloutBlowupError``
+        naming the first row whose next state is non-finite or too large."""
         x = np.asarray(x, dtype=float)
         a = np.asarray(a, dtype=float)
         nxt = x + self.dt * (self.drift(x) + self.control_effect(x, a))
-        if not np.all(np.isfinite(nxt)):
-            raise RolloutBlowupError(t)
+        ok = np.abs(nxt) <= BLOWUP_THRESHOLD
+        if not ok.all():
+            raise RolloutBlowupError(t, int(np.argmin(ok.all(axis=-1))))
         return nxt
 
     def event_cost(self, index: int, x: np.ndarray) -> np.ndarray:
         """Delta-cost contribution at grid index ``index`` (0 if none)."""
         return np.zeros(np.asarray(x).shape[:-1])
-
-    def running_cost(self, x: np.ndarray, t: int) -> np.ndarray:
-        """Per-unit-time cost accumulated as V * dt; zero by default."""
-        return np.zeros(np.asarray(x).shape[:-1])
-
-
-def snap_to_grid(t_event: float, dt: float) -> int:
-    return int(round(t_event / dt))
 
 
 class LqViapoints(Environment):
@@ -107,7 +106,9 @@ class LqViapoints(Environment):
         self.sigma = sigma
         self.x0 = np.zeros(1)
         super().__init__()
-        self._events = {snap_to_grid(t, dt): target for t, target in viapoints}
+        # Viapoint times snap to the nearest grid index.
+        self._events = {int(round(t / dt)): target for t, target in viapoints}
+        self.event_indices = tuple(sorted(self._events))
 
     def drift(self, x):
         return np.zeros_like(x)
@@ -142,6 +143,7 @@ class Pendulum(Environment):
         self.lam = lam
         self.x0 = np.zeros(2)
         super().__init__()
+        self.event_indices = (self.num_steps,)
 
     def drift(self, x):
         ang, vel = x[..., 0], x[..., 1]
@@ -194,6 +196,7 @@ class Acrobot(Environment):
         self.gravity = gravity
         self.x0 = np.array([-0.5 * np.pi, 0.0, 0.0, 0.0])
         super().__init__()
+        self.event_indices = (self.num_steps,)
 
     def mass_matrix_terms(self, x):
         x2 = x[..., 1]
@@ -257,60 +260,38 @@ def _base_log_prob(a: np.ndarray, noise_var: float) -> np.ndarray:
             - 0.5 * d * np.log(2.0 * np.pi * noise_var))
 
 
-def _simulate(env: Environment, policy, noises: np.ndarray):
-    """Run n rollouts in lockstep; noises is (n, T, adim)."""
+def _simulate(env: Environment, policy, noises: np.ndarray) -> dict:
+    """Run n rollouts in lockstep; noises is (n, T, adim).
+
+    Returns the ``RolloutBatch`` sequences as a dict of stacked arrays.
+    """
     n, t_steps, _ = noises.shape
     states = np.empty((n, t_steps + 1, env.state_dim))
     actions = np.empty((n, t_steps, env.action_dim))
     costs = np.zeros((n, t_steps))
-    logp_pol = np.empty((n, t_steps))
-    logp_base = np.empty((n, t_steps))
-    noise_var = env.noise_var
-
     x = np.broadcast_to(env.x0, (n, env.state_dim)).copy()
     states[:, 0] = x
     for k in range(t_steps):
-        u = np.atleast_2d(policy.mean(x, k))
-        a = u + noises[:, k]
+        a = np.atleast_2d(policy.mean(x, k)) + noises[:, k]
         actions[:, k] = a
-        logp_pol[:, k] = (-np.sum(noises[:, k] ** 2, axis=-1) / (2 * noise_var)
-                          - 0.5 * env.action_dim * np.log(2 * np.pi * noise_var))
-        logp_base[:, k] = _base_log_prob(a, noise_var)
-        costs[:, k] += env.running_cost(x, k) * env.dt
-        try:
-            x = env.step(x, a, k)
-        except RolloutBlowupError:
-            raise _locate_blowup(env, x, a, k)
-        bad = np.abs(x) > BLOWUP_THRESHOLD
-        if bad.any():
-            raise RolloutBlowupError(k, int(np.argwhere(bad.any(axis=-1))[0][0]))
+        x = env.step(x, a, k)
         states[:, k + 1] = x
-        costs[:, k] += env.event_cost(k + 1, x)
-    return states, actions, costs, logp_pol, logp_base
-
-
-def _locate_blowup(env, x, a, k):
-    nxt = x + env.dt * (env.drift(x) + env.control_effect(x, a))
-    bad = ~np.isfinite(nxt).all(axis=-1)
-    idx = int(np.argwhere(bad)[0][0]) if bad.any() else None
-    return RolloutBlowupError(k, idx)
-
-
-def _noise_for_seed(seed, t_steps: int, action_dim: int,
-                    noise_var: float, noise_scale: float) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return noise_scale * rng.normal(0.0, np.sqrt(noise_var),
-                                    size=(t_steps, action_dim))
+        if k + 1 in env.event_indices:
+            costs[:, k] += env.event_cost(k + 1, x)
+    return dict(states=states, actions=actions, noises=noises,
+                state_costs=costs,
+                logp_policy=_base_log_prob(noises, env.noise_var),
+                logp_base=_base_log_prob(actions, env.noise_var))
 
 
 def rollout(env: Environment, policy, rng_seed, *,
             noise_scale: float = 1.0) -> Trajectory:
     """One seeded rollout; ``noise_scale=0`` gives the deterministic path."""
-    noises = _noise_for_seed(rng_seed, env.num_steps, env.action_dim,
-                             env.noise_var, noise_scale)
-    states, actions, costs, lp, lb = _simulate(env, policy, noises[None])
-    return Trajectory(states=states[0], actions=actions[0], noises=noises,
-                      state_costs=costs[0], logp_policy=lp[0], logp_base=lb[0])
+    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
+    noises = noise_scale * rng.normal(0.0, np.sqrt(env.noise_var),
+                                      size=(1, env.num_steps, env.action_dim))
+    seqs = _simulate(env, policy, noises)
+    return Trajectory(**{name: arr[0] for name, arr in seqs.items()})
 
 
 def sample_batch(env: Environment, policy, n: int, rng_seed, gamma: float, *,
@@ -318,16 +299,13 @@ def sample_batch(env: Environment, policy, n: int, rng_seed, gamma: float, *,
     """N rollouts with per-rollout seeds spawned from ``rng_seed``."""
     if n < 2:
         raise ValueError("need at least 2 rollouts per batch")
-    children = np.random.SeedSequence(rng_seed).spawn(n)
-    noises = np.stack([
-        noise_scale * np.random.default_rng(c).normal(
-            0.0, np.sqrt(env.noise_var), size=(env.num_steps, env.action_dim))
-        for c in children])
-    states, actions, costs, lp, lb = _simulate(env, policy, noises)
-    trajs = [Trajectory(states=states[i], actions=actions[i], noises=noises[i],
-                        state_costs=costs[i], logp_policy=lp[i],
-                        logp_base=lb[i]) for i in range(n)]
-    return RolloutBatch(trajectories=trajs, gamma=gamma)
+    noises = np.empty((n, env.num_steps, env.action_dim))
+    sd = np.sqrt(env.noise_var)
+    for i, child in enumerate(np.random.SeedSequence(rng_seed).spawn(n)):
+        noises[i] = np.random.default_rng(child).normal(
+            0.0, sd, size=noises.shape[1:])
+    noises *= noise_scale
+    return RolloutBatch(**_simulate(env, policy, noises), gamma=gamma)
 
 
 _ENVS = {"lq_viapoints": LqViapoints, "pendulum": Pendulum, "acrobot": Acrobot}

@@ -45,17 +45,11 @@ def _whiten(values: np.ndarray) -> np.ndarray | None:
     return centered / std
 
 
-def _weighted_score_sum(batch: RolloutBatch, policy, coeffs: np.ndarray,
-                        dim: int) -> np.ndarray:
+def _weighted_score_sum(batch: RolloutBatch, policy,
+                        coeffs: np.ndarray) -> np.ndarray:
     """sum_i c_i sum_t score(a_it, x_it, t), vectorized over the batch."""
-    xs = np.stack([traj.states[:-1] for traj in batch.trajectories])
-    acts = np.stack([traj.actions for traj in batch.trajectories])
-    resid = (acts - policy.mean_steps(xs)) / policy.noise_var
-    return policy.jac_t_v_steps(xs, coeffs[:, None, None] * resid)
-
-
-def _param_dim(policy) -> int:
-    return policy.params.size
+    resid = (batch.actions - policy.mean_steps(batch.xs)) / policy.noise_var
+    return policy.jac_t_v_steps(batch.xs, coeffs[:, None, None] * resid)
 
 
 def smoothed_gradient(batch: RolloutBatch, policy, alpha: float,
@@ -67,14 +61,14 @@ def smoothed_gradient(batch: RolloutBatch, policy, alpha: float,
     Without whitening the estimator is alpha * sum_i w_i sum_t score_it.
     """
     w = normalized_weights(batch.stochastic_costs, batch.gamma, alpha)
-    dim = _param_dim(policy)
     if whiten:
         coeffs = _whiten(w)
         if coeffs is None:
-            return GradientEstimate(np.zeros(dim), "smoothed", alpha)
+            return GradientEstimate(np.zeros(policy.params.size), "smoothed",
+                                    alpha)
     else:
         coeffs = alpha * w
-    return GradientEstimate(_weighted_score_sum(batch, policy, coeffs, dim),
+    return GradientEstimate(_weighted_score_sum(batch, policy, coeffs),
                             "smoothed", alpha)
 
 
@@ -82,14 +76,14 @@ def direct_gradient(batch: RolloutBatch, policy,
                     whiten: bool = True) -> GradientEstimate:
     """Ascent direction of the plain cost gradient (negated score estimator)."""
     s = np.asarray(batch.stochastic_costs, dtype=float)
-    dim = _param_dim(policy)
     if whiten:
         coeffs = _whiten(-s)
         if coeffs is None:
-            return GradientEstimate(np.zeros(dim), "direct", None)
+            return GradientEstimate(np.zeros(policy.params.size), "direct",
+                                    None)
     else:
         coeffs = -s / batch.n
-    return GradientEstimate(_weighted_score_sum(batch, policy, coeffs, dim),
+    return GradientEstimate(_weighted_score_sum(batch, policy, coeffs),
                             "direct", None)
 
 
@@ -98,8 +92,7 @@ def pice_gradient(batch: RolloutBatch, policy) -> GradientEstimate:
     if batch.gamma <= 0:
         raise ValueError("the alpha -> 0 limit needs gamma > 0")
     w = normalized_weights(batch.stochastic_costs, batch.gamma, 0.0)
-    dim = _param_dim(policy)
-    return GradientEstimate(_weighted_score_sum(batch, policy, w, dim),
+    return GradientEstimate(_weighted_score_sum(batch, policy, w),
                             "pice", None)
 
 

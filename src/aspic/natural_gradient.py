@@ -50,20 +50,9 @@ def sample_policy_kl(batch: RolloutBatch, policy_old, policy_new) -> float:
     """
     if policy_old.params.shape != policy_new.params.shape:
         raise ValueError("policies have mismatched parameter shapes")
-    xs, acts = _stack_batch(batch)
+    xs, acts = batch.xs, batch.actions
     return float(np.sum(policy_old.log_prob_steps(xs, acts)
                         - policy_new.log_prob_steps(xs, acts))) / batch.n
-
-
-def _stack_batch(batch: RolloutBatch):
-    xs = np.stack([traj.states[:-1] for traj in batch.trajectories])
-    acts = np.stack([traj.actions for traj in batch.trajectories])
-    return xs, acts
-
-
-def _fvp_stacked(xs: np.ndarray, policy, y: np.ndarray) -> np.ndarray:
-    jy = policy.jac_y_steps(xs, y)
-    return policy.jac_t_v_steps(xs, jy) / (xs.shape[0] * policy.noise_var)
 
 
 def fisher_vector_product(batch: RolloutBatch, policy, y: np.ndarray) -> np.ndarray:
@@ -71,8 +60,8 @@ def fisher_vector_product(batch: RolloutBatch, policy, y: np.ndarray) -> np.ndar
     y = np.asarray(y, dtype=float)
     if y.size != policy.params.size:
         raise ValueError("vector length does not match the parameter count")
-    xs, _ = _stack_batch(batch)
-    return _fvp_stacked(xs, policy, y)
+    jy = policy.jac_y_steps(batch.xs, y)
+    return policy.jac_t_v_steps(batch.xs, jy) / (batch.n * policy.noise_var)
 
 
 def conjugate_gradient(apply_a, b: np.ndarray, max_iters: int,
@@ -121,8 +110,7 @@ def per_timestep_natural_direction(batch: RolloutBatch,
     if not isinstance(policy, TimeVaryingLinearPolicy):
         raise TypeError("per-timestep inversion needs a policy with "
                         "per-timestep parameter blocks")
-    xs, _ = _stack_batch(batch)
-    feats = policy.features(xs)  # (N, T, K)
+    feats = policy.features(batch.xs)  # (N, T, K)
     blocks = np.einsum("ntk,ntl->tkl", feats, feats) / (batch.n * policy.noise_var)
     g_blocks = np.asarray(g, dtype=float).reshape(policy.num_steps, -1)
     inv = np.linalg.pinv(blocks, rcond=rcond)
@@ -160,11 +148,11 @@ def trust_region_step(batch: RolloutBatch, policy, g: np.ndarray,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     g = np.asarray(g, dtype=float)
     theta = policy.params
-    xs, acts = _stack_batch(batch)
+    xs, acts = batch.xs, batch.actions
 
     cg_used = None
     if solver == "cg":
-        fvp = lambda y: _fvp_stacked(xs, policy, y)
+        fvp = lambda y: fisher_vector_product(batch, policy, y)
         lam = _damping(batch, policy, fvp, g.size, scale=damping)
         g_f, cg_used = conjugate_gradient(lambda y: fvp(y) + lam * y,
                                           g, max_iters=cg_iters)

@@ -36,6 +36,11 @@ CSV_COLUMNS = ("run", "iter", "mean_cost", "std_cost", "alpha", "kl_est",
 _FEATURES = {"lq_viapoints": lq_features, "pendulum": pendulum_features,
              "acrobot": acrobot_features}
 
+# Solver kind -> {config key: (trust_region_step keyword, type)}.
+_SOLVER_KEYS = {"cg": {"iters": ("cg_iters", int),
+                       "damping": ("damping", float)},
+                "per_timestep_pinv": {"rcond": ("rcond", float)}}
+
 
 @dataclass
 class ExperimentConfig:
@@ -56,17 +61,33 @@ class ExperimentConfig:
     rollout_budget: int | None = None    # used by the N-axis sweep
 
     def __post_init__(self):
-        if self.n_rollouts < 2:
-            raise ValueError("n_rollouts must be >= 2")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.estimator not in ("smoothed", "direct", "pice"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.estimator == "smoothed":
-            if resolve_delta(self.delta, self.n_rollouts) <= 0:
-                raise ValueError("the smoothed estimator needs delta > 0")
+        kind = self.solver.get("kind", "cg")
+        for key, value, allowed in (
+                ("env", self.env, _FEATURES),
+                ("policy", self.policy, ("linear", "mlp")),
+                ("estimator", self.estimator, ("smoothed", "direct", "pice")),
+                ("solver kind", kind, _SOLVER_KEYS)):
+            if value not in allowed:
+                raise ValueError(f"unknown {key} {value!r}; "
+                                 f"choose from {sorted(allowed)}")
+        for key, ok, rule in (("n_rollouts", self.n_rollouts >= 2, ">= 2"),
+                              ("iterations", self.iterations >= 1, ">= 1"),
+                              ("repeats", self.repeats >= 1, ">= 1"),
+                              ("epsilon", self.epsilon > 0, "> 0"),
+                              ("gamma", self.gamma >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, "
+                                 f"got {getattr(self, key)!r}")
+        unknown = sorted(set(self.solver) - {"kind", *_SOLVER_KEYS[kind]})
+        if unknown:
+            raise ValueError(f"unknown solver keys {unknown} "
+                             f"for kind {kind!r}")
+        if self.policy == "mlp" and kind == "per_timestep_pinv":
+            raise ValueError("policy 'mlp' cannot use solver kind "
+                             "'per_timestep_pinv'")
+        if (self.estimator == "smoothed"
+                and resolve_delta(self.delta, self.n_rollouts) <= 0):
+            raise ValueError("the smoothed estimator needs delta > 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -128,12 +149,9 @@ class RunResult:
 
     def iterations_to_threshold(self, threshold: float) -> list:
         """First 1-based iteration whose mean cost reaches the threshold."""
-        out = []
-        for run in self.records:
-            hit = next((r.iteration + 1 for r in run
-                        if r.mean_cost <= threshold), None)
-            out.append(hit)
-        return out
+        return [next((r.iteration + 1 for r in run
+                      if r.mean_cost <= threshold), None)
+                for run in self.records]
 
 
 def _make_policy(config: ExperimentConfig, env, run_rng) -> object:
@@ -142,10 +160,8 @@ def _make_policy(config: ExperimentConfig, env, run_rng) -> object:
         pol = TimeVaryingLinearPolicy(feats, env.num_steps, env.noise_var)
         pol.features(env.x0)  # fixes the parameter count; theta starts at 0
         return pol
-    if config.policy == "mlp":
-        return MlpPolicy([env.state_dim, 32, 32, env.action_dim],
-                         env.noise_var, rng=run_rng)
-    raise ValueError(f"unknown policy family {config.policy!r}")
+    return MlpPolicy([env.state_dim, 32, 32, env.action_dim],
+                     env.noise_var, rng=run_rng)
 
 
 def _run_single(config: ExperimentConfig, run_index: int) -> list:
@@ -154,14 +170,10 @@ def _run_single(config: ExperimentConfig, run_index: int) -> list:
         (config.seed, run_index)).generate_state(1)[0])
     policy = _make_policy(config, env, np.random.default_rng(run_seed))
 
-    solver = dict(config.solver)
-    kind = solver.pop("kind", "cg")
-    solver_kwargs = {}
-    if kind == "cg":
-        solver_kwargs["cg_iters"] = int(solver.get("iters", 10))
-        solver_kwargs["damping"] = float(solver.get("damping", 1e-6))
-    elif kind == "per_timestep_pinv":
-        solver_kwargs["rcond"] = float(solver.get("rcond", 1e-4))
+    kind = config.solver.get("kind", "cg")
+    solver_kwargs = {kw: cast(config.solver[key])
+                     for key, (kw, cast) in _SOLVER_KEYS[kind].items()
+                     if key in config.solver}
 
     records = []
     for it in range(config.iterations):
@@ -219,36 +231,46 @@ def run_aspic(config: ExperimentConfig) -> RunResult:
     return RunResult(config=config, records=records)
 
 
+def _with_delta(config: ExperimentConfig, delta, **kwargs):
+    """``config`` at smoothing budget ``delta`` (0: direct estimator)."""
+    if resolve_delta(delta, config.n_rollouts) == 0.0:
+        return config.replace(estimator="direct", delta=None, **kwargs)
+    return config.replace(estimator="smoothed", delta=delta, **kwargs)
+
+
+def _sweep_cell(config: ExperimentConfig, axis: str, v):
+    """(label, config) of the sweep cell at value ``v`` on ``axis``."""
+    if axis == "n":
+        n = int(v)
+        iters = (config.rollout_budget // n if config.rollout_budget
+                 else config.iterations)
+        return f"n={n}", config.replace(n_rollouts=n, iterations=max(1, iters))
+    if axis == "delta":
+        return (f"delta={resolve_delta(v, config.n_rollouts):.6g}",
+                _with_delta(config, v))
+    dv, eps = v
+    label = f"delta={resolve_delta(dv, config.n_rollouts):.6g},eps={eps:g}"
+    return label, _with_delta(config, dv, epsilon=float(eps))
+
+
 def sweep(config: ExperimentConfig, axis: str, values) -> dict:
     """Run one cell per value; per-cell failures are recorded, not fatal.
 
-    ``axis``: "delta" (values are delta specs; 0 switches to the direct
-    estimator), "n" (values are batch sizes; with ``rollout_budget`` set the
-    iteration count adjusts to keep the budget), or "grid" (values are
-    (delta, epsilon) pairs).
+    ``axis``: "delta" (values are delta specs), "n" (values are batch sizes;
+    with ``rollout_budget`` set the iteration count adjusts to keep the
+    budget), or "grid" (values are (delta, epsilon) pairs).  On both delta
+    axes a delta of 0 switches the cell to the direct estimator.  A value
+    whose cell cannot be built is recorded under ``"<axis>=<value>"``.
     """
     if not values:
         raise ValueError("sweep needs a non-empty value list")
+    if axis not in ("delta", "n", "grid"):
+        raise ValueError(f"unknown sweep axis {axis!r}")
     cells = {}
     for v in values:
-        if axis == "delta":
-            dv = resolve_delta(v, config.n_rollouts)
-            cfg = (config.replace(estimator="direct", delta=None) if dv == 0.0
-                   else config.replace(estimator="smoothed", delta=v))
-            label = f"delta={dv:.6g}"
-        elif axis == "n":
-            n = int(v)
-            iters = (config.rollout_budget // n if config.rollout_budget
-                     else config.iterations)
-            cfg = config.replace(n_rollouts=n, iterations=max(1, iters))
-            label = f"n={n}"
-        elif axis == "grid":
-            dv, eps = v
-            cfg = config.replace(delta=dv, epsilon=float(eps))
-            label = f"delta={resolve_delta(dv, config.n_rollouts):.6g},eps={eps:g}"
-        else:
-            raise ValueError(f"unknown sweep axis {axis!r}")
+        label = f"{axis}={v}"
         try:
+            label, cfg = _sweep_cell(config, axis, v)
             cells[label] = run_aspic(cfg)
         except Exception as exc:  # keep sweeping, record the failure
             cells[label] = exc
@@ -285,6 +307,8 @@ def _summary(result: RunResult) -> dict:
 
 def export(result: RunResult, fmt: str, outdir) -> list:
     """Write records.csv and/or summary.json under ``outdir``."""
+    if fmt not in ("csv", "json", "both"):
+        raise ValueError(f"unknown export format {fmt!r}")
     os.makedirs(outdir, exist_ok=True)
     written = []
     try:
@@ -299,6 +323,4 @@ def export(result: RunResult, fmt: str, outdir) -> list:
             written.append(path)
     except OSError as exc:
         raise OSError(f"failed writing results under {outdir}: {exc}") from exc
-    if fmt not in ("csv", "json", "both"):
-        raise ValueError(f"unknown export format {fmt!r}")
     return written

@@ -1,12 +1,13 @@
-"""Rollout containers and the per-trajectory stochastic cost.
+"""Rollout containers and the stochastic path cost.
 
-A trajectory records everything the estimators downstream need: the visited
-states, the noisy actions, the injected noise, the accumulated state costs and
-the per-step log-probabilities under the sampling policy and the uncontrolled
-base policy.  Delta-type state costs (viapoints, terminal costs) enter as a
-single undiscounted addition at their grid index; running costs carry a dt
-factor.  Both conventions are applied by the environment before construction,
-so `state_costs` here is already the per-step contribution to the path cost.
+A ``RolloutBatch`` holds everything the estimators need as stacked read-only
+arrays over N rollouts: visited states, noisy actions, injected noise, state
+costs, and per-step log-probabilities under the sampling policy and the
+uncontrolled base policy.  The sampler fills them in lockstep; ``xs`` and the
+stochastic costs are computed once when the batch is built.  State costs are
+already the per-step contribution to the path cost (delta events added once
+at their grid index).  ``batch[i]``, like ``rollout()``, gives one rollout as
+a ``Trajectory`` of views.
 """
 
 from __future__ import annotations
@@ -17,11 +18,27 @@ import numpy as np
 
 __all__ = ["Trajectory", "RolloutBatch", "stochastic_cost", "batch_mean_cost"]
 
+_SEQUENCES = ("states", "actions", "noises", "state_costs", "logp_policy",
+              "logp_base")
+
 
 def _frozen(a) -> np.ndarray:
     out = np.asarray(a, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def _freeze_and_check(obj, lead: int) -> None:
+    """Freeze the sequences; after ``lead`` batch axes, T+1 states, T steps."""
+    for name in _SEQUENCES:
+        object.__setattr__(obj, name, _frozen(getattr(obj, name)))
+    *batch, t = obj.actions.shape[:lead + 1]
+    for name in _SEQUENCES:
+        want = (*batch, t + 1 if name == "states" else t)
+        got = getattr(obj, name).shape[:lead + 1]
+        if got != want:
+            raise ValueError(f"{name} has shape {got} in its leading axes, "
+                             f"expected {want}")
 
 
 @dataclass(frozen=True)
@@ -41,17 +58,7 @@ class Trajectory:
     logp_base: np.ndarray
 
     def __post_init__(self):
-        for name in ("states", "actions", "noises", "state_costs",
-                     "logp_policy", "logp_base"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        t = self.num_steps
-        if self.states.shape[0] != t + 1:
-            raise ValueError(
-                f"states has {self.states.shape[0]} entries, expected {t + 1}")
-        for name in ("noises", "state_costs", "logp_policy", "logp_base"):
-            if getattr(self, name).shape[0] != t:
-                raise ValueError(f"{name} has length "
-                                 f"{getattr(self, name).shape[0]}, expected {t}")
+        _freeze_and_check(self, 0)
 
     @property
     def num_steps(self) -> int:
@@ -70,40 +77,54 @@ def stochastic_cost(traj: Trajectory, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class RolloutBatch:
-    """N trajectories with their cached stochastic costs.
+    """N rollouts as stacked read-only arrays, with their stochastic costs.
 
-    The cached costs are recomputable from the stored sequences; caching only
-    avoids re-summing inside the estimators.
+    Shapes: ``states`` (N, T+1, state_dim); ``actions`` and ``noises``
+    (N, T, adim); ``state_costs``, ``logp_policy``, ``logp_base`` (N, T).
+    ``xs`` is a contiguous copy of ``states[:, :-1]``.  Stochastic costs
+    default to ``stochastic_cost(batch[i], gamma)`` per row, as row sums.
     """
 
-    trajectories: tuple[Trajectory, ...]
+    states: np.ndarray
+    actions: np.ndarray
+    noises: np.ndarray
+    state_costs: np.ndarray
+    logp_policy: np.ndarray
+    logp_base: np.ndarray
     gamma: float
     stochastic_costs: np.ndarray = field(default=None)  # type: ignore[assignment]
+    xs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
-        if len(self.trajectories) < 2:
+        if self.gamma < 0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        _freeze_and_check(self, 1)
+        if self.n < 2:
             raise ValueError("a rollout batch needs at least 2 trajectories")
+        object.__setattr__(self, "xs", _frozen(
+            np.ascontiguousarray(self.states[:, :-1])))
         if self.stochastic_costs is None:
-            costs = [stochastic_cost(tr, self.gamma) for tr in self.trajectories]
-            object.__setattr__(self, "stochastic_costs", _frozen(costs))
+            costs = (np.sum(self.state_costs, axis=1) + self.gamma
+                     * np.sum(self.logp_policy - self.logp_base, axis=1))
         else:
-            object.__setattr__(self, "stochastic_costs",
-                               _frozen(self.stochastic_costs))
-        if self.stochastic_costs.shape[0] != len(self.trajectories):
-            raise ValueError("stochastic_costs length does not match batch size")
+            costs = self.stochastic_costs
+        object.__setattr__(self, "stochastic_costs", _frozen(costs))
+        if self.stochastic_costs.shape != (self.n,):
+            raise ValueError("stochastic_costs length does not match "
+                             "the batch size")
+
+    def __getitem__(self, i: int) -> Trajectory:
+        return Trajectory(*(getattr(self, name)[i] for name in _SEQUENCES))
 
     @property
     def n(self) -> int:
-        return len(self.trajectories)
+        return self.states.shape[0]
 
     @property
     def num_steps(self) -> int:
-        return self.trajectories[0].num_steps
+        return self.actions.shape[1]
 
 
 def batch_mean_cost(batch: RolloutBatch) -> float:
     """Monte Carlo estimate of the regularized expected cost."""
-    if batch.stochastic_costs.size == 0:
-        raise ValueError("empty batch")
     return float(np.mean(batch.stochastic_costs))

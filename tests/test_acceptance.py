@@ -5,6 +5,8 @@ capture) in addition to the usual assertion.  The two LQ experiments share
 one 5-cell smoothing-strength sweep, so the file runs in roughly ten minutes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -100,19 +102,18 @@ LQ_SMALL = dict(horizon=0.5, dt=0.1, viapoints=((0.2, 1.0), (0.5, -1.0)),
 def full_rank_fixture(seed=0, num_steps=4, n=16):
     """Synthetic linear-policy batch with random states at every step, so
     every per-timestep curvature block has full rank."""
-    from aspic import Trajectory
-
     rng = np.random.default_rng(seed)
     policy = TimeVaryingLinearPolicy(lq_features, num_steps, 1.0,
                                      params=rng.normal(size=2 * num_steps))
     policy.features(np.zeros(1))
-    trajs = [Trajectory(states=rng.normal(size=(num_steps + 1, 1)),
-                        actions=rng.normal(size=(num_steps, 1)),
-                        noises=np.zeros((num_steps, 1)),
-                        state_costs=np.zeros(num_steps),
-                        logp_policy=np.zeros(num_steps),
-                        logp_base=np.zeros(num_steps)) for _ in range(n)]
-    return RolloutBatch(trajectories=trajs, gamma=1.0), policy
+    draws = [(rng.normal(size=(num_steps + 1, 1)),
+              rng.normal(size=(num_steps, 1))) for _ in range(n)]
+    zeros = np.zeros((n, num_steps))
+    batch = RolloutBatch(states=np.stack([s for s, _ in draws]),
+                         actions=np.stack([a for _, a in draws]),
+                         noises=np.zeros((n, num_steps, 1)), state_costs=zeros,
+                         logp_policy=zeros, logp_base=zeros, gamma=1.0)
+    return batch, policy
 
 
 def lq_fixture(seed=3, n=6, gamma=1.0):
@@ -129,17 +130,15 @@ def lq_fixture(seed=3, n=6, gamma=1.0):
 def test_criterion_4_gradient_oracles(capsys):
     batch, policy = lq_fixture()
     alpha = 1.5
-    xs = np.stack([tr.states[:-1] for tr in batch.trajectories])
-    acts = np.stack([tr.actions for tr in batch.trajectories])
+    xs, acts = batch.xs, batch.actions
     lp_old = np.sum(policy.log_prob_steps(xs, acts), axis=-1)
     s = batch.stochastic_costs
 
     def reweighted_value(params):
         pol = policy.with_params(params)
         lp_new = np.sum(pol.log_prob_steps(xs, acts), axis=-1)
-        frozen = RolloutBatch(trajectories=batch.trajectories,
-                              gamma=batch.gamma,
-                              stochastic_costs=s - alpha * (lp_new - lp_old))
+        frozen = replace(batch,
+                         stochastic_costs=s - alpha * (lp_new - lp_old))
         return smoothed_cost_value(frozen, alpha)
 
     grad = smoothed_gradient(batch, policy, alpha, whiten=False).direction
@@ -193,9 +192,9 @@ def test_criterion_5_limit_cases(capsys):
     mean = float(np.mean(batch.stochastic_costs))
     mean_err = abs(smoothed_cost_value(batch, 1e9) - mean) / abs(mean)
 
-    frozen = RolloutBatch(trajectories=batch.trajectories, gamma=0.0,
-                          stochastic_costs=np.array(
-                              [0.0, 1.0, 2.0] + [1.0] * (batch.n - 3)))
+    frozen = replace(batch, gamma=0.0,
+                     stochastic_costs=np.array(
+                         [0.0, 1.0, 2.0] + [1.0] * (batch.n - 3)))
     risk = smoothed_cost_value(frozen, 1.0)
     expected = -np.log(np.mean(np.exp(-frozen.stochastic_costs)))
     risk_err = abs(risk - expected)

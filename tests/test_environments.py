@@ -48,6 +48,16 @@ class TestStep:
         with pytest.raises(RolloutBlowupError):
             env.step(np.array([np.inf]), np.zeros(1), 3)
 
+    def test_blowup_names_the_first_bad_row(self):
+        env = LqViapoints()
+        x = np.array([[0.0], [np.nan], [2e8]])
+        with pytest.raises(RolloutBlowupError) as err:
+            env.step(x, np.zeros((3, 1)), 4)
+        assert (err.value.step, err.value.index) == (4, 1)
+        with pytest.raises(RolloutBlowupError) as err:
+            env.step(x[[0, 2]], np.zeros((2, 1)), 4)
+        assert err.value.index == 1
+
 
 class TestCosts:
     def test_lq_zero_noise_zero_policy_cost(self):
@@ -75,6 +85,19 @@ class TestCosts:
         up = np.array([np.pi, 0.0, 0.0, 0.0])  # both links pointing up
         assert float(env.event_cost(env.num_steps, up)) == pytest.approx(
             -500.0 * (env.l1 + env.l2))
+
+
+class TestEventIndices:
+    def test_declared_indices(self):
+        assert LqViapoints().event_indices == tuple(range(10, 100, 10))
+        assert Pendulum().event_indices == (300,)
+        assert Acrobot(horizon=1.0).event_indices == (100,)
+
+    def test_costs_only_at_event_indices(self):
+        env = LqViapoints()
+        batch = sample_batch(env, ZeroPolicy(env.noise_var), 4, 0, gamma=1.0)
+        charged = np.flatnonzero(np.any(batch.state_costs != 0.0, axis=0))
+        np.testing.assert_array_equal(charged + 1, env.event_indices)
 
 
 class TestRollout:

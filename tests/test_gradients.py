@@ -8,10 +8,12 @@ S_i - alpha * (log pi_new - log pi_old).  The gradient of that function at the
 sampling parameters is exactly the negated unwhitened estimator.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from aspic import (RolloutBatch, TimeVaryingLinearPolicy, direct_gradient,
+from aspic import (TimeVaryingLinearPolicy, direct_gradient,
                    lq_features, make_env, pice_gradient, sample_batch,
                    smoothed_cost_value, smoothed_gradient)
 
@@ -30,15 +32,8 @@ def make_fixture(seed=0, n=6, gamma=1.0):
     return batch, policy
 
 
-def stacked(batch):
-    xs = np.stack([tr.states[:-1] for tr in batch.trajectories])
-    acts = np.stack([tr.actions for tr in batch.trajectories])
-    return xs, acts
-
-
 def equal_cost_batch(batch, value=3.0):
-    return RolloutBatch(trajectories=batch.trajectories, gamma=batch.gamma,
-                        stochastic_costs=np.full(batch.n, value))
+    return replace(batch, stochastic_costs=np.full(batch.n, value))
 
 
 class TestSmoothedGradient:
@@ -52,7 +47,7 @@ class TestSmoothedGradient:
         alpha = 2.0
         grad = smoothed_gradient(equal_cost_batch(batch), policy, alpha,
                                  whiten=False)
-        xs, acts = stacked(batch)
+        xs, acts = batch.xs, batch.actions
         scores = np.stack([policy.score_sum(xs[i], acts[i])
                            for i in range(batch.n)])
         np.testing.assert_allclose(grad.direction,
@@ -61,7 +56,7 @@ class TestSmoothedGradient:
     def test_finite_difference_oracle(self):
         batch, policy = make_fixture(seed=3)
         alpha = 1.5
-        xs, acts = stacked(batch)
+        xs, acts = batch.xs, batch.actions
         lp_old = np.sum(policy.log_prob_steps(xs, acts), axis=-1)
         s = batch.stochastic_costs
 
@@ -69,9 +64,7 @@ class TestSmoothedGradient:
             pol = policy.with_params(params)
             lp_new = np.sum(pol.log_prob_steps(xs, acts), axis=-1)
             adjusted = s - alpha * (lp_new - lp_old)
-            frozen = RolloutBatch(trajectories=batch.trajectories,
-                                  gamma=batch.gamma,
-                                  stochastic_costs=adjusted)
+            frozen = replace(batch, stochastic_costs=adjusted)
             return smoothed_cost_value(frozen, alpha)
 
         grad = smoothed_gradient(batch, policy, alpha, whiten=False)
@@ -88,9 +81,8 @@ class TestSmoothedGradient:
 
     def test_whitened_direction_shift_invariant(self):
         batch, policy = make_fixture(seed=5)
-        shifted = RolloutBatch(trajectories=batch.trajectories,
-                               gamma=batch.gamma,
-                               stochastic_costs=batch.stochastic_costs + 77.0)
+        shifted = replace(batch,
+                          stochastic_costs=batch.stochastic_costs + 77.0)
         g1 = smoothed_gradient(batch, policy, alpha=1e6)
         g2 = smoothed_gradient(shifted, policy, alpha=1e6)
         np.testing.assert_allclose(g1.direction, g2.direction, rtol=1e-9)
@@ -114,10 +106,9 @@ class TestDirectGradient:
         batch, policy = make_fixture(n=4)
         costs = np.zeros(4)
         costs[2] = 1e6
-        loaded = RolloutBatch(trajectories=batch.trajectories,
-                              gamma=batch.gamma, stochastic_costs=costs)
+        loaded = replace(batch, stochastic_costs=costs)
         grad = direct_gradient(loaded, policy, whiten=False)
-        xs, acts = stacked(batch)
+        xs, acts = batch.xs, batch.actions
         score = policy.score_sum(xs[2], acts[2])
         cos = grad.direction @ score / (np.linalg.norm(grad.direction)
                                         * np.linalg.norm(score))
@@ -144,7 +135,7 @@ class TestPiceGradient:
     def test_equal_costs_is_mean_score(self):
         batch, policy = make_fixture()
         grad = pice_gradient(equal_cost_batch(batch), policy)
-        xs, acts = stacked(batch)
+        xs, acts = batch.xs, batch.actions
         scores = np.stack([policy.score_sum(xs[i], acts[i])
                            for i in range(batch.n)])
         np.testing.assert_allclose(grad.direction, scores.mean(axis=0),
@@ -154,10 +145,9 @@ class TestPiceGradient:
         batch, policy = make_fixture(n=4)
         costs = np.full(4, 1e4)
         costs[1] = 0.0  # gap >> gamma: weight collapses onto sample 1
-        loaded = RolloutBatch(trajectories=batch.trajectories,
-                              gamma=batch.gamma, stochastic_costs=costs)
+        loaded = replace(batch, stochastic_costs=costs)
         grad = pice_gradient(loaded, policy)
-        xs, acts = stacked(batch)
+        xs, acts = batch.xs, batch.actions
         np.testing.assert_allclose(grad.direction,
                                    policy.score_sum(xs[1], acts[1]),
                                    rtol=1e-8)
@@ -183,17 +173,15 @@ class TestSmoothedCostValue:
 
     def test_risk_sensitive_hand_value(self):
         batch, _ = make_fixture(n=3, gamma=0.0)
-        frozen = RolloutBatch(trajectories=batch.trajectories, gamma=0.0,
-                              stochastic_costs=np.array([0.0, 1.0, 2.0]))
+        frozen = replace(batch, gamma=0.0,
+                         stochastic_costs=np.array([0.0, 1.0, 2.0]))
         expected = -np.log((1 + np.exp(-1.0) + np.exp(-2.0)) / 3.0)
         assert smoothed_cost_value(frozen, 1.0) == pytest.approx(
             expected, rel=1e-12)
 
     def test_non_finite_costs_rejected(self):
         batch, _ = make_fixture()
-        frozen = RolloutBatch(trajectories=batch.trajectories,
-                              gamma=batch.gamma,
-                              stochastic_costs=np.array(
-                                  [np.nan] + [0.0] * (batch.n - 1)))
+        frozen = replace(batch, stochastic_costs=np.array(
+            [np.nan] + [0.0] * (batch.n - 1)))
         with pytest.raises(ValueError):
             smoothed_cost_value(frozen, 1.0)

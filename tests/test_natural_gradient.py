@@ -1,9 +1,12 @@
 """Tests for the Fisher machinery and the trust-region step."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from aspic import (MlpPolicy, TimeVaryingLinearPolicy, conjugate_gradient,
+from aspic import (MlpPolicy, RolloutBatch, TimeVaryingLinearPolicy,
+                   conjugate_gradient,
                    fisher_vector_product, lq_features, make_env,
                    per_timestep_natural_direction, sample_batch,
                    sample_policy_kl, trust_region_step)
@@ -22,25 +25,31 @@ def make_fixture(seed=0, n=8, noise_var=None, params_scale=0.3):
     return batch, policy
 
 
+def array_batch(states, actions):
+    """Synthetic batch: given states and actions, zero noise, costs and
+    log-probabilities."""
+    actions = np.asarray(actions, dtype=float)
+    zeros = np.zeros(actions.shape[:2])
+    return RolloutBatch(states=states, actions=actions,
+                        noises=np.zeros_like(actions), state_costs=zeros,
+                        logp_policy=zeros, logp_base=zeros, gamma=1.0)
+
+
 def full_rank_fixture(seed=0, num_steps=4, n=16):
     """Synthetic batch whose states vary at every step (all blocks full rank).
 
     Simulated rollouts all share the initial state, which makes the first
     Fisher block rank one; random states avoid that.
     """
-    from aspic import RolloutBatch, Trajectory
-
     rng = np.random.default_rng(seed)
     policy = TimeVaryingLinearPolicy(lq_features, num_steps, 1.0,
                                      params=rng.normal(size=2 * num_steps))
     policy.features(np.zeros(1))
-    trajs = [Trajectory(states=rng.normal(size=(num_steps + 1, 1)),
-                        actions=rng.normal(size=(num_steps, 1)),
-                        noises=np.zeros((num_steps, 1)),
-                        state_costs=np.zeros(num_steps),
-                        logp_policy=np.zeros(num_steps),
-                        logp_base=np.zeros(num_steps)) for _ in range(n)]
-    return RolloutBatch(trajectories=trajs, gamma=1.0), policy
+    draws = [(rng.normal(size=(num_steps + 1, 1)),
+              rng.normal(size=(num_steps, 1))) for _ in range(n)]
+    batch = array_batch(np.stack([s for s, _ in draws]),
+                        np.stack([a for _, a in draws]))
+    return batch, policy
 
 
 def dense_fisher(batch, policy):
@@ -122,16 +131,11 @@ class TestFisherVectorProduct:
     def test_hand_value_single_sample(self):
         # u = theta_1 * x + theta_2, one step, one state fixture at x = 2,
         # unit variance: F block = [[4, 2], [2, 1]].
-        from aspic import RolloutBatch, Trajectory
-
         pol = TimeVaryingLinearPolicy(lq_features, 1, 1.0,
                                       params=np.zeros(2))
         pol.features(np.zeros(1))
-        trajs = [Trajectory(states=np.array([[2.0], [0.0]]),
-                            actions=np.zeros((1, 1)), noises=np.zeros((1, 1)),
-                            state_costs=np.zeros(1), logp_policy=np.zeros(1),
-                            logp_base=np.zeros(1)) for _ in range(2)]
-        batch = RolloutBatch(trajectories=trajs, gamma=1.0)
+        batch = array_batch(np.array([[[2.0], [0.0]]] * 2),
+                            np.zeros((2, 1, 1)))
         out = fisher_vector_product(batch, pol, np.array([1.0, 0.0]))
         np.testing.assert_allclose(out, [4.0, 2.0])
 
@@ -182,20 +186,13 @@ class TestPerTimestepDirection:
     def test_identity_blocks_pass_through(self):
         # Two orthonormal feature states per step make each block
         # (1/(N sigma^2)) sum phi phi^T equal the identity.
-        from aspic import RolloutBatch, Trajectory
-
         pol = TimeVaryingLinearPolicy(lq_features, 2, 1.0,
                                       params=np.zeros(4))
         pol.features(np.zeros(1))
 
-        def traj(x):
-            return Trajectory(states=np.array([[x], [x], [0.0]]),
-                              actions=np.zeros((2, 1)),
-                              noises=np.zeros((2, 1)), state_costs=np.zeros(2),
-                              logp_policy=np.zeros(2), logp_base=np.zeros(2))
-
         # States +1 and -1: sum of [x,1][x,1]^T over the two samples is 2I.
-        batch = RolloutBatch(trajectories=[traj(1.0), traj(-1.0)], gamma=1.0)
+        batch = array_batch(np.array([[[x], [x], [0.0]] for x in (1.0, -1.0)]),
+                            np.zeros((2, 2, 1)))
         g = np.array([1.0, 2.0, -3.0, 4.0])
         out = per_timestep_natural_direction(batch, pol, g, rcond=1e-12)
         np.testing.assert_allclose(out, g, rtol=1e-12)
@@ -203,34 +200,23 @@ class TestPerTimestepDirection:
     def test_null_space_component_dropped(self):
         # All rollouts share the same state, so each block is rank one; the
         # component of g orthogonal to the feature direction must vanish.
-        from aspic import RolloutBatch, Trajectory
-
         pol = TimeVaryingLinearPolicy(lq_features, 1, 1.0,
                                       params=np.zeros(2))
         pol.features(np.zeros(1))
-        trajs = [Trajectory(states=np.array([[2.0], [0.0]]),
-                            actions=np.zeros((1, 1)), noises=np.zeros((1, 1)),
-                            state_costs=np.zeros(1), logp_policy=np.zeros(1),
-                            logp_base=np.zeros(1)) for _ in range(3)]
-        batch = RolloutBatch(trajectories=trajs, gamma=1.0)
+        batch = array_batch(np.array([[[2.0], [0.0]]] * 3),
+                            np.zeros((3, 1, 1)))
         g_null = np.array([1.0, -2.0])  # orthogonal to phi = [2, 1]
         out = per_timestep_natural_direction(batch, pol, g_null, rcond=1e-4)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_scalar_block(self):
         # Single feature phi = 2 with unit variance: block F = 4, g = 8 -> 2.
-        from aspic import RolloutBatch, Trajectory
-
         def single_feature(x):
             return 2.0 * np.ones(np.asarray(x).shape[:-1] + (1,))
 
         pol = TimeVaryingLinearPolicy(single_feature, 1, 1.0,
                                       params=np.zeros(1))
-        trajs = [Trajectory(states=np.zeros((2, 1)), actions=np.zeros((1, 1)),
-                            noises=np.zeros((1, 1)), state_costs=np.zeros(1),
-                            logp_policy=np.zeros(1), logp_base=np.zeros(1))
-                 for _ in range(2)]
-        batch = RolloutBatch(trajectories=trajs, gamma=1.0)
+        batch = array_batch(np.zeros((2, 2, 1)), np.zeros((2, 1, 1)))
         out = per_timestep_natural_direction(batch, pol, np.array([8.0]))
         np.testing.assert_allclose(out, [2.0])
 
@@ -322,15 +308,5 @@ class TestTrustRegionStep:
 
 def _zero_residual_batch(batch, policy):
     """Replace actions by the policy mean so the sampled KL cross term is 0."""
-    from aspic import RolloutBatch, Trajectory
-
-    trajs = []
-    for tr in batch.trajectories:
-        xs = tr.states[:-1]
-        acts = policy.mean_steps(xs)
-        trajs.append(Trajectory(states=tr.states, actions=acts,
-                                noises=np.zeros_like(tr.noises),
-                                state_costs=tr.state_costs,
-                                logp_policy=tr.logp_policy,
-                                logp_base=tr.logp_base))
-    return RolloutBatch(trajectories=trajs, gamma=batch.gamma)
+    return replace(batch, actions=policy.mean_steps(batch.xs),
+                   noises=np.zeros_like(batch.noises))

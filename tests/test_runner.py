@@ -44,6 +44,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(delta=None)  # smoothed estimator needs delta > 0
 
+    @pytest.mark.parametrize("overrides, key", [
+        (dict(env="cartpole"), "env"),
+        (dict(policy="rbf"), "policy"),
+        (dict(solver={"kind": "lbfgs"}), "kind"),
+        (dict(solver={"kind": "cg", "itrs": 3}), "itrs"),
+        (dict(solver={"kind": "per_timestep_pinv", "iters": 3}), "iters"),
+        (dict(gamma=-0.5), "gamma"),
+        (dict(policy="mlp"), "per_timestep_pinv"),
+        (dict(repeats=0), "repeats"),
+    ])
+    def test_invalid_config_rejected_at_construction(self, overrides, key):
+        with pytest.raises(ValueError, match=key):
+            small_config(**overrides)
+
+    def test_solver_kind_defaults_to_cg(self):
+        cfg = small_config(solver={"iters": 3, "damping": 0.1})
+        assert run_aspic(cfg.replace(iterations=1)).records[0]
+
     def test_resolve_delta_forms(self):
         assert resolve_delta({"absolute": 0.5}, 100) == 0.5
         assert resolve_delta({"lognfrac": 0.2}, 100) == pytest.approx(
@@ -139,6 +157,20 @@ class TestSweep:
         assert len(cells) == 2
         assert all(not isinstance(c, Exception) for c in cells.values())
 
+    def test_grid_delta_zero_switches_to_direct(self):
+        cells = sweep(small_config(), "grid", [(0, 0.1)])
+        assert cells["delta=0,eps=0.1"].config.estimator == "direct"
+
+    def test_bad_cell_config_does_not_stop_sweep(self):
+        cells = sweep(small_config(), "grid",
+                      [({"lognfrac": 0.2}, -1.0), ("bogus", 0.1),
+                       ({"absolute": 0.5}, 0.2)])
+        bad = cells["grid=({'lognfrac': 0.2}, -1.0)"]
+        assert isinstance(bad, ValueError) and "epsilon" in str(bad)
+        assert isinstance(cells["grid=('bogus', 0.1)"], ValueError)
+        good = cells["delta=0.5,eps=0.2"]
+        assert len(good.records[0]) == 3
+
     def test_cell_failure_does_not_stop_sweep(self):
         cfg = ExperimentConfig(
             env="acrobot", n_rollouts=4, iterations=200, epsilon=10.0,
@@ -186,6 +218,12 @@ class TestExport:
         with pytest.raises(ValueError):
             export(res, "parquet", tmp_path)
 
+    def test_unknown_format_writes_nothing(self, tmp_path):
+        res = run_aspic(small_config())
+        with pytest.raises(ValueError):
+            export(res, "parquet", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestCli:
     def write_config(self, tmp_path, extra=None):
@@ -213,6 +251,27 @@ class TestCli:
         assert cli_main(["sweep", cfg, "--axis", "delta",
                          "--out", str(out)]) == 0
         assert (out / "delta=0" / "summary.json").exists()
+
+    def test_export_subcommand_prints_summary_json(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "results"
+        assert cli_main(["run", cfg, "--out", str(out),
+                         "--format", "json"]) == 0
+        capsys.readouterr()
+        assert cli_main(["export", str(out / "summary.json")]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        saved = json.loads((out / "summary.json").read_text())
+        assert printed["config_hash"] == saved["config_hash"]
+        assert printed["final_costs"] == saved["final_costs"]
+        with pytest.raises(SystemExit):
+            cli_main(["export", str(out / "summary.json"), "--format", "csv"])
+
+    def test_invalid_config_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {"solver": {"kind": "cg",
+                                                      "itrs": 3}})
+        assert cli_main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "itrs" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_sweep_without_values_errors(self, tmp_path):
         cfg = self.write_config(tmp_path)

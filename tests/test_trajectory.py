@@ -1,5 +1,7 @@
 """Tests for the rollout containers and the stochastic path cost."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,14 @@ def make_traj(state_costs, logp_policy, logp_base, state_dim=1):
         logp_policy=np.asarray(logp_policy, dtype=float),
         logp_base=np.asarray(logp_base, dtype=float),
     )
+
+
+def stack(trajs, gamma, **kwargs):
+    """The batch whose rows are ``trajs``."""
+    seqs = {name: np.stack([getattr(tr, name) for tr in trajs])
+            for name in ("states", "actions", "noises", "state_costs",
+                         "logp_policy", "logp_base")}
+    return RolloutBatch(**seqs, gamma=gamma, **kwargs)
 
 
 class TestStochasticCost:
@@ -72,28 +82,68 @@ class TestRolloutBatch:
         rng = np.random.default_rng(11)
         trajs = [make_traj(rng.normal(size=4), rng.normal(size=4),
                            rng.normal(size=4)) for _ in range(6)]
-        batch = RolloutBatch(trajectories=trajs, gamma=1.5)
-        recomputed = [stochastic_cost(tr, 1.5) for tr in batch.trajectories]
+        batch = stack(trajs, gamma=1.5)
+        recomputed = [stochastic_cost(tr, 1.5) for tr in batch]
         np.testing.assert_allclose(batch.stochastic_costs, recomputed,
                                    rtol=0, atol=0)
 
     def test_mean_cost(self):
         trajs = [make_traj([c], [0.0], [0.0]) for c in (1.0, 2.0, 3.0)]
-        batch = RolloutBatch(trajectories=trajs, gamma=0.0)
+        batch = stack(trajs, gamma=0.0)
         assert batch_mean_cost(batch) == pytest.approx(2.0)
 
     def test_constant_costs(self):
         trajs = [make_traj([7.0], [0.0], [0.0]) for _ in range(4)]
-        batch = RolloutBatch(trajectories=trajs, gamma=0.0)
+        batch = stack(trajs, gamma=0.0)
         assert batch_mean_cost(batch) == 7.0
 
     def test_batch_needs_two_trajectories(self):
         with pytest.raises(ValueError):
-            RolloutBatch(trajectories=[make_traj([1.0], [0.0], [0.0])],
-                         gamma=0.0)
+            stack([make_traj([1.0], [0.0], [0.0])], gamma=0.0)
 
     def test_explicit_costs_checked_for_length(self):
         trajs = [make_traj([1.0], [0.0], [0.0]) for _ in range(3)]
         with pytest.raises(ValueError):
-            RolloutBatch(trajectories=trajs, gamma=0.0,
-                         stochastic_costs=np.zeros(2))
+            stack(trajs, gamma=0.0, stochastic_costs=np.zeros(2))
+
+    def test_negative_gamma_rejected(self):
+        trajs = [make_traj([1.0], [-0.5], [-1.0]) for _ in range(2)]
+        with pytest.raises(ValueError):
+            stack(trajs, gamma=-1.0)
+
+    def test_batch_sizes_must_agree(self):
+        batch = stack([make_traj([1.0], [0.0], [0.0]) for _ in range(3)],
+                      gamma=0.0)
+        with pytest.raises(ValueError):
+            replace(batch, logp_base=np.zeros((2, 1)))
+
+    def test_step_counts_must_agree(self):
+        batch = stack([make_traj([1.0, 2.0], [0.0] * 2, [0.0] * 2)
+                       for _ in range(3)], gamma=0.0)
+        with pytest.raises(ValueError):
+            replace(batch, state_costs=np.zeros((3, 1)))
+
+    def test_rows_are_frozen_views(self):
+        trajs = [make_traj([1.0, 2.0], [-0.5, -0.5], [-1.0, -1.0], state_dim=2)
+                 for _ in range(3)]
+        batch = stack(trajs, gamma=1.0)
+        row = batch[1]
+        assert isinstance(row, Trajectory)
+        assert np.shares_memory(row.states, batch.states)
+        np.testing.assert_array_equal(row.state_costs, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            batch.actions[0, 0, 0] = 1.0
+        with pytest.raises(IndexError):
+            batch[3]
+
+    def test_xs_is_contiguous_states_without_the_last(self):
+        rng = np.random.default_rng(4)
+        trajs = [Trajectory(states=rng.normal(size=(4, 2)),
+                            actions=np.zeros((3, 1)), noises=np.zeros((3, 1)),
+                            state_costs=np.zeros(3), logp_policy=np.zeros(3),
+                            logp_base=np.zeros(3)) for _ in range(2)]
+        batch = stack(trajs, gamma=0.0)
+        assert batch.xs.flags.c_contiguous
+        assert not batch.xs.flags.writeable
+        np.testing.assert_array_equal(batch.xs, batch.states[:, :-1])
+        assert (batch.n, batch.num_steps) == (2, 3)

@@ -47,8 +47,8 @@ def cmd_sweep(args) -> int:
         print("error: no sweep values (--values or 'sweep_values' in config)",
               file=sys.stderr)
         return 2
-    if args.axis == "grid":
-        values = [tuple(v) for v in values]
+    if not isinstance(values, list):
+        raise ValueError(f"sweep values must be a JSON list, got {values!r}")
     cells = sweep(ExperimentConfig.from_dict(raw), args.axis, values)
     failed = False
     base = _outdir(args)

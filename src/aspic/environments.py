@@ -13,6 +13,10 @@ the discretized Girsanov quadratic control cost.
 
 ``sample_batch`` simulates N rollouts in lockstep straight into the arrays
 of a ``RolloutBatch``; ``rollout`` returns one rollout as a ``Trajectory``.
+Both draw rollout i's noise from child i of the seed, so ``rollout`` replays
+rollout 0 of ``sample_batch`` with the same seed, with the same noise bit for
+bit (a policy mean computed by a BLAS matmul may round differently in the
+last bit at another row count).
 """
 
 from __future__ import annotations
@@ -272,7 +276,7 @@ def _simulate(env: Environment, policy, noises: np.ndarray) -> dict:
     x = np.broadcast_to(env.x0, (n, env.state_dim)).copy()
     states[:, 0] = x
     for k in range(t_steps):
-        a = np.atleast_2d(policy.mean(x, k)) + noises[:, k]
+        a = policy.mean(x, k) + noises[:, k]
         actions[:, k] = a
         x = env.step(x, a, k)
         states[:, k + 1] = x
@@ -284,13 +288,23 @@ def _simulate(env: Environment, policy, noises: np.ndarray) -> dict:
                 logp_base=_base_log_prob(actions, env.noise_var))
 
 
+def _noises(env: Environment, n: int, rng_seed,
+            noise_scale: float) -> np.ndarray:
+    """(n, T, adim) action noise; row i from child i of ``rng_seed``."""
+    noises = np.empty((n, env.num_steps, env.action_dim))
+    sd = np.sqrt(env.noise_var)
+    for i, child in enumerate(np.random.SeedSequence(rng_seed).spawn(n)):
+        noises[i] = np.random.default_rng(child).normal(
+            0.0, sd, size=noises.shape[1:])
+    noises *= noise_scale
+    return noises
+
+
 def rollout(env: Environment, policy, rng_seed, *,
             noise_scale: float = 1.0) -> Trajectory:
-    """One seeded rollout; ``noise_scale=0`` gives the deterministic path."""
-    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    noises = noise_scale * rng.normal(0.0, np.sqrt(env.noise_var),
-                                      size=(1, env.num_steps, env.action_dim))
-    seqs = _simulate(env, policy, noises)
+    """One seeded rollout, rollout 0 of ``sample_batch`` with the same seed;
+    ``noise_scale=0`` gives the deterministic path."""
+    seqs = _simulate(env, policy, _noises(env, 1, rng_seed, noise_scale))
     return Trajectory(**{name: arr[0] for name, arr in seqs.items()})
 
 
@@ -299,12 +313,7 @@ def sample_batch(env: Environment, policy, n: int, rng_seed, gamma: float, *,
     """N rollouts with per-rollout seeds spawned from ``rng_seed``."""
     if n < 2:
         raise ValueError("need at least 2 rollouts per batch")
-    noises = np.empty((n, env.num_steps, env.action_dim))
-    sd = np.sqrt(env.noise_var)
-    for i, child in enumerate(np.random.SeedSequence(rng_seed).spawn(n)):
-        noises[i] = np.random.default_rng(child).normal(
-            0.0, sd, size=noises.shape[1:])
-    noises *= noise_scale
+    noises = _noises(env, n, rng_seed, noise_scale)
     return RolloutBatch(**_simulate(env, policy, noises), gamma=gamma)
 
 

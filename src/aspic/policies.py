@@ -1,30 +1,36 @@
 """Gaussian policies with fixed variance nu/dt.
 
-Both mean families expose the same surface: per-step log-probability, the
-score (gradient of the log-probability in the flat parameter vector), and
-Jacobian-vector products of the mean, which is all the gradient estimators and
-the Fisher machinery need.  The variance is static and not part of the
-parameter vector, so every formula reduces to operations on the mean:
+Both mean families expose the same batched surface: the action mean, its
+Jacobian-vector products in the flat parameter vector, and per-step
+log-probabilities, which is all the gradient estimators and the Fisher
+machinery need.  The variance is static and not part of the parameter
+vector, so every formula reduces to operations on the mean:
 
     log pi(a|x,t) = -|a - u(x,t)|^2 / (2 sigma^2) - (d/2) log(2 pi sigma^2)
-    score(a,x,t)  = J_u(x,t)^T (a - u(x,t)) / sigma^2
+    grad log pi   = J_u(x,t)^T (a - u(x,t)) / sigma^2
 
-with sigma^2 = nu/dt and J_u the Jacobian of the mean w.r.t. the parameters.
+with sigma^2 = nu/dt and J_u the Jacobian of the mean w.r.t. the parameters;
+the estimators form the gradient as ``jac_t_v_steps`` of the scaled residual.
 
-The estimators consume whole batches, so the workhorse methods take stacked
-arrays: ``xs`` of shape (..., T, state_dim) with matching actions, where T is
-the number of control steps and the leading dimensions enumerate rollouts.
+The methods take stacked arrays: ``xs`` of shape (..., T, state_dim) with
+matching actions, where T is the number of control steps and the leading
+dimensions enumerate rollouts.  The parameter count is fixed when a policy is
+built.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 __all__ = ["GaussianPolicy", "TimeVaryingLinearPolicy", "MlpPolicy",
-           "lq_features", "pendulum_features", "acrobot_features",
-           "save_params", "load_params"]
+           "lq_features", "pendulum_features", "acrobot_features"]
+
+
+def _positive(noise_var: float) -> float:
+    noise_var = float(noise_var)
+    if not noise_var > 0:
+        raise ValueError(f"noise variance must be positive, got {noise_var}")
+    return noise_var
 
 
 class GaussianPolicy:
@@ -36,10 +42,11 @@ class GaussianPolicy:
 
     noise_var: float  # nu/dt, per action dimension
     action_dim: int
+    _params: np.ndarray  # flat, sized when the policy is built
 
     @property
     def params(self) -> np.ndarray:
-        raise NotImplementedError
+        return self._params.copy()
 
     def with_params(self, params: np.ndarray) -> "GaussianPolicy":
         raise NotImplementedError
@@ -60,34 +67,12 @@ class GaussianPolicy:
         """sum over all rollouts and steps of J_u^T v; returns a flat vector."""
         raise NotImplementedError
 
-    # -- derived operations ------------------------------------------------
-
-    def _gauss_logp(self, resid: np.ndarray) -> np.ndarray:
-        if self.noise_var <= 0:
-            raise ValueError("noise variance must be positive")
+    def log_prob_steps(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Per-step log-probabilities; shape of xs minus the state axis."""
+        resid = np.asarray(actions, dtype=float) - self.mean_steps(xs)
         d = resid.shape[-1]
         return (-np.sum(resid ** 2, axis=-1) / (2.0 * self.noise_var)
                 - 0.5 * d * np.log(2.0 * np.pi * self.noise_var))
-
-    def log_prob_steps(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Per-step log-probabilities; shape of xs minus the state axis."""
-        return self._gauss_logp(np.asarray(actions, dtype=float)
-                                - self.mean_steps(xs))
-
-    def log_prob(self, a, x, t: int) -> float:
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        u = np.atleast_1d(np.asarray(self.mean(np.asarray(x, dtype=float), t)))
-        return float(self._gauss_logp(a - u))
-
-    def score(self, a, x, t: int) -> np.ndarray:
-        """Gradient of log pi(a|x,t) in the flat parameters."""
-        raise NotImplementedError
-
-    def score_sum(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """sum_t score(a_t, x_t, t) for one trajectory."""
-        resid = (np.asarray(actions, dtype=float)
-                 - self.mean_steps(xs)) / self.noise_var
-        return self.jac_t_v_steps(xs, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -125,46 +110,37 @@ def acrobot_features(x: np.ndarray) -> np.ndarray:
 class TimeVaryingLinearPolicy(GaussianPolicy):
     """u(x, t) = theta_t . phi(x), one coefficient block per grid time.
 
-    Parameters flatten to shape (num_steps * num_features,); the block for
-    time t only influences step t, which makes the Fisher matrix exactly
-    block-diagonal across time.  Scalar actions only, matching the tasks.
+    ``feature_fn`` maps states to ``num_features`` features.  Parameters
+    flatten to shape (num_steps * num_features,) and default to zeros; the
+    block for time t only influences step t, which makes the Fisher matrix
+    exactly block-diagonal across time.  Scalar actions only, matching the
+    tasks.
     """
 
     action_dim = 1
 
-    def __init__(self, feature_fn, num_steps: int, noise_var: float,
-                 params: np.ndarray | None = None):
+    def __init__(self, feature_fn, num_features: int, num_steps: int,
+                 noise_var: float, params: np.ndarray | None = None):
         self.feature_fn = feature_fn
+        self.num_features = int(num_features)
         self.num_steps = int(num_steps)
-        self.noise_var = float(noise_var)
-        self.num_features = None  # fixed on first feature evaluation
-        self._params = (None if params is None
+        self.noise_var = _positive(noise_var)
+        size = self.num_steps * self.num_features
+        self._params = (np.zeros(size) if params is None
                         else np.asarray(params, dtype=float).copy())
+        if self._params.size != size:
+            raise ValueError(f"expected {size} parameters, "
+                             f"got {self._params.size}")
 
     def features(self, xs: np.ndarray) -> np.ndarray:
-        feats = self.feature_fn(np.asarray(xs, dtype=float))
-        if self.num_features is None:
-            self.num_features = feats.shape[-1]
-        if self._params is None:
-            self._params = np.zeros(self.num_steps * self.num_features)
-        return feats
+        return self.feature_fn(np.asarray(xs, dtype=float))
 
     def _theta(self) -> np.ndarray:
         return self._params.reshape(self.num_steps, self.num_features)
 
-    @property
-    def params(self) -> np.ndarray:
-        if self._params is None:
-            raise ValueError("parameter count unknown until the first feature "
-                             "evaluation; call features() or pass params")
-        return self._params.copy()
-
     def with_params(self, params: np.ndarray) -> "TimeVaryingLinearPolicy":
-        p = TimeVaryingLinearPolicy(self.feature_fn, self.num_steps,
-                                    self.noise_var, params)
-        p.num_features = self.num_features
-        return p
-
+        return TimeVaryingLinearPolicy(self.feature_fn, self.num_features,
+                                       self.num_steps, self.noise_var, params)
 
     def mean(self, x: np.ndarray, t: int) -> np.ndarray:
         feats = self.features(x)
@@ -184,13 +160,6 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
         v = np.asarray(v, dtype=float)[..., 0].reshape(-1, self.num_steps)
         return np.einsum("ntk,nt->tk", feats, v).ravel()
 
-    def score(self, a, x, t: int) -> np.ndarray:
-        feats = self.features(np.asarray(x, dtype=float))
-        resid = (float(np.squeeze(a)) - feats @ self._theta()[t]) / self.noise_var
-        out = np.zeros((self.num_steps, self.num_features))
-        out[t] = resid * feats
-        return out.ravel()
-
 
 # ---------------------------------------------------------------------------
 # MLP mean
@@ -208,7 +177,7 @@ class MlpPolicy(GaussianPolicy):
     def __init__(self, layer_sizes, noise_var: float,
                  params: np.ndarray | None = None, *, rng=None):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        self.noise_var = float(noise_var)
+        self.noise_var = _positive(noise_var)
         self.action_dim = self.layer_sizes[-1]
         if params is None:
             params = self._glorot_init(rng or np.random.default_rng())
@@ -242,13 +211,8 @@ class MlpPolicy(GaussianPolicy):
             off += s[i + 1]
             yield w, b
 
-    @property
-    def params(self) -> np.ndarray:
-        return self._params.copy()
-
     def with_params(self, params: np.ndarray) -> "MlpPolicy":
         return MlpPolicy(self.layer_sizes, self.noise_var, params)
-
 
     def _forward(self, x2d: np.ndarray):
         h = x2d
@@ -261,9 +225,7 @@ class MlpPolicy(GaussianPolicy):
         return h, caches
 
     def mean(self, x: np.ndarray, t: int) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out, _ = self._forward(np.atleast_2d(x))
-        return out if x.ndim > 1 else out[0]
+        return self.mean_steps(x)
 
     def mean_steps(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -306,32 +268,3 @@ class MlpPolicy(GaussianPolicy):
             else:
                 h, dh = z, dz
         return dh.reshape(xs.shape[:-1] + (self.action_dim,))
-
-    def score(self, a, x, t: int) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        a = np.asarray(a, dtype=float).reshape(1, -1)
-        resid = (a - self.mean_steps(x)) / self.noise_var
-        return self.jac_t_v_steps(x, resid)
-
-
-# ---------------------------------------------------------------------------
-# Parameter checkpointing
-# ---------------------------------------------------------------------------
-
-def save_params(path, policy: GaussianPolicy) -> None:
-    """Flat JSON dump of the parameter vector with a shape header."""
-    if isinstance(policy, TimeVaryingLinearPolicy):
-        shape = {"family": "linear", "num_steps": policy.num_steps,
-                 "num_features": policy.num_features}
-    else:
-        shape = {"family": "mlp", "layer_sizes": list(policy.layer_sizes)}
-    payload = {"shape": shape, "noise_var": policy.noise_var,
-               "data": policy.params.tolist()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_params(path) -> tuple[dict, np.ndarray]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return payload["shape"], np.asarray(payload["data"], dtype=float)

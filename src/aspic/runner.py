@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -33,13 +33,26 @@ __all__ = ["ExperimentConfig", "IterationRecord", "RunResult", "RunError",
 CSV_COLUMNS = ("run", "iter", "mean_cost", "std_cost", "alpha", "kl_est",
                "eta", "achieved_kl", "wall_ms", "seed")
 
-_FEATURES = {"lq_viapoints": lq_features, "pendulum": pendulum_features,
-             "acrobot": acrobot_features}
+# env -> (feature map, number of features) of its linear policy.
+_FEATURES = {"lq_viapoints": (lq_features, 2),
+             "pendulum": (pendulum_features, 4),
+             "acrobot": (acrobot_features, 9)}
 
 # Solver kind -> {config key: (trust_region_step keyword, type)}.
 _SOLVER_KEYS = {"cg": {"iters": ("cg_iters", int),
                        "damping": ("damping", float)},
                 "per_timestep_pinv": {"rcond": ("rcond", float)}}
+
+
+def _typed(name: str, value, typ):
+    """``value`` as ``typ``; a ValueError naming ``name`` if it is not one."""
+    try:
+        out = typ(value)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or isinstance(value, bool) or out != value:
+        raise ValueError(f"{name} must be {typ.__name__}, got {value!r}")
+    return out
 
 
 @dataclass
@@ -78,10 +91,19 @@ class ExperimentConfig:
             if not ok:
                 raise ValueError(f"{key} must be {rule}, "
                                  f"got {getattr(self, key)!r}")
-        unknown = sorted(set(self.solver) - {"kind", *_SOLVER_KEYS[kind]})
+        try:
+            make_env(self.env, self.env_overrides)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"invalid env_overrides "
+                             f"{self.env_overrides!r}: {exc}") from exc
+        spec = _SOLVER_KEYS[kind]
+        unknown = sorted(set(self.solver) - {"kind", *spec})
         if unknown:
             raise ValueError(f"unknown solver keys {unknown} "
                              f"for kind {kind!r}")
+        self.solver = {key: value if key == "kind"
+                       else _typed(f"solver.{key}", value, spec[key][1])
+                       for key, value in self.solver.items()}
         if self.policy == "mlp" and kind == "per_timestep_pinv":
             raise ValueError("policy 'mlp' cannot use solver kind "
                              "'per_timestep_pinv'")
@@ -91,6 +113,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Build from a dict; an unknown or a missing key is a ValueError."""
+        known = {f.name: f for f in fields(cls)}
+        missing = [name for name, f in known.items() if name not in d
+                   and f.default is MISSING and f.default_factory is MISSING]
+        for what, keys in (("unknown", sorted(set(d) - set(known))),
+                           ("missing", missing)):
+            if keys:
+                raise ValueError(f"{what} config keys {keys}")
         return cls(**d)
 
     @classmethod
@@ -156,10 +186,9 @@ class RunResult:
 
 def _make_policy(config: ExperimentConfig, env, run_rng) -> object:
     if config.policy == "linear":
-        feats = _FEATURES[config.env]
-        pol = TimeVaryingLinearPolicy(feats, env.num_steps, env.noise_var)
-        pol.features(env.x0)  # fixes the parameter count; theta starts at 0
-        return pol
+        feature_fn, num_features = _FEATURES[config.env]
+        return TimeVaryingLinearPolicy(feature_fn, num_features,
+                                       env.num_steps, env.noise_var)
     return MlpPolicy([env.state_dim, 32, 32, env.action_dim],
                      env.noise_var, rng=run_rng)
 
@@ -171,9 +200,8 @@ def _run_single(config: ExperimentConfig, run_index: int) -> list:
     policy = _make_policy(config, env, np.random.default_rng(run_seed))
 
     kind = config.solver.get("kind", "cg")
-    solver_kwargs = {kw: cast(config.solver[key])
-                     for key, (kw, cast) in _SOLVER_KEYS[kind].items()
-                     if key in config.solver}
+    solver_kwargs = {_SOLVER_KEYS[kind][key][0]: value
+                     for key, value in config.solver.items() if key != "kind"}
 
     records = []
     for it in range(config.iterations):

@@ -3,6 +3,7 @@
 Each test prints a single PASS/FAIL line for its criterion (bypassing
 capture) in addition to the usual assertion.  The two LQ experiments share
 one 5-cell smoothing-strength sweep, so the file runs in roughly ten minutes.
+The three training experiments (criteria 1-3) carry the ``slow`` marker.
 """
 
 from dataclasses import replace
@@ -54,6 +55,7 @@ def median_hits(hits, cap=10_000):
     return float(np.median([h if h is not None else cap for h in hits]))
 
 
+@pytest.mark.slow
 def test_criterion_1_smoothing_speeds_up_lq(lq_sweep, capsys):
     smoothed = lq_sweep[0.2]
     direct = lq_sweep[0]
@@ -66,6 +68,7 @@ def test_criterion_1_smoothing_speeds_up_lq(lq_sweep, capsys):
              f"direct {med_d:g}; paired wins {wins}/10")
 
 
+@pytest.mark.slow
 def test_criterion_2_intermediate_smoothing_is_best(lq_sweep, capsys):
     medians = {f: median_hits(lq_sweep[f]) for f in LOG100_FRACS}
     best = min(medians, key=medians.get)
@@ -76,6 +79,7 @@ def test_criterion_2_intermediate_smoothing_is_best(lq_sweep, capsys):
              + f"; minimum at interior value {best}")
 
 
+@pytest.mark.slow
 def test_criterion_3_pendulum_small_batch_budget(capsys):
     config = ExperimentConfig(
         env="pendulum", n_rollouts=50, iterations=500, epsilon=0.1,
@@ -103,9 +107,8 @@ def full_rank_fixture(seed=0, num_steps=4, n=16):
     """Synthetic linear-policy batch with random states at every step, so
     every per-timestep curvature block has full rank."""
     rng = np.random.default_rng(seed)
-    policy = TimeVaryingLinearPolicy(lq_features, num_steps, 1.0,
+    policy = TimeVaryingLinearPolicy(lq_features, 2, num_steps, 1.0,
                                      params=rng.normal(size=2 * num_steps))
-    policy.features(np.zeros(1))
     draws = [(rng.normal(size=(num_steps + 1, 1)),
               rng.normal(size=(num_steps, 1))) for _ in range(n)]
     zeros = np.zeros((n, num_steps))
@@ -118,9 +121,8 @@ def full_rank_fixture(seed=0, num_steps=4, n=16):
 
 def lq_fixture(seed=3, n=6, gamma=1.0):
     env = make_env("lq_viapoints", LQ_SMALL)
-    policy = TimeVaryingLinearPolicy(lq_features, env.num_steps,
+    policy = TimeVaryingLinearPolicy(lq_features, 2, env.num_steps,
                                      env.noise_var)
-    policy.features(env.x0)
     rng = np.random.default_rng(seed)
     policy = policy.with_params(rng.normal(scale=0.3,
                                            size=policy.params.size))
@@ -156,15 +158,15 @@ def test_criterion_4_gradient_oracles(capsys):
     mlp = MlpPolicy([2, 8, 1], noise_var=2.0, rng=np.random.default_rng(0))
     x = np.array([0.4, -1.1])
     a = np.array([0.7])
-    score = mlp.score(a, x, 0)
+    score = mlp.jac_t_v_steps(x, (a - mlp.mean_steps(x)) / mlp.noise_var)
     tm = mlp.params
     worst_mlp = 0.0
     for c in np.random.default_rng(1).choice(tm.size, 20, replace=False):
         tp, tn = tm.copy(), tm.copy()
         tp[c] += 1e-6
         tn[c] -= 1e-6
-        fd = (mlp.with_params(tp).log_prob(a, x, 0)
-              - mlp.with_params(tn).log_prob(a, x, 0)) / 2e-6
+        fd = (mlp.with_params(tp).log_prob_steps(x, a)
+              - mlp.with_params(tn).log_prob_steps(x, a)) / 2e-6
         worst_mlp = max(worst_mlp, abs(score[c] - fd) / max(abs(fd), 1e-9))
 
     ok = worst_fd < 1e-4 and worst_mlp < 1e-5

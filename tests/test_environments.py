@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from aspic import (Acrobot, LqViapoints, Pendulum, RolloutBlowupError,
-                   TimeVaryingLinearPolicy, lq_features, make_env, rollout,
-                   sample_batch)
+from aspic import (Acrobot, LqViapoints, MlpPolicy, Pendulum,
+                   RolloutBlowupError, TimeVaryingLinearPolicy, lq_features,
+                   make_env, rollout, sample_batch)
+
+SEQUENCES = ("states", "actions", "noises", "state_costs", "logp_policy",
+             "logp_base")
 
 
 class ZeroPolicy:
@@ -111,9 +114,8 @@ class TestRollout:
 
     def test_action_mean_noise_decomposition(self):
         env = LqViapoints()
-        pol = TimeVaryingLinearPolicy(lq_features, env.num_steps,
+        pol = TimeVaryingLinearPolicy(lq_features, 2, env.num_steps,
                                       env.noise_var)
-        pol.features(env.x0)
         pol = pol.with_params(np.random.default_rng(0).normal(
             size=pol.params.size))
         traj = rollout(env, pol, 7)
@@ -123,9 +125,8 @@ class TestRollout:
 
     def test_log_ratio_is_girsanov_form(self):
         env = LqViapoints()
-        pol = TimeVaryingLinearPolicy(lq_features, env.num_steps,
+        pol = TimeVaryingLinearPolicy(lq_features, 2, env.num_steps,
                                       env.noise_var)
-        pol.features(env.x0)
         pol = pol.with_params(np.random.default_rng(1).normal(
             scale=0.5, size=pol.params.size))
         traj = rollout(env, pol, 11)
@@ -134,6 +135,29 @@ class TestRollout:
         girsanov = np.sum((0.5 * u ** 2 + u * xi) * env.dt / env.nu)
         log_ratio = np.sum(traj.logp_policy - traj.logp_base)
         assert log_ratio == pytest.approx(girsanov, rel=1e-10)
+
+    @pytest.mark.parametrize("name", ["lq_viapoints", "pendulum", "acrobot"])
+    def test_is_first_rollout_of_a_batch(self, name):
+        env = make_env(name,
+                       {} if name == "lq_viapoints" else {"horizon": 0.5})
+        zero = ZeroPolicy(env.noise_var)
+        for n in (2, 5):
+            single = rollout(env, zero, (3, 1))
+            first = sample_batch(env, zero, n, (3, 1), gamma=1.0)[0]
+            for seq in SEQUENCES:
+                np.testing.assert_array_equal(getattr(single, seq),
+                                              getattr(first, seq))
+        # A matmul over a different row count may take another BLAS kernel,
+        # so with a network mean only the noise is equal bit for bit.
+        mlp = MlpPolicy([env.state_dim, 8, 1], env.noise_var,
+                        rng=np.random.default_rng(0))
+        single = rollout(env, mlp, 4)
+        first = sample_batch(env, mlp, 5, 4, gamma=1.0)[0]
+        np.testing.assert_array_equal(single.noises, first.noises)
+        for seq in SEQUENCES:
+            np.testing.assert_allclose(getattr(single, seq),
+                                       getattr(first, seq),
+                                       rtol=1e-12, atol=1e-12)
 
     def test_noise_variance_scaling(self):
         env = Pendulum()

@@ -16,8 +16,8 @@ LQ_SMALL = dict(horizon=0.4, dt=0.1, viapoints=((0.2, 1.0),), sigma=0.5)
 
 def make_fixture(seed=0, n=8, noise_var=None, params_scale=0.3):
     env = make_env("lq_viapoints", LQ_SMALL)
-    policy = TimeVaryingLinearPolicy(lq_features, env.num_steps, env.noise_var)
-    policy.features(env.x0)
+    policy = TimeVaryingLinearPolicy(lq_features, 2, env.num_steps,
+                                     env.noise_var)
     rng = np.random.default_rng(seed)
     policy = policy.with_params(
         rng.normal(scale=params_scale, size=policy.params.size))
@@ -42,9 +42,8 @@ def full_rank_fixture(seed=0, num_steps=4, n=16):
     Fisher block rank one; random states avoid that.
     """
     rng = np.random.default_rng(seed)
-    policy = TimeVaryingLinearPolicy(lq_features, num_steps, 1.0,
+    policy = TimeVaryingLinearPolicy(lq_features, 2, num_steps, 1.0,
                                      params=rng.normal(size=2 * num_steps))
-    policy.features(np.zeros(1))
     draws = [(rng.normal(size=(num_steps + 1, 1)),
               rng.normal(size=(num_steps, 1))) for _ in range(n)]
     batch = array_batch(np.stack([s for s, _ in draws]),
@@ -70,9 +69,8 @@ class TestSamplePolicyKl:
         env = make_env("lq_viapoints", dict(horizon=0.1, dt=0.1, nu=0.1,
                                             viapoints=(), sigma=0.5))
         assert env.noise_var == pytest.approx(1.0)
-        pol1 = TimeVaryingLinearPolicy(lq_features, 1, 1.0,
+        pol1 = TimeVaryingLinearPolicy(lq_features, 2, 1, 1.0,
                                        params=np.array([0.0, 0.7]))
-        pol1.features(env.x0)
         pol2 = pol1.with_params(np.array([0.0, -0.3]))
         n = 10_000
         batch = sample_batch(env, pol1, n, 123, gamma=1.0)
@@ -131,9 +129,8 @@ class TestFisherVectorProduct:
     def test_hand_value_single_sample(self):
         # u = theta_1 * x + theta_2, one step, one state fixture at x = 2,
         # unit variance: F block = [[4, 2], [2, 1]].
-        pol = TimeVaryingLinearPolicy(lq_features, 1, 1.0,
+        pol = TimeVaryingLinearPolicy(lq_features, 2, 1, 1.0,
                                       params=np.zeros(2))
-        pol.features(np.zeros(1))
         batch = array_batch(np.array([[[2.0], [0.0]]] * 2),
                             np.zeros((2, 1, 1)))
         out = fisher_vector_product(batch, pol, np.array([1.0, 0.0]))
@@ -186,9 +183,8 @@ class TestPerTimestepDirection:
     def test_identity_blocks_pass_through(self):
         # Two orthonormal feature states per step make each block
         # (1/(N sigma^2)) sum phi phi^T equal the identity.
-        pol = TimeVaryingLinearPolicy(lq_features, 2, 1.0,
+        pol = TimeVaryingLinearPolicy(lq_features, 2, 2, 1.0,
                                       params=np.zeros(4))
-        pol.features(np.zeros(1))
 
         # States +1 and -1: sum of [x,1][x,1]^T over the two samples is 2I.
         batch = array_batch(np.array([[[x], [x], [0.0]] for x in (1.0, -1.0)]),
@@ -200,9 +196,8 @@ class TestPerTimestepDirection:
     def test_null_space_component_dropped(self):
         # All rollouts share the same state, so each block is rank one; the
         # component of g orthogonal to the feature direction must vanish.
-        pol = TimeVaryingLinearPolicy(lq_features, 1, 1.0,
+        pol = TimeVaryingLinearPolicy(lq_features, 2, 1, 1.0,
                                       params=np.zeros(2))
-        pol.features(np.zeros(1))
         batch = array_batch(np.array([[[2.0], [0.0]]] * 3),
                             np.zeros((3, 1, 1)))
         g_null = np.array([1.0, -2.0])  # orthogonal to phi = [2, 1]
@@ -214,7 +209,7 @@ class TestPerTimestepDirection:
         def single_feature(x):
             return 2.0 * np.ones(np.asarray(x).shape[:-1] + (1,))
 
-        pol = TimeVaryingLinearPolicy(single_feature, 1, 1.0,
+        pol = TimeVaryingLinearPolicy(single_feature, 1, 1, 1.0,
                                       params=np.zeros(1))
         batch = array_batch(np.zeros((2, 2, 1)), np.zeros((2, 1, 1)))
         out = per_timestep_natural_direction(batch, pol, np.array([8.0]))

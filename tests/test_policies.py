@@ -5,16 +5,31 @@ import pytest
 
 from aspic import (MlpPolicy, TimeVaryingLinearPolicy, acrobot_features,
                    lq_features, pendulum_features)
-from aspic.policies import load_params, save_params
 
 
 def make_linear(num_steps=3, noise_var=1.0, seed=None):
-    pol = TimeVaryingLinearPolicy(lq_features, num_steps, noise_var)
-    pol.features(np.zeros(1))
+    pol = TimeVaryingLinearPolicy(lq_features, 2, num_steps, noise_var)
     if seed is not None:
         rng = np.random.default_rng(seed)
         pol = pol.with_params(rng.normal(size=pol.params.size))
     return pol
+
+
+def score_sum(pol, xs, actions):
+    """sum_t grad log pi(a_t|x_t,t), formed as the estimators form it: J^T of
+    the residual scaled by 1/sigma^2."""
+    resid = (np.asarray(actions, dtype=float)
+             - pol.mean_steps(xs)) / pol.noise_var
+    return pol.jac_t_v_steps(xs, resid)
+
+
+def step_score(pol, a, x, t):
+    """grad log pi(a|x,t) for one step: the other steps sit at their mean."""
+    xs = np.zeros((pol.num_steps, 1))
+    xs[t] = x
+    acts = pol.mean_steps(xs)
+    acts[t] = a
+    return score_sum(pol, xs, acts)
 
 
 class TestFeatureMaps:
@@ -41,40 +56,60 @@ class TestFeatureMaps:
 class TestLogProb:
     def test_at_mode_unit_variance(self):
         pol = make_linear(noise_var=1.0)
-        assert pol.log_prob(np.zeros(1), np.zeros(1), 0) == pytest.approx(
-            -0.5 * np.log(2 * np.pi))
+        lp = pol.log_prob_steps(np.zeros((3, 1)), np.zeros((3, 1)))
+        assert lp[0] == pytest.approx(-0.5 * np.log(2 * np.pi))
 
     def test_unit_residual(self):
         pol = make_linear(noise_var=1.0)
-        assert pol.log_prob(np.ones(1), np.zeros(1), 1) == pytest.approx(
-            -0.5 - 0.5 * np.log(2 * np.pi))
+        lp = pol.log_prob_steps(np.zeros((3, 1)), np.ones((3, 1)))
+        assert lp[1] == pytest.approx(-0.5 - 0.5 * np.log(2 * np.pi))
 
     def test_steps_match_single(self):
         pol = make_linear(num_steps=4, noise_var=2.5, seed=1)
         xs = np.random.default_rng(2).normal(size=(4, 1))
         acts = np.random.default_rng(3).normal(size=(4, 1))
         lp = pol.log_prob_steps(xs, acts)
+        theta = pol.params.reshape(4, 2)
         for t in range(4):
-            assert lp[t] == pytest.approx(pol.log_prob(acts[t], xs[t], t))
+            u = theta[t] @ lq_features(xs[t])
+            single = (-(acts[t, 0] - u) ** 2 / (2 * 2.5)
+                      - 0.5 * np.log(2 * np.pi * 2.5))
+            assert lp[t] == pytest.approx(single)
 
-    def test_nonpositive_variance_rejected(self):
-        pol = make_linear(noise_var=0.0)
+
+class TestConstruction:
+    @pytest.mark.parametrize("noise_var", [0.0, -1.0])
+    def test_nonpositive_variance_rejected(self, noise_var):
+        with pytest.raises(ValueError, match="variance"):
+            TimeVaryingLinearPolicy(lq_features, 2, 3, noise_var)
+        with pytest.raises(ValueError, match="variance"):
+            MlpPolicy([2, 8, 1], noise_var, rng=np.random.default_rng(0))
+
+    def test_linear_params_available_at_construction(self):
+        pol = TimeVaryingLinearPolicy(pendulum_features, 4, 5, 1.0)
+        np.testing.assert_array_equal(pol.params, np.zeros(20))
+        assert pol.with_params(np.ones(20)).params.sum() == 20.0
+
+    def test_linear_wrong_param_count_rejected(self):
+        with pytest.raises(ValueError, match="expected 6 parameters"):
+            TimeVaryingLinearPolicy(lq_features, 2, 3, 1.0,
+                                    params=np.zeros(5))
         with pytest.raises(ValueError):
-            pol.log_prob(np.zeros(1), np.zeros(1), 0)
+            make_linear(num_steps=3).with_params(np.zeros(8))
 
 
 class TestLinearPolicy:
     def test_score_hand_value(self):
         # Features [2, 1], residual 3, unit variance: block [6, 3] at time t.
         pol = make_linear(num_steps=3, noise_var=1.0)
-        s = pol.score(np.array([3.0]), np.array([2.0]), 1)
+        s = step_score(pol, np.array([3.0]), np.array([2.0]), 1)
         np.testing.assert_allclose(s, [0, 0, 6, 3, 0, 0])
 
     def test_score_zero_at_mean(self):
         pol = make_linear(seed=4)
         x = np.array([1.3])
         a = pol.mean(x, 2)
-        np.testing.assert_allclose(pol.score(a, x, 2), 0.0, atol=1e-14)
+        np.testing.assert_allclose(step_score(pol, a, x, 2), 0.0, atol=1e-14)
 
     def test_time_block_sparsity(self):
         pol = make_linear(num_steps=5, seed=7)
@@ -103,13 +138,9 @@ class TestLinearPolicy:
         rng = np.random.default_rng(13)
         xs = rng.normal(size=(3, 1))
         acts = rng.normal(size=(3, 1))
-        total = sum(pol.score(acts[t], xs[t], t) for t in range(3))
-        np.testing.assert_allclose(pol.score_sum(xs, acts), total, rtol=1e-12)
-
-    def test_params_unknown_before_features(self):
-        pol = TimeVaryingLinearPolicy(lq_features, 3, 1.0)
-        with pytest.raises(ValueError):
-            pol.params
+        total = sum(step_score(pol, acts[t], xs[t], t) for t in range(3))
+        np.testing.assert_allclose(score_sum(pol, xs, acts), total,
+                                   rtol=1e-12)
 
 
 class TestMlpPolicy:
@@ -134,7 +165,7 @@ class TestMlpPolicy:
         rng = np.random.default_rng(1)
         x = rng.normal(size=2)
         a = rng.normal(size=1)
-        score = self.pol.score(a, x, 0)
+        score = score_sum(self.pol, x, a)
         theta = self.pol.params
         h = 1e-6
         coords = rng.choice(theta.size, size=20, replace=False)
@@ -142,8 +173,8 @@ class TestMlpPolicy:
             tp, tm = theta.copy(), theta.copy()
             tp[c] += h
             tm[c] -= h
-            fd = (self.pol.with_params(tp).log_prob(a, x, 0)
-                  - self.pol.with_params(tm).log_prob(a, x, 0)) / (2 * h)
+            fd = (self.pol.with_params(tp).log_prob_steps(x, a)
+                  - self.pol.with_params(tm).log_prob_steps(x, a)) / (2 * h)
             assert score[c] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
     def test_jac_y_matches_directional_derivative(self):
@@ -186,29 +217,12 @@ def test_score_identity(family):
     n = 40_000
     u = float(np.squeeze(pol.mean(x, t)))
     actions = u + rng.normal(0, 1.0, size=n)
-    scores = np.stack([pol.score(np.array([a]), x, t) for a in actions[:n]])
+    if family == "linear":
+        scores = np.stack([step_score(pol, np.array([a]), x, t)
+                           for a in actions[:n]])
+    else:
+        scores = np.stack([score_sum(pol, x, np.array([a]))
+                           for a in actions[:n]])
     mean = scores.mean(axis=0)
     se = scores.std(axis=0) / np.sqrt(n)
     assert np.all(np.abs(mean) <= 3 * se + 1e-12)
-
-
-class TestCheckpointing:
-    def test_linear_round_trip(self, tmp_path):
-        pol = make_linear(num_steps=3, seed=30)
-        path = tmp_path / "linear.json"
-        save_params(path, pol)
-        shape, data = load_params(path)
-        assert shape == {"family": "linear", "num_steps": 3,
-                         "num_features": 2}
-        np.testing.assert_array_equal(data, pol.params)
-
-    def test_mlp_round_trip(self, tmp_path):
-        pol = MlpPolicy([2, 4, 1], 1.5, rng=np.random.default_rng(31))
-        path = tmp_path / "mlp.json"
-        save_params(path, pol)
-        shape, data = load_params(path)
-        assert shape == {"family": "mlp", "layer_sizes": [2, 4, 1]}
-        restored = MlpPolicy(shape["layer_sizes"], 1.5, params=data)
-        xs = np.random.default_rng(32).normal(size=(5, 2))
-        np.testing.assert_array_equal(restored.mean_steps(xs),
-                                      pol.mean_steps(xs))

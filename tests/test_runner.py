@@ -53,10 +53,30 @@ class TestConfig:
         (dict(gamma=-0.5), "gamma"),
         (dict(policy="mlp"), "per_timestep_pinv"),
         (dict(repeats=0), "repeats"),
+        (dict(env_overrides={"horizon": 0.35}), "env_overrides"),
+        (dict(env_overrides={"dtt": 0.1}), "env_overrides"),
+        (dict(solver={"kind": "cg", "iters": "ten"}), "solver.iters"),
+        (dict(solver={"kind": "cg", "iters": 2.5}), "solver.iters"),
+        (dict(solver={"kind": "per_timestep_pinv", "rcond": "1e-4"}),
+         "solver.rcond"),
     ])
     def test_invalid_config_rejected_at_construction(self, overrides, key):
         with pytest.raises(ValueError, match=key):
             small_config(**overrides)
+
+    def test_solver_values_cast_at_construction(self):
+        cfg = small_config(solver={"kind": "cg", "iters": 3.0, "damping": 1})
+        assert cfg.solver == {"kind": "cg", "iters": 3, "damping": 1.0}
+        assert type(cfg.solver["iters"]) is int
+        assert type(cfg.solver["damping"]) is float
+
+    def test_from_dict_names_unknown_and_missing_keys(self):
+        d = small_config().to_dict()
+        with pytest.raises(ValueError, match="n_rolouts"):
+            ExperimentConfig.from_dict({**d, "n_rolouts": 8})
+        del d["gamma"]
+        with pytest.raises(ValueError, match="gamma"):
+            ExperimentConfig.from_dict(d)
 
     def test_solver_kind_defaults_to_cg(self):
         cfg = small_config(solver={"iters": 3, "damping": 0.1})
@@ -226,13 +246,15 @@ class TestExport:
 
 
 class TestCli:
-    def write_config(self, tmp_path, extra=None):
+    def write_config(self, tmp_path, extra=None, drop=()):
         cfg = dict(SMALL_LQ)
         cfg["env_overrides"] = dict(cfg["env_overrides"])
         cfg["env_overrides"]["viapoints"] = [
             list(v) for v in cfg["env_overrides"]["viapoints"]]
         if extra:
             cfg.update(extra)
+        for key in drop:
+            del cfg[key]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         return str(path)
@@ -273,9 +295,36 @@ class TestCli:
         assert "itrs" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("extra, drop, key", [
+        ({"n_rolouts": 8}, (), "n_rolouts"),
+        (None, ("gamma",), "gamma"),
+    ])
+    def test_unknown_or_missing_key_exits_2(self, tmp_path, capsys, extra,
+                                            drop, key):
+        cfg = self.write_config(tmp_path, extra, drop)
+        assert cli_main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_sweep_without_values_errors(self, tmp_path):
         cfg = self.write_config(tmp_path)
         assert cli_main(["sweep", cfg, "--axis", "delta"]) == 2
+
+    def test_bad_grid_value_fails_its_cell_only(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "g"
+        assert cli_main(["sweep", cfg, "--axis", "grid", "--values",
+                         "[5, [0, 0.1]]", "--out", str(out)]) == 1
+        assert "cell grid=5 failed" in capsys.readouterr().err
+        assert (out / "delta=0,eps=0.1" / "summary.json").exists()
+
+    def test_sweep_values_not_a_list_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "s"
+        assert cli_main(["sweep", cfg, "--axis", "delta", "--values", "5",
+                         "--out", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         cfg = self.write_config(tmp_path)

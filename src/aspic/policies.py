@@ -172,6 +172,14 @@ class MlpPolicy(GaussianPolicy):
     methods flatten all leading dimensions into one batch axis.  Backprop is
     hand-rolled (the rest of the library is plain numpy) and checked against
     finite differences in the tests.
+
+    A policy keeps the activations of its last forward pass over a read-only
+    ``xs`` (such as ``RolloutBatch.xs``) whose bases are read-only too.
+    While it is handed that same array object, ``mean_steps``,
+    ``jac_y_steps`` and ``jac_t_v_steps`` reuse those activations instead
+    of running the network again; since the parameters and the array are
+    both immutable, the results are the same floats.  A writable ``xs`` is
+    evaluated afresh on every call.
     """
 
     def __init__(self, layer_sizes, noise_var: float,
@@ -185,6 +193,7 @@ class MlpPolicy(GaussianPolicy):
         if self._params.size != self.num_params:
             raise ValueError(f"expected {self.num_params} parameters, "
                              f"got {self._params.size}")
+        self._cached = (None, None)  # (read-only xs, its activations)
 
     @property
     def num_params(self) -> int:
@@ -214,57 +223,76 @@ class MlpPolicy(GaussianPolicy):
     def with_params(self, params: np.ndarray) -> "MlpPolicy":
         return MlpPolicy(self.layer_sizes, self.noise_var, params)
 
-    def _forward(self, x2d: np.ndarray):
-        h = x2d
-        caches = [h]
+    def _activations(self, xs) -> list:
+        """[x, h_1, ..., h_{L-1}, u] over the flattened batch of ``xs``."""
+        frozen = _immutable(xs)
+        if frozen and xs is self._cached[0]:
+            return self._cached[1]
+        h = np.asarray(xs, dtype=float).reshape(-1, self.layer_sizes[0])
+        acts = [h]
         layers = list(self._layers(self._params))
         for i, (w, b) in enumerate(layers):
-            z = h @ w + b
-            h = np.tanh(z) if i < len(layers) - 1 else z
-            caches.append(h)
-        return h, caches
+            h = h @ w
+            h += b
+            if i < len(layers) - 1:
+                np.tanh(h, out=h)
+            acts.append(h)
+        if frozen:
+            for a in acts:
+                a.flags.writeable = False
+            self._cached = (xs, acts)
+        return acts
 
     def mean(self, x: np.ndarray, t: int) -> np.ndarray:
         return self.mean_steps(x)
 
     def mean_steps(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        out, _ = self._forward(xs.reshape(-1, xs.shape[-1]))
-        return out.reshape(xs.shape[:-1] + (self.action_dim,))
+        out = self._activations(xs)[-1]
+        return out.reshape(np.shape(xs)[:-1] + (self.action_dim,)).copy()
 
     def jac_t_v_steps(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float).reshape(-1, self.layer_sizes[0])
-        cot = np.asarray(v, dtype=float).reshape(-1, self.action_dim)
-        _, caches = self._forward(xs)
+        acts = self._activations(xs)
         layers = list(self._layers(self._params))
         grads = [None] * len(layers)
-        g = cot
+        g = np.asarray(v, dtype=float).reshape(-1, self.action_dim)
         for i in range(len(layers) - 1, -1, -1):
-            w, _ = layers[i]
-            h_in, h_out = caches[i], caches[i + 1]
             if i < len(layers) - 1:
-                g = g * (1.0 - h_out ** 2)  # tanh'
-            grads[i] = (h_in.T @ g, g.sum(axis=0))
-            g = g @ w.T
-        flat = []
-        for gw, gb in grads:
-            flat.append(gw.ravel())
-            flat.append(gb)
-        return np.concatenate(flat)
+                g *= _tanh_slope(acts[i + 1])  # our own g @ w.T, not v
+            grads[i] = ((acts[i].T @ g).ravel(), g.sum(axis=0))
+            if i > 0:
+                g = g @ layers[i][0].T
+        return np.concatenate([part for pair in grads for part in pair])
 
     def jac_y_steps(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Forward-mode directional derivative of the mean along y."""
-        xs = np.asarray(xs, dtype=float)
-        h = xs.reshape(-1, xs.shape[-1])
-        dh = np.zeros_like(h)
+        acts = self._activations(xs)
         layers = list(self._layers(self._params))
         dlayers = list(self._layers(np.asarray(y, dtype=float)))
-        for i, ((w, b), (dw, db)) in enumerate(zip(layers, dlayers)):
-            z = h @ w + b
-            dz = dh @ w + h @ dw + db
+        # One temporary per layer, freed before the next layer allocates.
+        dh = np.zeros_like(acts[0])
+        for i, ((w, _), (dw, db)) in enumerate(zip(layers, dlayers)):
+            dh = dh @ w
+            tmp = acts[i] @ dw
+            dh += tmp
+            dh += db
             if i < len(layers) - 1:
-                h = np.tanh(z)
-                dh = dz * (1.0 - h ** 2)
-            else:
-                h, dh = z, dz
-        return dh.reshape(xs.shape[:-1] + (self.action_dim,))
+                dh *= _tanh_slope(acts[i + 1], out=tmp)
+            del tmp
+        return dh.reshape(np.shape(xs)[:-1] + (self.action_dim,))
+
+
+def _tanh_slope(h: np.ndarray, out=None) -> np.ndarray:
+    """1 - h^2, the derivative of tanh at the pre-activation of h = tanh(z)."""
+    d = np.square(h, out=out)
+    np.subtract(1.0, d, out=d)
+    return d
+
+
+def _immutable(a) -> bool:
+    """True for an ndarray that no one can write: it and all its bases are
+    read-only, down to one that owns its memory."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None

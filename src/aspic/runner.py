@@ -43,6 +43,12 @@ _SOLVER_KEYS = {"cg": {"iters": ("cg_iters", int),
                        "damping": ("damping", float)},
                 "per_timestep_pinv": {"rcond": ("rcond", float)}}
 
+# Top-level numbers: key -> (type, None allowed).
+_NUMBERS = {"n_rollouts": (int, False), "iterations": (int, False),
+            "repeats": (int, False), "seed": (int, False),
+            "epsilon": (float, False), "gamma": (float, False),
+            "cost_threshold": (float, True), "rollout_budget": (int, True)}
+
 
 def _typed(name: str, value, typ):
     """``value`` as ``typ``; a ValueError naming ``name`` if it is not one."""
@@ -74,6 +80,10 @@ class ExperimentConfig:
     rollout_budget: int | None = None    # used by the N-axis sweep
 
     def __post_init__(self):
+        for key, (typ, optional) in _NUMBERS.items():
+            value = getattr(self, key)
+            if not (optional and value is None):
+                setattr(self, key, _typed(key, value, typ))
         kind = self.solver.get("kind", "cg")
         for key, value, allowed in (
                 ("env", self.env, _FEATURES),

@@ -49,7 +49,7 @@ def normalized_weights(costs, gamma: float, alpha: float) -> np.ndarray:
 def weight_entropy(weights) -> float:
     """Shannon entropy -sum w log w in nats, with 0*log(0) := 0."""
     w = np.asarray(weights, dtype=float)
-    if abs(w.sum() - 1.0) > 1e-9:
+    if not abs(w.sum() - 1.0) <= 1e-9:  # NaN weights fail too
         raise ValueError(f"weights not normalized: sum = {w.sum()}")
     nz = w[w > 0.0]
     return float(-np.sum(nz * np.log(nz)))
@@ -91,7 +91,8 @@ def find_alpha(costs, gamma: float, delta: float, *,
         alpha = floor
     else:
         spread = float(costs.max() - costs.min())
-        ceiling = 1e12 * max(1.0, spread)
+        # Finite even when the spread overflows, so the doubling stops.
+        ceiling = min(1e12 * max(1.0, spread), np.finfo(float).max)
         hi = max(1.0, 2.0 * floor)
         while _kl_at(costs, gamma, hi) > delta:
             hi *= 2.0

@@ -5,6 +5,12 @@ few iterations, with two repeats.  The expected value is the sha256 of every
 ``IterationRecord`` field except ``wall_ms``, in stream order.  A refactor
 must leave every digest unchanged; a deliberate change to the numbers
 regenerates them and says why in CHANGES.md.
+
+The digests are pinned to one BLAS build (numpy 2.4.6 with its bundled
+scipy-openblas, x86_64).  OpenBLAS picks its matrix-product kernel by row
+count, so one product over 2 rows and over 4 or more can differ in the last
+bit; another BLAS may move the digests of every case whose policy mean is a
+matrix product (the MLP, and the 9-feature acrobot basis).
 """
 
 import hashlib

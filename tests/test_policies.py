@@ -1,5 +1,7 @@
 """Tests for the Gaussian policy families and their parameter plumbing."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,86 @@ class TestMlpPolicy:
     def test_wrong_param_count_rejected(self):
         with pytest.raises(ValueError):
             MlpPolicy([2, 8, 1], 1.0, params=np.zeros(3))
+
+
+def frozen(a):
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def mlp_calls(pol, xs, y, v):
+    """The three batched network calls, by name."""
+    return {"mean": lambda: pol.mean_steps(xs),
+            "jac_y": lambda: pol.jac_y_steps(xs, y),
+            "jac_t_v": lambda: pol.jac_t_v_steps(xs, v)}
+
+
+class TestMlpActivationCache:
+    """A read-only xs is evaluated once per policy; results never change."""
+
+    def setup_method(self):
+        self.pol = MlpPolicy([2, 8, 5, 1], noise_var=2.0,
+                             rng=np.random.default_rng(0))
+        rng = np.random.default_rng(30)
+        self.xs = frozen(rng.normal(size=(6, 4, 2)))
+        self.y = rng.normal(size=self.pol.params.size)
+        self.v = rng.normal(size=(6, 4, 1))
+
+    def expected(self, xs):
+        """Each call on a fresh policy and a writable copy of xs."""
+        fresh = self.pol.with_params(self.pol.params)
+        return {name: call() for name, call in
+                mlp_calls(fresh, np.array(xs), self.y, self.v).items()}
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(
+        ["mean", "jac_y", "jac_t_v"])))
+    def test_frozen_batch_matches_fresh_policy_in_any_order(self, order):
+        want = self.expected(self.xs)
+        pol = self.pol.with_params(self.pol.params)
+        calls = mlp_calls(pol, self.xs, self.y, self.v)
+        for name in order + order:
+            np.testing.assert_array_equal(calls[name](), want[name])
+        assert pol._cached[0] is self.xs
+
+    def test_inputs_and_returned_mean_do_not_touch_the_cache(self):
+        v = self.v.copy()
+        out = self.pol.mean_steps(self.xs)
+        out += 1.0
+        self.pol.jac_t_v_steps(self.xs, v)
+        np.testing.assert_array_equal(v, self.v)
+        np.testing.assert_array_equal(self.pol.mean_steps(self.xs),
+                                      self.expected(self.xs)["mean"])
+
+    def test_writable_array_changed_between_calls(self):
+        xs = np.array(self.xs)
+        calls = mlp_calls(self.pol, xs, self.y, self.v)
+        before = {name: call() for name, call in calls.items()}
+        xs += 0.5
+        want = self.expected(xs)
+        for name, call in calls.items():
+            got = call()
+            np.testing.assert_array_equal(got, want[name])
+            assert not np.array_equal(got, before[name])
+        assert self.pol._cached[0] is None
+
+    def test_read_only_view_of_writable_base_is_not_cached(self):
+        base = np.array(self.xs)
+        view = base[:]
+        view.flags.writeable = False
+        first = self.pol.mean_steps(view)
+        base += 0.5
+        np.testing.assert_array_equal(self.pol.mean_steps(view),
+                                      self.expected(base)["mean"])
+        assert not np.array_equal(first, self.pol.mean_steps(view))
+
+    def test_second_read_only_array_gets_its_own_activations(self):
+        other = frozen(self.xs + 0.5)
+        for xs in (self.xs, other, self.xs, other):
+            want = self.expected(xs)
+            for name, call in mlp_calls(self.pol, xs, self.y,
+                                        self.v).items():
+                np.testing.assert_array_equal(call(), want[name])
 
 
 @pytest.mark.parametrize("family", ["linear", "mlp"])

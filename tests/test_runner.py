@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspic import (ExperimentConfig, RunError, config_hash, export,
                    resolve_delta, run_aspic, sweep)
@@ -59,6 +61,14 @@ class TestConfig:
         (dict(solver={"kind": "cg", "iters": 2.5}), "solver.iters"),
         (dict(solver={"kind": "per_timestep_pinv", "rcond": "1e-4"}),
          "solver.rcond"),
+        (dict(n_rollouts="8"), "n_rollouts"),
+        (dict(iterations=2.5), "iterations"),
+        (dict(repeats="1"), "repeats"),
+        (dict(seed="0"), "seed"),
+        (dict(epsilon="0.1"), "epsilon"),
+        (dict(gamma=None), "gamma"),
+        (dict(cost_threshold="2e4"), "cost_threshold"),
+        (dict(rollout_budget=True), "rollout_budget"),
     ])
     def test_invalid_config_rejected_at_construction(self, overrides, key):
         with pytest.raises(ValueError, match=key):
@@ -69,6 +79,16 @@ class TestConfig:
         assert cfg.solver == {"kind": "cg", "iters": 3, "damping": 1.0}
         assert type(cfg.solver["iters"]) is int
         assert type(cfg.solver["damping"]) is float
+
+    def test_top_level_numbers_cast_at_construction(self):
+        cfg = small_config(n_rollouts=8.0, epsilon=1, cost_threshold=2,
+                           rollout_budget=80.0)
+        assert (cfg.n_rollouts, cfg.epsilon) == (8, 1.0)
+        assert type(cfg.n_rollouts) is int
+        assert type(cfg.epsilon) is float
+        assert type(cfg.cost_threshold) is float
+        assert type(cfg.rollout_budget) is int
+        assert small_config().cost_threshold is None
 
     def test_from_dict_names_unknown_and_missing_keys(self):
         d = small_config().to_dict()
@@ -96,6 +116,47 @@ class TestConfig:
         clone = ExperimentConfig.from_dict(cfg.to_dict())
         assert config_hash(clone) == config_hash(cfg)
         assert config_hash(cfg.replace(seed=1)) != config_hash(cfg)
+
+
+positive = st.floats(1e-6, 1e6)
+solvers = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("cg")},
+                          optional={"iters": st.integers(1, 100),
+                                    "damping": st.floats(0.0, 1e3)}),
+    st.fixed_dictionaries({"kind": st.just("per_timestep_pinv"),
+                           "rcond": st.floats(1e-12, 1.0)}))
+deltas = st.one_of(positive, st.fixed_dictionaries({"absolute": positive}),
+                   st.fixed_dictionaries({"lognfrac": positive}))
+configs = st.fixed_dictionaries({
+    "env": st.sampled_from(["lq_viapoints", "pendulum", "acrobot"]),
+    "n_rollouts": st.integers(2, 10**6),
+    "iterations": st.integers(1, 10**6),
+    "epsilon": positive,
+    "gamma": st.floats(0.0, 1e6),
+    "delta": deltas,
+    "estimator": st.sampled_from(["smoothed", "direct", "pice"]),
+    "solver": solvers,
+    "seed": st.integers(0, 2**63),
+    "repeats": st.integers(1, 100),
+    "whiten": st.booleans(),
+    "cost_threshold": st.none() | st.floats(-1e9, 1e9),
+    "rollout_budget": st.none() | st.integers(2, 10**9),
+}).flatmap(lambda d: st.sampled_from(
+    ["linear"] if d["solver"]["kind"] == "per_timestep_pinv"
+    else ["linear", "mlp"]).map(lambda policy: {**d, "policy": policy}))
+
+
+@settings(deadline=None, max_examples=100)
+@given(configs)
+def test_config_round_trip_keeps_hash(d):
+    cfg = ExperimentConfig.from_dict(d)
+    for clone in (ExperimentConfig.from_dict(cfg.to_dict()),
+                  ExperimentConfig.from_dict(json.loads(
+                      json.dumps(cfg.to_dict())))):
+        assert clone == cfg
+        assert clone.to_dict() == cfg.to_dict()
+        assert config_hash(clone) == config_hash(cfg)
+    assert config_hash(cfg.replace(seed=cfg.seed + 1)) != config_hash(cfg)
 
 
 class TestRun:
@@ -293,6 +354,12 @@ class TestCli:
                                                       "itrs": 3}})
         assert cli_main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "itrs" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_wrongly_typed_number_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {"n_rollouts": "8"})
+        assert cli_main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "n_rollouts" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("extra, drop, key", [

@@ -58,6 +58,8 @@ class TestWeightEntropy:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             weight_entropy([0.5, 0.4])
+        with pytest.raises(ValueError):
+            weight_entropy([np.nan, 1.0])
 
 
 class TestKlEstimate:
@@ -139,6 +141,11 @@ class TestFindAlpha:
         with pytest.raises(ValueError):
             find_alpha([1.0, 2.0], gamma=1.0, delta=0.0)
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_overflowing_spread_raises_instead_of_looping(self, gamma):
+        with pytest.raises(ValueError):
+            find_alpha([-1e308, 1e308], gamma=gamma, delta=0.1)
+
 
 @settings(deadline=None, max_examples=25)
 @given(st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=30),
@@ -148,3 +155,28 @@ def test_kl_estimate_monotone_in_alpha(costs, gamma):
     alphas = np.geomspace(1e-3, 1e6, 12)
     kls = [kl_estimate(normalized_weights(costs, gamma, a)) for a in alphas]
     assert all(a >= b - 1e-12 for a, b in zip(kls, kls[1:]))
+
+
+def _outlier(base, outlier, n, at):
+    costs = [base] * n
+    costs[at % n] = outlier
+    return costs
+
+
+huge = st.floats(-1e300, 1e300)
+adversarial_costs = st.one_of(
+    st.lists(huge, min_size=2, max_size=40),           # spreads up to 2e300
+    st.builds(lambda c, n: [c] * n, huge, st.integers(2, 40)),       # ties
+    st.builds(_outlier, huge, huge, st.integers(2, 40), st.integers(0, 39)),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(adversarial_costs, st.one_of(st.just(0.0), st.floats(0.0, 1e300)),
+       st.floats(1e-6, 10.0))
+def test_find_alpha_on_adversarial_costs(costs, gamma, delta):
+    res = find_alpha(costs, gamma, delta)
+    assert np.isfinite(res.alpha) and res.alpha >= 0.0
+    assert np.all(np.isfinite(res.weights)) and np.all(res.weights >= 0.0)
+    assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert res.kl_estimate <= delta

@@ -4,8 +4,8 @@ harness used to study it."""
 
 from .environments import (Acrobot, Environment, LqViapoints, Pendulum,
                            RolloutBlowupError, make_env, rollout, sample_batch)
-from .gradients import (GradientEstimate, direct_gradient, pice_gradient,
-                        smoothed_cost_value, smoothed_gradient)
+from .gradients import (direct_gradient, pice_gradient, smoothed_cost_value,
+                        smoothed_gradient)
 from .natural_gradient import (LineSearchError, TrustRegionUpdate,
                                conjugate_gradient, fisher_vector_product,
                                per_timestep_natural_direction,

@@ -68,6 +68,11 @@ def cmd_export(args) -> int:
     # Re-print a summary written by a previous run, its config validated.
     with open(args.summary) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"summary must be a JSON object, got {payload!r}")
+    missing = sorted({"config", "config_hash", "final_costs"} - set(payload))
+    if missing:
+        raise ValueError(f"summary is missing keys {missing}")
     config = ExperimentConfig.from_dict(payload["config"])
     print(json.dumps({"config_hash": payload["config_hash"],
                       "final_costs": payload["final_costs"],
@@ -102,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("export", help="re-print a saved summary as JSON")
     p_exp.add_argument("summary")
-    p_exp.add_argument("--format", choices=["json"], default="json")
     p_exp.set_defaults(func=cmd_export)
     return parser
 

@@ -16,24 +16,15 @@ theta <- theta + eta * (natural-preconditioned direction):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .smoothing import normalized_weights
 from .trajectory import RolloutBatch
 
-__all__ = ["GradientEstimate", "smoothed_gradient", "direct_gradient",
-           "pice_gradient", "smoothed_cost_value"]
+__all__ = ["smoothed_gradient", "direct_gradient", "pice_gradient",
+           "smoothed_cost_value"]
 
 _WHITEN_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class GradientEstimate:
-    direction: np.ndarray
-    estimator_kind: str  # "smoothed" | "direct" | "pice"
-    alpha_used: float | None
 
 
 def _whiten(values: np.ndarray) -> np.ndarray | None:
@@ -46,14 +37,17 @@ def _whiten(values: np.ndarray) -> np.ndarray | None:
 
 
 def _weighted_score_sum(batch: RolloutBatch, policy,
-                        coeffs: np.ndarray) -> np.ndarray:
-    """sum_i c_i sum_t score(a_it, x_it, t), vectorized over the batch."""
+                        coeffs: np.ndarray | None) -> np.ndarray:
+    """sum_i c_i sum_t score(a_it, x_it, t), vectorized over the batch;
+    the zero vector for ``coeffs = None`` (degenerate whitening)."""
+    if coeffs is None:
+        return np.zeros(policy.params.size)
     resid = (batch.actions - policy.mean_steps(batch.xs)) / policy.noise_var
     return policy.jac_t_v_steps(batch.xs, coeffs[:, None, None] * resid)
 
 
 def smoothed_gradient(batch: RolloutBatch, policy, alpha: float,
-                      whiten: bool = True) -> GradientEstimate:
+                      whiten: bool = True) -> np.ndarray:
     """Ascent direction of the smoothed-cost estimator at smoothing alpha.
 
     With ``whiten`` the normalized weights are replaced by
@@ -61,39 +55,24 @@ def smoothed_gradient(batch: RolloutBatch, policy, alpha: float,
     Without whitening the estimator is alpha * sum_i w_i sum_t score_it.
     """
     w = normalized_weights(batch.stochastic_costs, batch.gamma, alpha)
-    if whiten:
-        coeffs = _whiten(w)
-        if coeffs is None:
-            return GradientEstimate(np.zeros(policy.params.size), "smoothed",
-                                    alpha)
-    else:
-        coeffs = alpha * w
-    return GradientEstimate(_weighted_score_sum(batch, policy, coeffs),
-                            "smoothed", alpha)
+    coeffs = _whiten(w) if whiten else alpha * w
+    return _weighted_score_sum(batch, policy, coeffs)
 
 
 def direct_gradient(batch: RolloutBatch, policy,
-                    whiten: bool = True) -> GradientEstimate:
+                    whiten: bool = True) -> np.ndarray:
     """Ascent direction of the plain cost gradient (negated score estimator)."""
     s = np.asarray(batch.stochastic_costs, dtype=float)
-    if whiten:
-        coeffs = _whiten(-s)
-        if coeffs is None:
-            return GradientEstimate(np.zeros(policy.params.size), "direct",
-                                    None)
-    else:
-        coeffs = -s / batch.n
-    return GradientEstimate(_weighted_score_sum(batch, policy, coeffs),
-                            "direct", None)
+    coeffs = _whiten(-s) if whiten else -s / batch.n
+    return _weighted_score_sum(batch, policy, coeffs)
 
 
-def pice_gradient(batch: RolloutBatch, policy) -> GradientEstimate:
+def pice_gradient(batch: RolloutBatch, policy) -> np.ndarray:
     """Strong-smoothing limit: normalized exp(-S/gamma) weighted scores."""
     if batch.gamma <= 0:
         raise ValueError("the alpha -> 0 limit needs gamma > 0")
     w = normalized_weights(batch.stochastic_costs, batch.gamma, 0.0)
-    return GradientEstimate(_weighted_score_sum(batch, policy, w),
-                            "pice", None)
+    return _weighted_score_sum(batch, policy, w)
 
 
 def smoothed_cost_value(batch: RolloutBatch, alpha: float) -> float:

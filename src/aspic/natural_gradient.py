@@ -27,6 +27,7 @@ __all__ = ["TrustRegionUpdate", "sample_policy_kl", "fisher_vector_product",
            "trust_region_step", "LineSearchError"]
 
 KL_REL_TOL = 0.1  # line-search exit: |achieved_kl - epsilon| <= 0.1 * epsilon
+MAX_BRACKET = 50  # doublings (or halvings) of eta before the bracket fails
 
 
 class LineSearchError(RuntimeError):
@@ -39,7 +40,6 @@ class TrustRegionUpdate:
     eta: float
     achieved_kl: float
     cg_iterations: int | None
-    solver_kind: str
 
 
 def sample_policy_kl(batch: RolloutBatch, policy_old, policy_new) -> float:
@@ -117,8 +117,7 @@ def per_timestep_natural_direction(batch: RolloutBatch,
     return np.einsum("tkl,tl->tk", inv, g_blocks).ravel()
 
 
-def _damping(batch: RolloutBatch, policy, fvp, dim: int,
-             scale: float = 1e-6) -> float:
+def _damping(fvp, dim: int, scale: float) -> float:
     """scale * trace(F)/dim, trace estimated with fixed Rademacher probes."""
     rng = np.random.default_rng(0)
     est = 0.0
@@ -131,18 +130,17 @@ def _damping(batch: RolloutBatch, policy, fvp, dim: int,
 
 def trust_region_step(batch: RolloutBatch, policy, g: np.ndarray,
                       epsilon: float, solver: str = "cg", *,
-                      cg_iters: int = 10, rcond: float = 1e-4,
-                      damping: float = 1e-6,
-                      max_bracket: int = 50) -> TrustRegionUpdate:
+                      iters: int = 10, rcond: float = 1e-4,
+                      damping: float = 1e-6) -> TrustRegionUpdate:
     """One natural-gradient update with the sampled KL pinned to epsilon.
 
     ``solver`` is "cg" (damped truncated conjugate gradient) or
-    "per_timestep_pinv".  ``damping`` scales the ridge added to the Fisher
-    operator (relative to its mean eigenvalue); small values give the
-    near-exact natural direction, large values shrink it toward the raw
-    whitened gradient, which is more robust with small batches.  A vanishing
-    natural direction returns the parameters unchanged with eta = 0,
-    signalling convergence.
+    "per_timestep_pinv"; ``iters`` caps the CG iterations.  ``damping``
+    scales the ridge added to the Fisher operator (relative to its mean
+    eigenvalue); small values give the near-exact natural direction, large
+    values shrink it toward the raw whitened gradient, which is more robust
+    with small batches.  A vanishing natural direction returns the
+    parameters unchanged with eta = 0, signalling convergence.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -153,16 +151,16 @@ def trust_region_step(batch: RolloutBatch, policy, g: np.ndarray,
     cg_used = None
     if solver == "cg":
         fvp = lambda y: fisher_vector_product(batch, policy, y)
-        lam = _damping(batch, policy, fvp, g.size, scale=damping)
+        lam = _damping(fvp, g.size, damping)
         g_f, cg_used = conjugate_gradient(lambda y: fvp(y) + lam * y,
-                                          g, max_iters=cg_iters)
+                                          g, max_iters=iters)
     elif solver == "per_timestep_pinv":
         g_f = per_timestep_natural_direction(batch, policy, g, rcond=rcond)
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
     if np.linalg.norm(g_f) < 1e-12:
-        return TrustRegionUpdate(theta, 0.0, 0.0, cg_used, solver)
+        return TrustRegionUpdate(theta, 0.0, 0.0, cg_used)
 
     if isinstance(policy, TimeVaryingLinearPolicy):
         # The mean is linear in the parameters, so the sampled KL along the
@@ -187,23 +185,18 @@ def trust_region_step(batch: RolloutBatch, policy, g: np.ndarray,
     eta = float(np.sqrt(2.0 * epsilon / (abs(float(g @ g_f)) + 1e-300)))
     kl = kl_at(eta)
     if abs(kl - epsilon) > KL_REL_TOL * epsilon:
-        lo, hi = eta, eta
-        if kl < epsilon:
-            for _ in range(max_bracket):
-                hi *= 2.0
-                if kl_at(hi) >= epsilon:
-                    break
-            else:
-                raise LineSearchError("failed to bracket the trust-region "
-                                      "step size from above")
+        # Double eta while the KL is short of epsilon, else halve it.
+        grow = kl < epsilon
+        edge = eta
+        for _ in range(MAX_BRACKET):
+            edge *= 2.0 if grow else 0.5
+            edge_kl = kl_at(edge)
+            if edge_kl >= epsilon if grow else edge_kl <= epsilon:
+                break
         else:
-            for _ in range(max_bracket):
-                lo *= 0.5
-                if kl_at(lo) <= epsilon:
-                    break
-            else:
-                raise LineSearchError("failed to bracket the trust-region "
-                                      "step size from below")
+            raise LineSearchError("failed to bracket the trust-region step "
+                                  f"size from {'above' if grow else 'below'}")
+        lo, hi = sorted((eta, edge))
         for _ in range(200):
             eta = 0.5 * (lo + hi)
             kl = kl_at(eta)
@@ -217,4 +210,4 @@ def trust_region_step(batch: RolloutBatch, policy, g: np.ndarray,
             raise LineSearchError("step-size bisection failed to meet the "
                                   "trust-region tolerance")
 
-    return TrustRegionUpdate(theta + eta * g_f, eta, kl, cg_used, solver)
+    return TrustRegionUpdate(theta + eta * g_f, eta, kl, cg_used)

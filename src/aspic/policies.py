@@ -173,13 +173,13 @@ class MlpPolicy(GaussianPolicy):
     hand-rolled (the rest of the library is plain numpy) and checked against
     finite differences in the tests.
 
-    A policy keeps the activations of its last forward pass over a read-only
-    ``xs`` (such as ``RolloutBatch.xs``) whose bases are read-only too.
+    A policy keeps the activations of its last forward pass over an ``xs``
+    that owns its memory and is read-only (such as ``RolloutBatch.xs``).
     While it is handed that same array object, ``mean_steps``,
     ``jac_y_steps`` and ``jac_t_v_steps`` reuse those activations instead
     of running the network again; since the parameters and the array are
-    both immutable, the results are the same floats.  A writable ``xs`` is
-    evaluated afresh on every call.
+    both immutable, the results are the same floats.  Any other ``xs``, a
+    writable array or a view, is evaluated afresh on every call.
     """
 
     def __init__(self, layer_sizes, noise_var: float,
@@ -225,7 +225,8 @@ class MlpPolicy(GaussianPolicy):
 
     def _activations(self, xs) -> list:
         """[x, h_1, ..., h_{L-1}, u] over the flattened batch of ``xs``."""
-        frozen = _immutable(xs)
+        frozen = (isinstance(xs, np.ndarray) and xs.base is None
+                  and not xs.flags.writeable)
         if frozen and xs is self._cached[0]:
             return self._cached[1]
         h = np.asarray(xs, dtype=float).reshape(-1, self.layer_sizes[0])
@@ -286,13 +287,3 @@ def _tanh_slope(h: np.ndarray, out=None) -> np.ndarray:
     d = np.square(h, out=out)
     np.subtract(1.0, d, out=d)
     return d
-
-
-def _immutable(a) -> bool:
-    """True for an ndarray that no one can write: it and all its bases are
-    read-only, down to one that owns its memory."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None

@@ -38,10 +38,9 @@ _FEATURES = {"lq_viapoints": (lq_features, 2),
              "pendulum": (pendulum_features, 4),
              "acrobot": (acrobot_features, 9)}
 
-# Solver kind -> {config key: (trust_region_step keyword, type)}.
-_SOLVER_KEYS = {"cg": {"iters": ("cg_iters", int),
-                       "damping": ("damping", float)},
-                "per_timestep_pinv": {"rcond": ("rcond", float)}}
+# Solver kind -> {trust_region_step keyword: type}.
+_SOLVER_KEYS = {"cg": {"iters": int, "damping": float},
+                "per_timestep_pinv": {"rcond": float}}
 
 # Top-level numbers: key -> (type, None allowed).
 _NUMBERS = {"n_rollouts": (int, False), "iterations": (int, False),
@@ -84,13 +83,17 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not (optional and value is None):
                 setattr(self, key, _typed(key, value, typ))
+        if not isinstance(self.whiten, bool):
+            raise ValueError(f"whiten must be a bool, got {self.whiten!r}")
+        if not isinstance(self.solver, dict):
+            raise ValueError(f"solver must be a dict, got {self.solver!r}")
         kind = self.solver.get("kind", "cg")
         for key, value, allowed in (
                 ("env", self.env, _FEATURES),
                 ("policy", self.policy, ("linear", "mlp")),
                 ("estimator", self.estimator, ("smoothed", "direct", "pice")),
                 ("solver kind", kind, _SOLVER_KEYS)):
-            if value not in allowed:
+            if not isinstance(value, str) or value not in allowed:
                 raise ValueError(f"unknown {key} {value!r}; "
                                  f"choose from {sorted(allowed)}")
         for key, ok, rule in (("n_rollouts", self.n_rollouts >= 2, ">= 2"),
@@ -112,13 +115,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown solver keys {unknown} "
                              f"for kind {kind!r}")
         self.solver = {key: value if key == "kind"
-                       else _typed(f"solver.{key}", value, spec[key][1])
+                       else _typed(f"solver.{key}", value, spec[key])
                        for key, value in self.solver.items()}
         if self.policy == "mlp" and kind == "per_timestep_pinv":
             raise ValueError("policy 'mlp' cannot use solver kind "
                              "'per_timestep_pinv'")
-        if (self.estimator == "smoothed"
-                and resolve_delta(self.delta, self.n_rollouts) <= 0):
+        delta = resolve_delta(self.delta, self.n_rollouts)  # checks its type
+        if self.estimator == "smoothed" and delta <= 0:
             raise ValueError("the smoothed estimator needs delta > 0")
 
     @classmethod
@@ -148,16 +151,17 @@ class ExperimentConfig:
 
 
 def resolve_delta(delta, n: int) -> float:
-    """Accepts an absolute value or a multiple of log N."""
+    """Accepts an absolute value or a multiple of log N; a ValueError naming
+    delta for any other value."""
     if delta is None:
         return 0.0
     if isinstance(delta, dict):
         if "absolute" in delta:
-            return float(delta["absolute"])
+            return _typed("delta", delta["absolute"], float)
         if "lognfrac" in delta:
-            return float(delta["lognfrac"]) * math.log(n)
+            return _typed("delta", delta["lognfrac"], float) * math.log(n)
         raise ValueError("delta dict needs an 'absolute' or 'lognfrac' key")
-    return float(delta)
+    return _typed("delta", delta, float)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -209,9 +213,8 @@ def _run_single(config: ExperimentConfig, run_index: int) -> list:
         (config.seed, run_index)).generate_state(1)[0])
     policy = _make_policy(config, env, np.random.default_rng(run_seed))
 
-    kind = config.solver.get("kind", "cg")
-    solver_kwargs = {_SOLVER_KEYS[kind][key][0]: value
-                     for key, value in config.solver.items() if key != "kind"}
+    solver_kwargs = dict(config.solver)
+    kind = solver_kwargs.pop("kind", "cg")
 
     records = []
     for it in range(config.iterations):
@@ -233,8 +236,8 @@ def _run_single(config: ExperimentConfig, run_index: int) -> list:
         else:
             grad = pice_gradient(batch, policy)
 
-        update = trust_region_step(batch, policy, grad.direction,
-                                   config.epsilon, kind, **solver_kwargs)
+        update = trust_region_step(batch, policy, grad, config.epsilon, kind,
+                                   **solver_kwargs)
         policy = policy.with_params(update.new_params)
 
         records.append(IterationRecord(

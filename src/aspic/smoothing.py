@@ -41,7 +41,9 @@ def normalized_weights(costs, gamma: float, alpha: float) -> np.ndarray:
         raise ValueError(f"gamma + alpha must be positive, got {gamma + alpha}")
     if not np.all(np.isfinite(costs)):
         raise ValueError("non-finite cost in weight computation")
-    z = -(costs - costs.min()) / (gamma + alpha)
+    # An overflow sends z to -inf, whose weight exp(-inf) = 0 is right.
+    with np.errstate(over="ignore"):
+        z = -(costs - costs.min()) / (gamma + alpha)
     w = np.exp(z)
     return w / w.sum()
 
@@ -61,37 +63,33 @@ def kl_estimate(weights) -> float:
     return max(0.0, float(np.log(w.size)) - weight_entropy(w))
 
 
-def _alpha_floor(costs: np.ndarray, gamma: float) -> float:
-    if gamma > 0:
-        return 0.0
-    # gamma = 0 needs a strictly positive divisor; scale with the cost spread.
-    return 1e-8 * (float(costs.max() - costs.min()) + 1.0)
-
-
 def _kl_at(costs: np.ndarray, gamma: float, alpha: float) -> float:
     return kl_estimate(normalized_weights(costs, gamma, alpha))
 
 
-def find_alpha(costs, gamma: float, delta: float, *,
-               rel_tol: float = ALPHA_REL_TOL) -> SmoothingResult:
+def find_alpha(costs, gamma: float, delta: float) -> SmoothingResult:
     """Smallest alpha with kl_estimate(weights(costs, gamma, alpha)) <= delta.
 
     Monotonicity of the KL estimate in alpha makes bracket-then-bisect exact:
     alpha doubles from the floor until the constraint holds, then the interval
-    is bisected to relative tolerance ``rel_tol``.
+    is bisected to relative tolerance ``ALPHA_REL_TOL``.
     """
     costs = np.asarray(costs, dtype=float)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if costs.size < 2:
         raise ValueError("need at least 2 costs to adapt alpha")
+    with np.errstate(over="ignore"):
+        spread = float(costs.max() - costs.min())
+    if not np.isfinite(spread):
+        raise ValueError(f"cost spread is not finite: {spread}")
 
-    floor = _alpha_floor(costs, gamma)
+    # gamma = 0 needs a strictly positive divisor; scale with the cost spread.
+    floor = 0.0 if gamma > 0 else 1e-8 * (spread + 1.0)
     if _kl_at(costs, gamma, floor) <= delta:
         alpha = floor
     else:
-        spread = float(costs.max() - costs.min())
-        # Finite even when the spread overflows, so the doubling stops.
+        # Finite even when 1e12 * spread overflows, so the doubling stops.
         ceiling = min(1e12 * max(1.0, spread), np.finfo(float).max)
         hi = max(1.0, 2.0 * floor)
         while _kl_at(costs, gamma, hi) > delta:
@@ -100,7 +98,7 @@ def find_alpha(costs, gamma: float, delta: float, *,
                 raise ValueError("smoothing constraint unsatisfiable below the "
                                  "alpha ceiling; check the costs for outliers")
         lo = max(floor, hi / 2.0)
-        while hi - lo > rel_tol * hi:
+        while hi - lo > ALPHA_REL_TOL * hi:
             mid = 0.5 * (lo + hi)
             if _kl_at(costs, gamma, mid) <= delta:
                 hi = mid

@@ -143,7 +143,7 @@ def test_criterion_4_gradient_oracles(capsys):
                          stochastic_costs=s - alpha * (lp_new - lp_old))
         return smoothed_cost_value(frozen, alpha)
 
-    grad = smoothed_gradient(batch, policy, alpha, whiten=False).direction
+    grad = smoothed_gradient(batch, policy, alpha, whiten=False)
     theta = policy.params
     h = 1e-5
     rng = np.random.default_rng(9)
@@ -179,15 +179,15 @@ def test_criterion_4_gradient_oracles(capsys):
 def test_criterion_5_limit_cases(capsys):
     batch, policy = lq_fixture(seed=2, n=10)
 
-    g_strong = smoothed_gradient(batch, policy, 1e9).direction
-    g_direct = direct_gradient(batch, policy).direction
+    g_strong = smoothed_gradient(batch, policy, 1e9)
+    g_direct = direct_gradient(batch, policy)
     cos = g_strong @ g_direct / (np.linalg.norm(g_strong)
                                  * np.linalg.norm(g_direct))
 
     alpha = 1e-8
     g_lim = smoothed_gradient(batch, policy, alpha,
-                              whiten=False).direction / alpha
-    g_pice = pice_gradient(batch, policy).direction
+                              whiten=False) / alpha
+    g_pice = pice_gradient(batch, policy)
     pice_err = float(np.max(np.abs(g_lim - g_pice)
                             / np.maximum(np.abs(g_pice), 1e-12)))
 

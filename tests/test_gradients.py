@@ -47,7 +47,7 @@ class TestSmoothedGradient:
     def test_equal_costs_whitened_is_zero(self):
         batch, policy = make_fixture()
         grad = smoothed_gradient(equal_cost_batch(batch), policy, alpha=2.0)
-        assert np.all(grad.direction == 0.0)
+        assert np.all(grad == 0.0)
 
     def test_equal_costs_unwhitened_is_mean_score(self):
         batch, policy = make_fixture()
@@ -57,8 +57,8 @@ class TestSmoothedGradient:
         xs, acts = batch.xs, batch.actions
         scores = np.stack([score_sum(policy, xs[i], acts[i])
                            for i in range(batch.n)])
-        np.testing.assert_allclose(grad.direction,
-                                   alpha * scores.mean(axis=0), rtol=1e-10)
+        np.testing.assert_allclose(grad, alpha * scores.mean(axis=0),
+                                   rtol=1e-10)
 
     def test_finite_difference_oracle(self):
         batch, policy = make_fixture(seed=3)
@@ -83,7 +83,7 @@ class TestSmoothedGradient:
             d /= np.linalg.norm(d)
             fd = (reweighted_value(theta + h * d)
                   - reweighted_value(theta - h * d)) / (2 * h)
-            analytic = -float(grad.direction @ d)
+            analytic = -float(grad @ d)
             assert analytic == pytest.approx(fd, rel=1e-4)
 
     def test_whitened_direction_shift_invariant(self):
@@ -92,12 +92,12 @@ class TestSmoothedGradient:
                           stochastic_costs=batch.stochastic_costs + 77.0)
         g1 = smoothed_gradient(batch, policy, alpha=1e6)
         g2 = smoothed_gradient(shifted, policy, alpha=1e6)
-        np.testing.assert_allclose(g1.direction, g2.direction, rtol=1e-9)
+        np.testing.assert_allclose(g1, g2, rtol=1e-9)
 
     def test_limit_chain_interpolates_continuously(self):
         batch, policy = make_fixture(seed=8, n=12)
         alphas = np.geomspace(1e-3, 1e9, 13)
-        dirs = [smoothed_gradient(batch, policy, a).direction for a in alphas]
+        dirs = [smoothed_gradient(batch, policy, a) for a in alphas]
         for d1, d2 in zip(dirs, dirs[1:]):
             cos = d1 @ d2 / (np.linalg.norm(d1) * np.linalg.norm(d2))
             assert cos > 0.9
@@ -107,7 +107,7 @@ class TestDirectGradient:
     def test_constant_costs_whitened_zero(self):
         batch, policy = make_fixture()
         grad = direct_gradient(equal_cost_batch(batch), policy)
-        assert np.all(grad.direction == 0.0)
+        assert np.all(grad == 0.0)
 
     def test_dominant_cost_anti_aligned(self):
         batch, policy = make_fixture(n=4)
@@ -117,14 +117,13 @@ class TestDirectGradient:
         grad = direct_gradient(loaded, policy, whiten=False)
         xs, acts = batch.xs, batch.actions
         score = score_sum(policy, xs[2], acts[2])
-        cos = grad.direction @ score / (np.linalg.norm(grad.direction)
-                                        * np.linalg.norm(score))
+        cos = grad @ score / (np.linalg.norm(grad) * np.linalg.norm(score))
         assert cos < -0.999
 
     def test_strong_smoothing_matches_direct(self):
         batch, policy = make_fixture(seed=2, n=10)
-        g_smooth = smoothed_gradient(batch, policy, alpha=1e9).direction
-        g_direct = direct_gradient(batch, policy).direction
+        g_smooth = smoothed_gradient(batch, policy, alpha=1e9)
+        g_direct = direct_gradient(batch, policy)
         cos = g_smooth @ g_direct / (np.linalg.norm(g_smooth)
                                      * np.linalg.norm(g_direct))
         assert cos > 0.999
@@ -135,8 +134,8 @@ class TestPiceGradient:
         batch, policy = make_fixture(seed=4)
         alpha = 1e-8
         g_lim = smoothed_gradient(batch, policy, alpha,
-                                  whiten=False).direction / alpha
-        g_pice = pice_gradient(batch, policy).direction
+                                  whiten=False) / alpha
+        g_pice = pice_gradient(batch, policy)
         np.testing.assert_allclose(g_lim, g_pice, rtol=1e-4)
 
     def test_equal_costs_is_mean_score(self):
@@ -145,7 +144,7 @@ class TestPiceGradient:
         xs, acts = batch.xs, batch.actions
         scores = np.stack([score_sum(policy, xs[i], acts[i])
                            for i in range(batch.n)])
-        np.testing.assert_allclose(grad.direction, scores.mean(axis=0),
+        np.testing.assert_allclose(grad, scores.mean(axis=0),
                                    rtol=1e-10)
 
     def test_one_hot_limit(self):
@@ -155,7 +154,7 @@ class TestPiceGradient:
         loaded = replace(batch, stochastic_costs=costs)
         grad = pice_gradient(loaded, policy)
         xs, acts = batch.xs, batch.actions
-        np.testing.assert_allclose(grad.direction,
+        np.testing.assert_allclose(grad,
                                    score_sum(policy, xs[1], acts[1]),
                                    rtol=1e-8)
 

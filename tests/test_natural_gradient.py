@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aspic import (MlpPolicy, RolloutBatch, TimeVaryingLinearPolicy,
-                   conjugate_gradient,
+from aspic import (LineSearchError, MlpPolicy, RolloutBatch,
+                   TimeVaryingLinearPolicy, conjugate_gradient,
                    fisher_vector_product, lq_features, make_env,
                    per_timestep_natural_direction, sample_batch,
                    sample_policy_kl, trust_region_step)
+from aspic.natural_gradient import KL_REL_TOL
 
 LQ_SMALL = dict(horizon=0.4, dt=0.1, viapoints=((0.2, 1.0),), sigma=0.5)
 
@@ -305,3 +306,71 @@ def _zero_residual_batch(batch, policy):
     """Replace actions by the policy mean so the sampled KL cross term is 0."""
     return replace(batch, actions=policy.mean_steps(batch.xs),
                    noises=np.zeros_like(batch.noises))
+
+
+class KlStubPolicy:
+    """Policy stub whose sampled KL from ``params = 0`` is ``kl(params)``.
+
+    Its Jacobians are the identity, so the Fisher operator is I / N and the
+    natural direction is the raw gradient scaled by about N.  ``log`` collects
+    the parameter norm of every policy the line search builds, in order.
+    """
+
+    noise_var = 1.0
+
+    def __init__(self, params, kl, log):
+        self.params = np.asarray(params, dtype=float)
+        self.kl = kl
+        self.log = log
+
+    def with_params(self, params):
+        self.log.append(float(np.linalg.norm(params)))
+        return KlStubPolicy(params, self.kl, self.log)
+
+    def jac_y_steps(self, xs, y):
+        return np.asarray(y, dtype=float)
+
+    def jac_t_v_steps(self, xs, v):
+        return np.asarray(v, dtype=float)
+
+    def log_prob_steps(self, xs, acts):
+        return np.full(len(xs), -self.kl(self.params))
+
+
+class TestLineSearch:
+    EPS = 0.1
+    N = 4
+
+    def step(self, kl):
+        batch = array_batch(np.zeros((self.N, 3, 1)), np.zeros((self.N, 2, 1)))
+        log = []
+        policy = KlStubPolicy(np.zeros(2), kl, log)
+        up = trust_region_step(batch, policy, np.array([1.0, 0.0]),
+                               epsilon=self.EPS)
+        return up, log
+
+    @pytest.mark.parametrize("scale, grows", [(0.01, True), (100.0, False)])
+    def test_bracket_then_bisection(self, scale, grows):
+        # The quadratic seed step lands at a KL of about scale * epsilon, so
+        # the bracket doubles eta (scale < 1) or halves it (scale > 1).
+        c = scale / (2 * self.N)
+        up, log = self.step(lambda th: c * float(th @ th))
+        assert abs(up.achieved_kl - self.EPS) <= KL_REL_TOL * self.EPS
+        seed_norm, bracket_norm = log[0], log[1]
+        assert bracket_norm == pytest.approx(
+            seed_norm * (2.0 if grows else 0.5), rel=1e-12)
+        assert np.linalg.norm(up.new_params) == pytest.approx(
+            seed_norm / np.sqrt(scale), rel=0.1)
+
+    def test_bracket_from_above_fails(self):
+        with pytest.raises(LineSearchError, match="from above"):
+            self.step(lambda th: 0.0)
+
+    def test_bracket_from_below_fails(self):
+        with pytest.raises(LineSearchError, match="from below"):
+            self.step(lambda th: float(np.any(th != 0.0)))
+
+    def test_bisection_fails_on_a_kl_jump(self):
+        # The KL jumps from 0 to 10 epsilon, so no step meets the tolerance.
+        with pytest.raises(LineSearchError, match="bisection"):
+            self.step(lambda th: 0.0 if th @ th < 1.0 else 10 * self.EPS)

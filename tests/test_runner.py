@@ -69,6 +69,12 @@ class TestConfig:
         (dict(gamma=None), "gamma"),
         (dict(cost_threshold="2e4"), "cost_threshold"),
         (dict(rollout_budget=True), "rollout_budget"),
+        (dict(whiten="no"), "whiten"),
+        (dict(solver="cg"), "solver"),
+        (dict(solver={"kind": ["cg"]}), "kind"),
+        (dict(delta=[0.5]), "delta"),
+        (dict(delta=True), "delta"),
+        (dict(delta={"absolute": [0.5]}), "delta"),
     ])
     def test_invalid_config_rejected_at_construction(self, overrides, key):
         with pytest.raises(ValueError, match=key):
@@ -355,6 +361,23 @@ class TestCli:
         assert cli_main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "itrs" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_non_bool_whiten_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {"whiten": "no"})
+        assert cli_main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "whiten" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("payload, named", [
+        ({"config": {}, "final_costs": []}, "config_hash"),
+        ([1, 2], "JSON object"),
+    ])
+    def test_export_of_malformed_summary_exits_2(self, tmp_path, capsys,
+                                                 payload, named):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(payload))
+        assert cli_main(["export", str(path)]) == 2
+        assert named in capsys.readouterr().err
 
     def test_wrongly_typed_number_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {"n_rollouts": "8"})

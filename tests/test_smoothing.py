@@ -35,6 +35,11 @@ class TestNormalizedWeights:
         assert np.all(np.isfinite(w))
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_scale_overflows_to_zero_weight_quietly(self):
+        w = normalized_weights([0.0, 1e10], 1e-300, 0.0)
+        np.testing.assert_array_equal(w, [1.0, 0.0])
+
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             normalized_weights([1.0, 2.0], gamma=0.0, alpha=0.0)
@@ -141,9 +146,10 @@ class TestFindAlpha:
         with pytest.raises(ValueError):
             find_alpha([1.0, 2.0], gamma=1.0, delta=0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     def test_overflowing_spread_raises_instead_of_looping(self, gamma):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cost spread is not finite"):
             find_alpha([-1e308, 1e308], gamma=gamma, delta=0.1)
 
 
@@ -171,6 +177,7 @@ adversarial_costs = st.one_of(
 )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(deadline=None, max_examples=200)
 @given(adversarial_costs, st.one_of(st.just(0.0), st.floats(0.0, 1e300)),
        st.floats(1e-6, 10.0))

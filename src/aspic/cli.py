@@ -20,8 +20,8 @@ def _outdir(args) -> str:
     return args.out or os.environ.get("ASPIC_OUTDIR", "aspic_results")
 
 
-def _export_result(result: RunResult, fmt: str, outdir: str) -> None:
-    for path in export(result, fmt, outdir):
+def _export_result(result: RunResult, outdir: str) -> None:
+    for path in export(result, outdir):
         print(path)
 
 
@@ -30,16 +30,18 @@ def cmd_run(args) -> int:
     try:
         result = run_aspic(config)
     except RunError as exc:
-        _export_result(exc.partial, args.format, _outdir(args))
+        _export_result(exc.partial, _outdir(args))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _export_result(result, args.format, _outdir(args))
+    _export_result(result, _outdir(args))
     return 0
 
 
 def cmd_sweep(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {raw!r}")
     values = raw.pop("sweep_values", None)
     if args.values:
         values = json.loads(args.values)
@@ -57,10 +59,9 @@ def cmd_sweep(args) -> int:
             print(f"cell {label} failed: {cell}", file=sys.stderr)
             failed = True
             if isinstance(cell, RunError) and cell.partial.records:
-                _export_result(cell.partial, args.format,
-                               os.path.join(base, label))
+                _export_result(cell.partial, os.path.join(base, label))
         else:
-            _export_result(cell, args.format, os.path.join(base, label))
+            _export_result(cell, os.path.join(base, label))
     return 1 if failed else 0
 
 
@@ -90,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--format", choices=["csv", "json", "both"],
-                       default="both")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep one axis of a config")
@@ -101,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", default=None,
                          help="JSON list of cell values")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--format", choices=["csv", "json", "both"],
-                         default="both")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_exp = sub.add_parser("export", help="re-print a saved summary as JSON")

@@ -21,8 +21,12 @@ last bit at another row count).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import ClassVar
+
 import numpy as np
 
+from .policies import gaussian_log_prob
 from .trajectory import RolloutBatch, Trajectory
 
 __all__ = ["Environment", "LqViapoints", "Pendulum", "Acrobot",
@@ -46,87 +50,89 @@ class RolloutBlowupError(RuntimeError):
         super().__init__(f"state blow-up at {where}step {step}")
 
 
+@dataclass(kw_only=True, eq=False)
 class Environment:
-    """Base class: concrete tasks fill in dynamics and cost events.
+    """Base class: a task is its parameters, its rate and its cost events.
 
-    ``step`` and ``event_cost`` are vectorized over leading batch dimensions
-    of the state.  Event costs are keyed by grid index (1..num_steps), with
-    event times snapped to the nearest grid point; ``event_indices`` lists
-    the indices that carry one.
+    The fields are the task's parameters, the keys ``env_overrides`` takes.
+    Building a task sets ``num_steps``, ``noise_var = nu/dt`` and the start
+    ``x0``, at rest at the origin unless the task sets another.  ``xdot`` and
+    ``event_cost`` are vectorized over leading batch dimensions of the state.
+    Event costs are keyed by grid index (1..num_steps), with event times
+    snapped to the nearest grid point; ``event_indices`` lists the indices
+    that carry one, by default the final index only.
     """
 
-    state_dim: int
-    action_dim: int = 1
+    state_dim: ClassVar[int]
+    action_dim: ClassVar[int] = 1
     dt: float
     horizon: float
-    nu: float
-    x0: np.ndarray
-    event_indices: tuple = ()
+    nu: float = 1.0
 
-    def __init__(self):
+    def __post_init__(self):
+        for name in ("dt", "horizon", "nu"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, "
+                                 f"got {getattr(self, name)!r}")
         steps = self.horizon / self.dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("horizon must be an integer number of steps")
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
+            raise ValueError("horizon must be a whole number of steps, >= 1")
         self.num_steps = int(round(steps))
+        self.noise_var = self.nu / self.dt
+        self.event_indices = (self.num_steps,)
+        self.x0 = np.zeros(self.state_dim)
 
-    @property
-    def noise_var(self) -> float:
-        return self.nu / self.dt
-
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def control_effect(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """g(x, t) a, mapped into state space."""
+    def xdot(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """The rate f(x) + g(x) a, in state space."""
         raise NotImplementedError
 
     def step(self, x: np.ndarray, a: np.ndarray, t: int) -> np.ndarray:
-        """Euler step x + dt * (f(x) + g(x) a); raises ``RolloutBlowupError``
+        """Euler step x + dt * xdot(x, a); raises ``RolloutBlowupError``
         naming the first row whose next state is non-finite or too large."""
         x = np.asarray(x, dtype=float)
         a = np.asarray(a, dtype=float)
-        nxt = x + self.dt * (self.drift(x) + self.control_effect(x, a))
+        nxt = x + self.dt * self.xdot(x, a)
         ok = np.abs(nxt) <= BLOWUP_THRESHOLD
         if not ok.all():
             raise RolloutBlowupError(t, int(np.argmin(ok.all(axis=-1))))
         return nxt
 
     def event_cost(self, index: int, x: np.ndarray) -> np.ndarray:
-        """Delta-cost contribution at grid index ``index`` (0 if none)."""
-        return np.zeros(np.asarray(x).shape[:-1])
+        """Delta-cost contribution at grid index ``index``: the task's
+        ``_event_cost(index, x)`` at ``event_indices``, 0 elsewhere."""
+        x = np.asarray(x, dtype=float)
+        if index not in self.event_indices:
+            return np.zeros(x.shape[:-1])
+        return self._event_cost(index, x)
 
 
+@dataclass(kw_only=True, eq=False)
 class LqViapoints(Environment):
     """1-D Brownian particle steered through quadratic viapoint penalties."""
 
-    state_dim = 1
+    state_dim: ClassVar[int] = 1
+    dt: float = 0.1
+    horizon: float = 10.0
+    sigma: float = 0.1
+    viapoints: tuple = LQ_VIAPOINTS
 
-    def __init__(self, *, dt: float = 0.1, horizon: float = 10.0,
-                 nu: float = 1.0, sigma: float = 0.1,
-                 viapoints=LQ_VIAPOINTS):
-        self.dt = dt
-        self.horizon = horizon
-        self.nu = nu
-        self.sigma = sigma
-        self.x0 = np.zeros(1)
-        super().__init__()
+    def __post_init__(self):
+        super().__post_init__()
+        if self.sigma == 0:
+            raise ValueError("sigma must be != 0")
         # Viapoint times snap to the nearest grid index.
-        self._events = {int(round(t / dt)): target for t, target in viapoints}
+        self._events = {int(round(t / self.dt)): target
+                        for t, target in self.viapoints}
         self.event_indices = tuple(sorted(self._events))
 
-    def drift(self, x):
-        return np.zeros_like(x)
-
-    def control_effect(self, x, a):
+    def xdot(self, x, a):
         return a
 
-    def event_cost(self, index, x):
-        x = np.asarray(x, dtype=float)
-        if index not in self._events:
-            return np.zeros(x.shape[:-1])
+    def _event_cost(self, index, x):
         return (x[..., 0] - self._events[index]) ** 2 / (2.0 * self.sigma ** 2)
 
 
+@dataclass(kw_only=True, eq=False)
 class Pendulum(Environment):
     """Damped pendulum swing-up; state (angle, angular velocity).
 
@@ -134,35 +140,19 @@ class Pendulum(Environment):
     speed: -500 Y + 10 vel^2, applied once at the final grid index.
     """
 
-    state_dim = 2
+    state_dim: ClassVar[int] = 2
+    dt: float = 0.01
+    horizon: float = 3.0
+    c_omega0: float = 0.1
+    omega0_sq: float = 10.0
+    lam: float = 0.2
 
-    def __init__(self, *, dt: float = 0.01, horizon: float = 3.0,
-                 nu: float = 1.0, c_omega0: float = 0.1,
-                 omega0_sq: float = 10.0, lam: float = 0.2):
-        self.dt = dt
-        self.horizon = horizon
-        self.nu = nu
-        self.c_omega0 = c_omega0
-        self.omega0_sq = omega0_sq
-        self.lam = lam
-        self.x0 = np.zeros(2)
-        super().__init__()
-        self.event_indices = (self.num_steps,)
-
-    def drift(self, x):
+    def xdot(self, x, a):
         ang, vel = x[..., 0], x[..., 1]
         acc = -self.c_omega0 * vel - self.omega0_sq * np.sin(ang)
-        return np.stack([vel, acc], axis=-1)
+        return np.stack([vel, acc + self.lam * a[..., 0]], axis=-1)
 
-    def control_effect(self, x, a):
-        out = np.zeros_like(x)
-        out[..., 1] = self.lam * a[..., 0]
-        return out
-
-    def event_cost(self, index, x):
-        x = np.asarray(x, dtype=float)
-        if index != self.num_steps:
-            return np.zeros(x.shape[:-1])
+    def _event_cost(self, index, x):
         height = -np.cos(x[..., 0])
         return -500.0 * height + 10.0 * x[..., 1] ** 2
 
@@ -172,6 +162,7 @@ class Pendulum(Environment):
         return 0.5 * x[..., 1] ** 2 - self.omega0_sq * np.cos(x[..., 0])
 
 
+@dataclass(kw_only=True, eq=False)
 class Acrobot(Environment):
     """Two-link underactuated arm, torque on the second joint only.
 
@@ -180,27 +171,23 @@ class Acrobot(Environment):
     (x1 = -pi/2).
     """
 
-    state_dim = 4
+    state_dim: ClassVar[int] = 4
+    dt: float = 0.01
+    horizon: float = 3.0
+    lam: float = 0.2
+    m1: float = 1.0
+    m2: float = 1.0
+    l1: float = 1.0
+    l2: float = 2.0
+    lc1: float = 0.5
+    lc2: float = 1.0
+    i1: float = 0.083
+    i2: float = 0.33
+    gravity: float = 9.8
 
-    def __init__(self, *, dt: float = 0.01, horizon: float = 3.0,
-                 nu: float = 1.0, lam: float = 0.2,
-                 m1: float = 1.0, m2: float = 1.0,
-                 l1: float = 1.0, l2: float = 2.0,
-                 lc1: float = 0.5, lc2: float = 1.0,
-                 i1: float = 0.083, i2: float = 0.33,
-                 gravity: float = 9.8):
-        self.dt = dt
-        self.horizon = horizon
-        self.nu = nu
-        self.lam = lam
-        self.m1, self.m2 = m1, m2
-        self.l1, self.l2 = l1, l2
-        self.lc1, self.lc2 = lc1, lc2
-        self.i1, self.i2 = i1, i2
-        self.gravity = gravity
+    def __post_init__(self):
+        super().__post_init__()
         self.x0 = np.array([-0.5 * np.pi, 0.0, 0.0, 0.0])
-        super().__init__()
-        self.event_indices = (self.num_steps,)
 
     def mass_matrix_terms(self, x):
         x2 = x[..., 1]
@@ -230,25 +217,17 @@ class Acrobot(Environment):
         acc2 = (d11 * rhs2 - d12 * rhs1) / det
         return acc1, acc2
 
-    def drift(self, x):
+    def xdot(self, x, a):
         acc1, acc2 = self.accelerations(x, 0.0)
-        return np.stack([x[..., 2], x[..., 3], acc1, acc2], axis=-1)
-
-    def control_effect(self, x, a):
-        # Torque enters through the same mass-matrix solve as the drift;
-        # by linearity the control contribution is M^-1 (0, lam a).
+        # Torque enters through the same mass-matrix solve as the torque-free
+        # accelerations; by linearity its contribution is M^-1 (0, lam a).
         d11, d12, d22 = self.mass_matrix_terms(x)
         det = d11 * d22 - d12 ** 2
         torque = self.lam * a[..., 0]
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        out[..., 2] = -d12 * torque / det
-        out[..., 3] = d11 * torque / det
-        return out
+        return np.stack([x[..., 2], x[..., 3], acc1 - d12 * torque / det,
+                         acc2 + d11 * torque / det], axis=-1)
 
-    def event_cost(self, index, x):
-        x = np.asarray(x, dtype=float)
-        if index != self.num_steps:
-            return np.zeros(x.shape[:-1])
+    def _event_cost(self, index, x):
         height = (-self.l1 * np.cos(x[..., 0])
                   - self.l2 * np.cos(x[..., 0] + x[..., 1]))
         return -500.0 * height + 10.0 * (x[..., 2] ** 2 + x[..., 3] ** 2)
@@ -257,12 +236,6 @@ class Acrobot(Environment):
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-def _base_log_prob(a: np.ndarray, noise_var: float) -> np.ndarray:
-    d = a.shape[-1]
-    return (-np.sum(a ** 2, axis=-1) / (2.0 * noise_var)
-            - 0.5 * d * np.log(2.0 * np.pi * noise_var))
-
 
 def _simulate(env: Environment, policy, noises: np.ndarray) -> dict:
     """Run n rollouts in lockstep; noises is (n, T, adim).
@@ -284,8 +257,8 @@ def _simulate(env: Environment, policy, noises: np.ndarray) -> dict:
             costs[:, k] += env.event_cost(k + 1, x)
     return dict(states=states, actions=actions, noises=noises,
                 state_costs=costs,
-                logp_policy=_base_log_prob(noises, env.noise_var),
-                logp_base=_base_log_prob(actions, env.noise_var))
+                logp_policy=gaussian_log_prob(noises, env.noise_var),
+                logp_base=gaussian_log_prob(actions, env.noise_var))
 
 
 def _noises(env: Environment, n: int, rng_seed,

@@ -23,7 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["GaussianPolicy", "TimeVaryingLinearPolicy", "MlpPolicy",
-           "lq_features", "pendulum_features", "acrobot_features"]
+           "gaussian_log_prob", "lq_features", "pendulum_features",
+           "acrobot_features"]
+
+
+def gaussian_log_prob(resid: np.ndarray, noise_var: float) -> np.ndarray:
+    """log N(resid; 0, noise_var I) over the last axis."""
+    d = resid.shape[-1]
+    return (-np.sum(resid ** 2, axis=-1) / (2.0 * noise_var)
+            - 0.5 * d * np.log(2.0 * np.pi * noise_var))
 
 
 def _positive(noise_var: float) -> float:
@@ -70,9 +78,7 @@ class GaussianPolicy:
     def log_prob_steps(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Per-step log-probabilities; shape of xs minus the state axis."""
         resid = np.asarray(actions, dtype=float) - self.mean_steps(xs)
-        d = resid.shape[-1]
-        return (-np.sum(resid ** 2, axis=-1) / (2.0 * self.noise_var)
-                - 0.5 * d * np.log(2.0 * np.pi * self.noise_var))
+        return gaussian_log_prob(resid, self.noise_var)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -50,13 +50,16 @@ _NUMBERS = {"n_rollouts": (int, False), "iterations": (int, False),
 
 
 def _typed(name: str, value, typ):
-    """``value`` as ``typ``; a ValueError naming ``name`` if it is not one."""
+    """``value`` as ``typ`` (a float must be finite); a ValueError naming
+    ``name`` if it is not one."""
     try:
         out = typ(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or isinstance(value, bool) or out != value:
-        raise ValueError(f"{name} must be {typ.__name__}, got {value!r}")
+    if (out is None or isinstance(value, bool) or out != value
+            or (typ is float and not math.isfinite(out))):
+        what = "a finite float" if typ is float else "an int"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
     return out
 
 
@@ -96,14 +99,6 @@ class ExperimentConfig:
             if not isinstance(value, str) or value not in allowed:
                 raise ValueError(f"unknown {key} {value!r}; "
                                  f"choose from {sorted(allowed)}")
-        for key, ok, rule in (("n_rollouts", self.n_rollouts >= 2, ">= 2"),
-                              ("iterations", self.iterations >= 1, ">= 1"),
-                              ("repeats", self.repeats >= 1, ">= 1"),
-                              ("epsilon", self.epsilon > 0, "> 0"),
-                              ("gamma", self.gamma >= 0, ">= 0")):
-            if not ok:
-                raise ValueError(f"{key} must be {rule}, "
-                                 f"got {getattr(self, key)!r}")
         try:
             make_env(self.env, self.env_overrides)
         except (TypeError, ValueError) as exc:
@@ -117,6 +112,21 @@ class ExperimentConfig:
         self.solver = {key: value if key == "kind"
                        else _typed(f"solver.{key}", value, spec[key])
                        for key, value in self.solver.items()}
+        solver, budget = self.solver, self.rollout_budget
+        for key, ok, rule in (
+                ("n_rollouts", self.n_rollouts >= 2, ">= 2"),
+                ("iterations", self.iterations >= 1, ">= 1"),
+                ("repeats", self.repeats >= 1, ">= 1"),
+                ("epsilon", self.epsilon > 0, "> 0"),
+                ("gamma", self.gamma >= 0, ">= 0"),
+                ("gamma", self.gamma > 0 or self.estimator != "pice",
+                 "> 0 for the pice estimator"),
+                ("rollout_budget", budget is None or budget >= 1, ">= 1"),
+                ("solver.iters", solver.get("iters", 1) >= 1, ">= 1"),
+                ("solver.damping", solver.get("damping", 0.0) >= 0, ">= 0"),
+                ("solver.rcond", solver.get("rcond", 0.0) >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}")
         if self.policy == "mlp" and kind == "per_timestep_pinv":
             raise ValueError("policy 'mlp' cannot use solver kind "
                              "'per_timestep_pinv'")
@@ -127,6 +137,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Build from a dict; an unknown or a missing key is a ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
         known = {f.name: f for f in fields(cls)}
         missing = [name for name, f in known.items() if name not in d
                    and f.default is MISSING and f.default_factory is MISSING]
@@ -156,11 +168,12 @@ def resolve_delta(delta, n: int) -> float:
     if delta is None:
         return 0.0
     if isinstance(delta, dict):
+        if len(delta) != 1 or delta.keys() - {"absolute", "lognfrac"}:
+            raise ValueError("delta dict needs one key, 'absolute' or "
+                             f"'lognfrac', got {delta!r}")
         if "absolute" in delta:
             return _typed("delta", delta["absolute"], float)
-        if "lognfrac" in delta:
-            return _typed("delta", delta["lognfrac"], float) * math.log(n)
-        raise ValueError("delta dict needs an 'absolute' or 'lognfrac' key")
+        return _typed("delta", delta["lognfrac"], float) * math.log(n)
     return _typed("delta", delta, float)
 
 
@@ -282,7 +295,7 @@ def _with_delta(config: ExperimentConfig, delta, **kwargs):
 def _sweep_cell(config: ExperimentConfig, axis: str, v):
     """(label, config) of the sweep cell at value ``v`` on ``axis``."""
     if axis == "n":
-        n = int(v)
+        n = _typed("n", v, int)
         iters = (config.rollout_budget // n if config.rollout_budget
                  else config.iterations)
         return f"n={n}", config.replace(n_rollouts=n, iterations=max(1, iters))
@@ -290,8 +303,9 @@ def _sweep_cell(config: ExperimentConfig, axis: str, v):
         return (f"delta={resolve_delta(v, config.n_rollouts):.6g}",
                 _with_delta(config, v))
     dv, eps = v
+    eps = _typed("eps", eps, float)
     label = f"delta={resolve_delta(dv, config.n_rollouts):.6g},eps={eps:g}"
-    return label, _with_delta(config, dv, epsilon=float(eps))
+    return label, _with_delta(config, dv, epsilon=eps)
 
 
 def sweep(config: ExperimentConfig, axis: str, values) -> dict:
@@ -323,16 +337,14 @@ def sweep(config: ExperimentConfig, axis: str, values) -> dict:
 # ---------------------------------------------------------------------------
 
 def _write_csv(path, records) -> None:
+    """One row per record, its fields in order: repr, or empty for None."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for run in records:
             for r in run:
-                writer.writerow([
-                    r.run, r.iteration, repr(r.mean_cost), repr(r.std_cost),
-                    "" if r.alpha is None else repr(r.alpha),
-                    "" if r.kl_est is None else repr(r.kl_est),
-                    repr(r.eta), repr(r.achieved_kl), repr(r.wall_ms), r.seed])
+                writer.writerow(["" if v is None else repr(v)
+                                 for v in astuple(r)])
 
 
 def _summary(result: RunResult) -> dict:
@@ -346,22 +358,15 @@ def _summary(result: RunResult) -> dict:
     }
 
 
-def export(result: RunResult, fmt: str, outdir) -> list:
-    """Write records.csv and/or summary.json under ``outdir``."""
-    if fmt not in ("csv", "json", "both"):
-        raise ValueError(f"unknown export format {fmt!r}")
+def export(result: RunResult, outdir) -> list:
+    """Write records.csv and summary.json under ``outdir``; their paths."""
     os.makedirs(outdir, exist_ok=True)
-    written = []
+    csv_path = os.path.join(outdir, "records.csv")
+    json_path = os.path.join(outdir, "summary.json")
     try:
-        if fmt in ("csv", "both"):
-            path = os.path.join(outdir, "records.csv")
-            _write_csv(path, result.records)
-            written.append(path)
-        if fmt in ("json", "both"):
-            path = os.path.join(outdir, "summary.json")
-            with open(path, "w") as fh:
-                json.dump(_summary(result), fh, indent=2)
-            written.append(path)
+        _write_csv(csv_path, result.records)
+        with open(json_path, "w") as fh:
+            json.dump(_summary(result), fh, indent=2)
     except OSError as exc:
         raise OSError(f"failed writing results under {outdir}: {exc}") from exc
-    return written
+    return [csv_path, json_path]

@@ -1,5 +1,7 @@
 """Tests for the benchmark dynamics and the rollout sampler."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,48 @@ class TestStep:
         with pytest.raises(RolloutBlowupError) as err:
             env.step(x[[0, 2]], np.zeros((2, 1)), 4)
         assert err.value.index == 1
+
+
+def random_states(rng, n, dim):
+    """n states: the first half angles in [-pi, pi], the rest speeds in
+    [-5, 5]."""
+    half = dim // 2
+    return np.column_stack([rng.uniform(-np.pi, np.pi, (n, half)),
+                            rng.uniform(-5.0, 5.0, (n, dim - half))])
+
+
+class TestControlAffineRate:
+    def test_acrobot_torque_term_is_the_mass_matrix_solve(self):
+        env = Acrobot()
+        rng = np.random.default_rng(0)
+        x = random_states(rng, 1000, 4)
+        a = rng.normal(0.0, 3.0, (1000, 1))
+        effect = env.xdot(x, a) - env.xdot(x, np.zeros_like(a))
+        free = np.stack(env.accelerations(x, 0.0), axis=-1)
+        solved = (np.stack(env.accelerations(x, env.lam * a[:, 0]), axis=-1)
+                  - free)
+        np.testing.assert_array_equal(effect[:, :2], 0.0)
+        # Both sides difference two accelerations, so they agree to the
+        # rounding of the accelerations, not of their difference.
+        np.testing.assert_allclose(effect[:, 2:], solved, rtol=1e-12,
+                                   atol=1e-12 * np.abs(free).max())
+
+    def test_pendulum_torque_enters_the_velocity_row(self):
+        env = Pendulum(lam=0.7)
+        rng = np.random.default_rng(1)
+        x = random_states(rng, 1000, 2)
+        a = rng.normal(0.0, 3.0, (1000, 1))
+        free = env.xdot(x, np.zeros_like(a))
+        effect = env.xdot(x, a) - free
+        np.testing.assert_array_equal(effect[:, 0], 0.0)
+        np.testing.assert_allclose(effect[:, 1], env.lam * a[:, 0],
+                                   rtol=1e-12,
+                                   atol=1e-12 * np.abs(free).max())
+
+    def test_lq_rate_is_the_action(self):
+        env = LqViapoints()
+        a = np.random.default_rng(2).normal(size=(5, 1))
+        np.testing.assert_array_equal(env.xdot(np.ones((5, 1)), a), a)
 
 
 class TestCosts:
@@ -240,6 +284,56 @@ class TestAcrobotMassMatrix:
             rng.uniform(-20, 20, 10_000)])
         d11, d12, d22 = env.mass_matrix_terms(states)
         assert np.all(d11 * d22 - d12 ** 2 > 0.0)
+
+
+# Each task's parameters, the keys env_overrides accepts.  Spelled out here,
+# so a field that is renamed, dropped or added fails the test.
+OVERRIDE_KEYS = {
+    "lq_viapoints": {"dt", "horizon", "nu", "sigma", "viapoints"},
+    "pendulum": {"dt", "horizon", "nu", "c_omega0", "omega0_sq", "lam"},
+    "acrobot": {"dt", "horizon", "nu", "lam", "m1", "m2", "l1", "l2", "lc1",
+                "lc2", "i1", "i2", "gravity"},
+}
+
+
+class TestParameters:
+    @pytest.mark.parametrize("name", sorted(OVERRIDE_KEYS))
+    def test_fields_are_the_override_keys(self, name):
+        env = make_env(name)
+        keys = {f.name for f in dataclasses.fields(env)}
+        assert keys == OVERRIDE_KEYS[name]
+        same = make_env(name, {k: getattr(env, k) for k in keys})
+        np.testing.assert_array_equal(same.x0, env.x0)
+        assert same.event_indices == env.event_indices
+        with pytest.raises(TypeError):
+            make_env(name, {"state_dim": 3})
+
+    @pytest.mark.parametrize("name", sorted(OVERRIDE_KEYS))
+    def test_repr_names_the_parameters(self, name):
+        env = make_env(name, {"nu": 2.0})
+        text = repr(env)
+        assert text.startswith(type(env).__name__ + "(")
+        assert "nu=2.0" in text
+        for key in OVERRIDE_KEYS[name]:
+            assert f"{key}=" in text
+
+    @pytest.mark.parametrize("name", sorted(OVERRIDE_KEYS))
+    @pytest.mark.parametrize("overrides, message", [
+        ({"dt": 0}, "dt must be > 0"),
+        ({"dt": -0.1}, "dt must be > 0"),
+        ({"horizon": 0.0}, "horizon must be > 0"),
+        ({"nu": 0}, "nu must be > 0"),
+        ({"nu": float("nan")}, "nu must be > 0"),
+        ({"horizon": 1e-12}, "whole number of steps"),
+    ])
+    def test_out_of_range_parameters_rejected(self, name, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            make_env(name, overrides)
+
+    def test_lq_zero_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma"):
+            make_env("lq_viapoints", {"sigma": 0.0})
+        assert make_env("lq_viapoints", {"sigma": -0.1}).sigma == -0.1
 
 
 class TestMakeEnv:

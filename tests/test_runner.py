@@ -75,6 +75,28 @@ class TestConfig:
         (dict(delta=[0.5]), "delta"),
         (dict(delta=True), "delta"),
         (dict(delta={"absolute": [0.5]}), "delta"),
+        (dict(env_overrides={"dt": 0}), "env_overrides.*dt must be > 0"),
+        (dict(env_overrides={"dt": -0.1}), "env_overrides.*dt must be > 0"),
+        (dict(env_overrides={"nu": 0}), "env_overrides.*nu must be > 0"),
+        (dict(env_overrides={"horizon": -1.0}),
+         "env_overrides.*horizon must be > 0"),
+        (dict(env_overrides={"sigma": 0}), "env_overrides.*sigma"),
+        (dict(estimator="pice", delta=None, gamma=0.0), "gamma"),
+        (dict(solver={"kind": "cg", "iters": 0}), "solver.iters"),
+        (dict(solver={"kind": "cg", "iters": -3}), "solver.iters"),
+        (dict(solver={"kind": "cg", "damping": -1.0}), "solver.damping"),
+        (dict(solver={"kind": "per_timestep_pinv", "rcond": -1.0}),
+         "solver.rcond"),
+        (dict(solver={"kind": "cg", "damping": float("inf")}),
+         "solver.damping"),
+        (dict(epsilon=float("inf")), "epsilon"),
+        (dict(gamma=float("inf")), "gamma"),
+        (dict(delta=float("inf")), "delta"),
+        (dict(delta={"absolute": 0.5, "lognfrac": 0.2}), "delta"),
+        (dict(delta={"absolute": 0.5, "absolut": 0.7}), "delta"),
+        (dict(rollout_budget=-5), "rollout_budget"),
+        (dict(rollout_budget=0), "rollout_budget"),
+        (dict(epsilon=10 ** 400), "epsilon"),
     ])
     def test_invalid_config_rejected_at_construction(self, overrides, key):
         with pytest.raises(ValueError, match=key):
@@ -96,6 +118,11 @@ class TestConfig:
         assert type(cfg.rollout_budget) is int
         assert small_config().cost_threshold is None
 
+    @pytest.mark.parametrize("payload", [5, [1], "config", None])
+    def test_from_dict_needs_an_object(self, payload):
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentConfig.from_dict(payload)
+
     def test_from_dict_names_unknown_and_missing_keys(self):
         d = small_config().to_dict()
         with pytest.raises(ValueError, match="n_rolouts"):
@@ -116,6 +143,10 @@ class TestConfig:
         assert resolve_delta(None, 100) == 0.0
         with pytest.raises(ValueError):
             resolve_delta({"relative": 0.1}, 100)
+        for bad in ({}, {"absolute": 0.5, "lognfrac": 0.2},
+                    {"lognfrac": 0.2, "lognfracc": 0.2}):
+            with pytest.raises(ValueError, match="delta"):
+                resolve_delta(bad, 100)
 
     def test_round_trip_and_hash(self):
         cfg = small_config()
@@ -133,6 +164,7 @@ solvers = st.one_of(
                            "rcond": st.floats(1e-12, 1.0)}))
 deltas = st.one_of(positive, st.fixed_dictionaries({"absolute": positive}),
                    st.fixed_dictionaries({"lognfrac": positive}))
+# pice weights by gamma alone, so it needs gamma > 0.
 configs = st.fixed_dictionaries({
     "env": st.sampled_from(["lq_viapoints", "pendulum", "acrobot"]),
     "n_rollouts": st.integers(2, 10**6),
@@ -147,7 +179,8 @@ configs = st.fixed_dictionaries({
     "whiten": st.booleans(),
     "cost_threshold": st.none() | st.floats(-1e9, 1e9),
     "rollout_budget": st.none() | st.integers(2, 10**9),
-}).flatmap(lambda d: st.sampled_from(
+}).filter(lambda d: d["gamma"] > 0 or d["estimator"] != "pice").flatmap(
+    lambda d: st.sampled_from(
     ["linear"] if d["solver"]["kind"] == "per_timestep_pinv"
     else ["linear", "mlp"]).map(lambda policy: {**d, "policy": policy}))
 
@@ -268,6 +301,18 @@ class TestSweep:
         assert isinstance(cells["n=4"], Exception)
         assert "n=8" in cells  # the sweep kept going past the failure
 
+    def test_mistyped_values_fail_their_own_cells(self):
+        cells = sweep(small_config(iterations=1), "n", [2.7, "8", 4])
+        for label in ("n=2.7", "n=8"):
+            assert isinstance(cells[label], ValueError)
+            assert "n must be an int" in str(cells[label])
+        assert len(cells["n=4"].records[0]) == 1
+        cells = sweep(small_config(iterations=1), "grid",
+                      [({"absolute": 0.5}, "0.1"), ({"absolute": 0.5}, 0.1)])
+        bad = cells["grid=({'absolute': 0.5}, '0.1')"]
+        assert isinstance(bad, ValueError) and "eps" in str(bad)
+        assert len(cells["delta=0.5,eps=0.1"].records[0]) == 1
+
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
             sweep(small_config(), "delta", [])
@@ -280,36 +325,35 @@ class TestSweep:
 class TestExport:
     def test_csv_layout(self, tmp_path):
         res = run_aspic(small_config(repeats=2))
-        (path,) = export(res, "csv", tmp_path)
-        with open(path) as fh:
+        written = export(res, tmp_path)
+        assert written == [str(tmp_path / "records.csv"),
+                           str(tmp_path / "summary.json")]
+        with open(written[0]) as fh:
             rows = list(csv.reader(fh))
         assert tuple(rows[0]) == CSV_COLUMNS
         assert len(rows) == 1 + 2 * 3  # header + repeats * iterations
+        first = res.records[0][0]
+        assert rows[1][:3] == ["0", "0", repr(first.mean_cost)]
+        assert rows[1][-1] == str(first.seed)
+        assert json.loads((tmp_path / "summary.json").read_text())[
+            "final_costs"] == res.final_costs()
 
     def test_summary_round_trip(self, tmp_path):
         res = run_aspic(small_config())
-        export(res, "json", tmp_path)
+        export(res, tmp_path)
         with open(tmp_path / "summary.json") as fh:
             payload = json.load(fh)
         restored = ExperimentConfig.from_dict(payload["config"])
         assert config_hash(restored) == payload["config_hash"]
         assert payload["final_costs"] == res.final_costs()
 
-    def test_both_formats(self, tmp_path):
-        res = run_aspic(small_config())
-        written = export(res, "both", tmp_path)
-        assert len(written) == 2
-
-    def test_unknown_format_rejected(self, tmp_path):
-        res = run_aspic(small_config())
-        with pytest.raises(ValueError):
-            export(res, "parquet", tmp_path)
-
-    def test_unknown_format_writes_nothing(self, tmp_path):
-        res = run_aspic(small_config())
-        with pytest.raises(ValueError):
-            export(res, "parquet", tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+    def test_direct_records_leave_alpha_empty(self, tmp_path):
+        res = run_aspic(small_config(estimator="direct", delta=None))
+        export(res, tmp_path)
+        with open(tmp_path / "records.csv") as fh:
+            row = dict(zip(CSV_COLUMNS, list(csv.reader(fh))[1]))
+        assert (row["alpha"], row["kl_est"]) == ("", "")
+        assert float(row["eta"]) == res.records[0][0].eta
 
 
 class TestCli:
@@ -344,8 +388,7 @@ class TestCli:
     def test_export_subcommand_prints_summary_json(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "results"
-        assert cli_main(["run", cfg, "--out", str(out),
-                         "--format", "json"]) == 0
+        assert cli_main(["run", cfg, "--out", str(out)]) == 0
         capsys.readouterr()
         assert cli_main(["export", str(out / "summary.json")]) == 0
         printed = json.loads(capsys.readouterr().out)
@@ -361,6 +404,26 @@ class TestCli:
         assert cli_main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "itrs" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_invalid_env_parameter_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {"env_overrides": {"dt": 0}})
+        assert cli_main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "dt must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command, payload", [
+        (["run"], 5), (["sweep", "--axis", "n"], 5),
+        (["sweep", "--axis", "n"], [1]),
+    ])
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys, command,
+                                          payload):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "r"
+        argv = [command[0], str(path), *command[1:], "--out", str(out)]
+        assert cli_main(argv) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_bool_whiten_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {"whiten": "no"})

@@ -16,7 +16,6 @@ from .runner import (ExperimentConfig, IterationRecord, RunError, RunResult,
                      config_hash, export, resolve_delta, run_aspic, sweep)
 from .smoothing import (SmoothingResult, find_alpha, kl_estimate,
                         normalized_weights, weight_entropy)
-from .trajectory import (RolloutBatch, Trajectory, batch_mean_cost,
-                         stochastic_cost)
+from .trajectory import RolloutBatch, Trajectory, stochastic_cost
 
 __version__ = "0.1.0"

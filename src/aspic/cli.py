@@ -12,17 +12,29 @@ import json
 import os
 import sys
 
-from .runner import (ExperimentConfig, RunError, RunResult, export,
-                     run_aspic, sweep)
+from .runner import ExperimentConfig, RunError, export, run_aspic, sweep
 
 
 def _outdir(args) -> str:
     return args.out or os.environ.get("ASPIC_OUTDIR", "aspic_results")
 
 
-def _export_result(result: RunResult, outdir: str) -> None:
-    for path in export(result, outdir):
-        print(path)
+def _write(cells: dict, base: str) -> int:
+    """Export each cell under ``base/<label>``: its result, or the partial
+    result of a failed run (a cell that could not be built writes nothing).
+    Returns 1 if any cell failed, else 0."""
+    failed = False
+    for label, cell in cells.items():
+        if isinstance(cell, Exception):
+            failed = True
+            what = f"cell {label} failed" if label else "error"
+            print(f"{what}: {cell}", file=sys.stderr)
+            if not isinstance(cell, RunError):
+                continue
+            cell = cell.partial
+        for path in export(cell, os.path.join(base, label)):
+            print(path)
+    return 1 if failed else 0
 
 
 def cmd_run(args) -> int:
@@ -30,39 +42,16 @@ def cmd_run(args) -> int:
     try:
         result = run_aspic(config)
     except RunError as exc:
-        _export_result(exc.partial, _outdir(args))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _export_result(result, _outdir(args))
-    return 0
+        result = exc
+    return _write({"": result}, _outdir(args))
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"config must be a JSON object, got {raw!r}")
-    values = raw.pop("sweep_values", None)
-    if args.values:
-        values = json.loads(args.values)
-    if not values:
-        print("error: no sweep values (--values or 'sweep_values' in config)",
-              file=sys.stderr)
-        return 2
+    config = ExperimentConfig.from_json(args.config)
+    values = json.loads(args.values or "[]")
     if not isinstance(values, list):
         raise ValueError(f"sweep values must be a JSON list, got {values!r}")
-    cells = sweep(ExperimentConfig.from_dict(raw), args.axis, values)
-    failed = False
-    base = _outdir(args)
-    for label, cell in cells.items():
-        if isinstance(cell, Exception):
-            print(f"cell {label} failed: {cell}", file=sys.stderr)
-            failed = True
-            if isinstance(cell, RunError) and cell.partial.records:
-                _export_result(cell.partial, os.path.join(base, label))
-        else:
-            _export_result(cell, os.path.join(base, label))
-    return 1 if failed else 0
+    return _write(sweep(config, args.axis, values), _outdir(args))
 
 
 def cmd_export(args) -> int:

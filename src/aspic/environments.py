@@ -43,11 +43,10 @@ LQ_VIAPOINTS = ((1.0, -10.0), (2.0, 10.0), (3.0, -10.0), (4.0, -20.0),
 class RolloutBlowupError(RuntimeError):
     """A rollout left the numerically sane region."""
 
-    def __init__(self, step: int, index: int | None = None):
+    def __init__(self, step: int, index: int):
         self.step = step
         self.index = index
-        where = f"rollout {index}, " if index is not None else ""
-        super().__init__(f"state blow-up at {where}step {step}")
+        super().__init__(f"state blow-up at rollout {index}, step {step}")
 
 
 @dataclass(kw_only=True, eq=False)
@@ -120,9 +119,15 @@ class LqViapoints(Environment):
         super().__post_init__()
         if self.sigma == 0:
             raise ValueError("sigma must be != 0")
-        # Viapoint times snap to the nearest grid index.
-        self._events = {int(round(t / self.dt)): target
-                        for t, target in self.viapoints}
+        # Viapoint times snap to the nearest grid index, one viapoint each.
+        self._events = {}
+        for t, target in self.viapoints:
+            index = int(round(t / self.dt))
+            if index in self._events or not 1 <= index <= self.num_steps:
+                raise ValueError(
+                    f"viapoints: time {t!r} snaps to grid index {index}, "
+                    f"outside 1..{self.num_steps} or already taken")
+            self._events[index] = target
         self.event_indices = tuple(sorted(self._events))
 
     def xdot(self, x, a):

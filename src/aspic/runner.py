@@ -25,7 +25,6 @@ from .natural_gradient import trust_region_step
 from .policies import (MlpPolicy, TimeVaryingLinearPolicy, acrobot_features,
                        lq_features, pendulum_features)
 from .smoothing import find_alpha
-from .trajectory import batch_mean_cost
 
 __all__ = ["ExperimentConfig", "IterationRecord", "RunResult", "RunError",
            "run_aspic", "sweep", "export", "resolve_delta", "config_hash"]
@@ -101,7 +100,7 @@ class ExperimentConfig:
                                  f"choose from {sorted(allowed)}")
         try:
             make_env(self.env, self.env_overrides)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid env_overrides "
                              f"{self.env_overrides!r}: {exc}") from exc
         spec = _SOLVER_KEYS[kind]
@@ -173,7 +172,8 @@ def resolve_delta(delta, n: int) -> float:
                              f"'lognfrac', got {delta!r}")
         if "absolute" in delta:
             return _typed("delta", delta["absolute"], float)
-        return _typed("delta", delta["lognfrac"], float) * math.log(n)
+        frac = _typed("delta", delta["lognfrac"], float)
+        return _typed("delta (lognfrac*log N)", frac * math.log(n), float)
     return _typed("delta", delta, float)
 
 
@@ -234,7 +234,7 @@ def _run_single(config: ExperimentConfig, run_index: int) -> list:
         t0 = time.perf_counter()
         batch = sample_batch(env, policy, config.n_rollouts,
                              (config.seed, run_index, it), config.gamma)
-        mean_cost = batch_mean_cost(batch)
+        mean_cost = float(np.mean(batch.stochastic_costs))
         std_cost = float(np.std(batch.stochastic_costs))
 
         alpha = kl_est = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Trajectory", "RolloutBatch", "stochastic_cost", "batch_mean_cost"]
+__all__ = ["Trajectory", "RolloutBatch", "stochastic_cost"]
 
 _SEQUENCES = ("states", "actions", "noises", "state_costs", "logp_policy",
               "logp_base")
@@ -59,10 +59,6 @@ class Trajectory:
 
     def __post_init__(self):
         _freeze_and_check(self, 0)
-
-    @property
-    def num_steps(self) -> int:
-        return self.actions.shape[0]
 
 
 def stochastic_cost(traj: Trajectory, gamma: float) -> float:
@@ -123,8 +119,3 @@ class RolloutBatch:
     @property
     def num_steps(self) -> int:
         return self.actions.shape[1]
-
-
-def batch_mean_cost(batch: RolloutBatch) -> float:
-    """Monte Carlo estimate of the regularized expected cost."""
-    return float(np.mean(batch.stochastic_costs))

@@ -335,6 +335,26 @@ class TestParameters:
             make_env("lq_viapoints", {"sigma": 0.0})
         assert make_env("lq_viapoints", {"sigma": -0.1}).sigma == -0.1
 
+    @pytest.mark.parametrize("overrides, index", [
+        ({"horizon": 1.0}, 20),  # the default viapoints run to t = 9
+        ({"viapoints": ((0.0, 5.0), (0.04, 1.0), (1.0, 2.0))}, 0),
+        ({"viapoints": ((10.06, 1.0),)}, 101),
+    ])
+    def test_lq_viapoint_outside_the_grid_rejected(self, overrides, index):
+        with pytest.raises(ValueError,
+                           match=f"viapoints.*grid index {index}, outside"):
+            make_env("lq_viapoints", overrides)
+
+    def test_lq_viapoints_on_one_index_rejected(self):
+        with pytest.raises(ValueError, match="viapoints.*already taken"):
+            make_env("lq_viapoints", {"viapoints": ((0.96, 1.0), (1.04, 2.0))})
+
+    def test_lq_viapoints_at_the_grid_ends_kept(self):
+        env = make_env("lq_viapoints",
+                       {"viapoints": ((0.1, 1.0), (10.04, 2.0))})
+        assert env.event_indices == (1, 100)
+        assert make_env("lq_viapoints", {"viapoints": ()}).event_indices == ()
+
 
 class TestMakeEnv:
     def test_known_names(self):

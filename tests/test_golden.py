@@ -25,7 +25,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # name: (config file, overrides)
 CASES = {
-    "lq_smoothed_cg": ("lq_viapoints.json", {}),
+    "lq_smoothed_cg": ("lq_viapoints.json", dict(
+        solver={"kind": "cg", "iters": 2})),
     "lq_direct_pinv": ("lq_viapoints.json", dict(
         estimator="direct", delta=None,
         solver={"kind": "per_timestep_pinv", "rcond": 1e-4})),

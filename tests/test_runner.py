@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,15 @@ SMALL_LQ = dict(env="lq_viapoints", n_rollouts=8, iterations=3, epsilon=0.1,
                                "viapoints": ((0.5, 1.0), (1.0, -1.0)),
                                "sigma": 0.5},
                 solver={"kind": "per_timestep_pinv", "rcond": 1e-4})
+
+
+# An acrobot grid coarse enough that the first iteration blows up.
+COARSE_ACROBOT = dict(env="acrobot", n_rollouts=4, iterations=200,
+                      epsilon=10.0, gamma=1.0, delta={"absolute": 0.5},
+                      env_overrides={"dt": 0.5, "horizon": 100.0},
+                      solver={"kind": "cg", "iters": 5})
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(**kwargs):
@@ -97,6 +107,12 @@ class TestConfig:
         (dict(rollout_budget=-5), "rollout_budget"),
         (dict(rollout_budget=0), "rollout_budget"),
         (dict(epsilon=10 ** 400), "epsilon"),
+        (dict(delta={"lognfrac": 1e308}), "delta"),
+        (dict(env_overrides={"horizon": 1.0, "dt": 0.1,
+                             "viapoints": ((0.5, 1.0), (2.0, -1.0))}),
+         "env_overrides.*viapoints"),
+        (dict(env_overrides={"viapoints": ((1e308, 1.0),)}), "env_overrides"),
+        (dict(env_overrides={"dt": 1e-320}), "env_overrides"),
     ])
     def test_invalid_config_rejected_at_construction(self, overrides, key):
         with pytest.raises(ValueError, match=key):
@@ -144,7 +160,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             resolve_delta({"relative": 0.1}, 100)
         for bad in ({}, {"absolute": 0.5, "lognfrac": 0.2},
-                    {"lognfrac": 0.2, "lognfracc": 0.2}):
+                    {"lognfrac": 0.2, "lognfracc": 0.2}, {"lognfrac": 1e308}):
             with pytest.raises(ValueError, match="delta"):
                 resolve_delta(bad, 100)
 
@@ -228,12 +244,7 @@ class TestRun:
         assert len(res.records[0]) == 1
 
     def test_failure_preserves_partial_records(self):
-        # An acrobot run at a coarse, unstable grid blows up mid-run.
-        cfg = ExperimentConfig(
-            env="acrobot", n_rollouts=4, iterations=200, epsilon=10.0,
-            gamma=1.0, delta={"absolute": 0.5},
-            env_overrides={"dt": 0.5, "horizon": 100.0},
-            solver={"kind": "cg", "iters": 5}, repeats=2)
+        cfg = ExperimentConfig(**COARSE_ACROBOT, repeats=2)
         with pytest.raises(RunError) as excinfo:
             run_aspic(cfg)
         assert isinstance(excinfo.value.partial.records, list)
@@ -292,12 +303,7 @@ class TestSweep:
         assert len(good.records[0]) == 3
 
     def test_cell_failure_does_not_stop_sweep(self):
-        cfg = ExperimentConfig(
-            env="acrobot", n_rollouts=4, iterations=200, epsilon=10.0,
-            gamma=1.0, delta={"absolute": 0.5},
-            env_overrides={"dt": 0.5, "horizon": 100.0},
-            solver={"kind": "cg", "iters": 5})
-        cells = sweep(cfg, "n", [4, 8])
+        cells = sweep(ExperimentConfig(**COARSE_ACROBOT), "n", [4, 8])
         assert isinstance(cells["n=4"], Exception)
         assert "n=8" in cells  # the sweep kept going past the failure
 
@@ -378,12 +384,46 @@ class TestCli:
         assert (out / "summary.json").exists()
 
     def test_sweep_subcommand(self, tmp_path):
-        cfg = self.write_config(tmp_path,
-                                {"sweep_values": [0, {"lognfrac": 0.2}]})
+        cfg = self.write_config(tmp_path)
         out = tmp_path / "sweep"
-        assert cli_main(["sweep", cfg, "--axis", "delta",
-                         "--out", str(out)]) == 0
+        assert cli_main(["sweep", cfg, "--axis", "delta", "--values",
+                         '[0, {"lognfrac": 0.2}]', "--out", str(out)]) == 0
         assert (out / "delta=0" / "summary.json").exists()
+
+    def write_coarse_acrobot(self, tmp_path):
+        path = tmp_path / "acrobot.json"
+        path.write_text(json.dumps(COARSE_ACROBOT))
+        return str(path)
+
+    def test_failed_run_writes_its_partial_result(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert cli_main(["run", self.write_coarse_acrobot(tmp_path),
+                         "--out", str(out)]) == 1
+        assert "error: run terminated" in capsys.readouterr().err
+        assert (out / "records.csv").exists()
+        assert (out / "summary.json").exists()
+
+    def test_failed_sweep_cells_write_their_partial_results(self, tmp_path,
+                                                            capsys):
+        out = tmp_path / "s"
+        assert cli_main(["sweep", self.write_coarse_acrobot(tmp_path),
+                         "--axis", "n", "--values", "[4, 8]",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        for label in ("n=4", "n=8"):
+            assert f"cell {label} failed: run terminated" in err
+            assert (out / label / "records.csv").exists()
+            assert (out / label / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep", "--axis", "delta", "--values", "[0]"]])
+    def test_sweep_values_key_exits_2(self, tmp_path, capsys, command):
+        cfg = self.write_config(tmp_path, {"sweep_values": [0]})
+        out = tmp_path / "r"
+        argv = [command[0], cfg, *command[1:], "--out", str(out)]
+        assert cli_main(argv) == 2
+        assert "sweep_values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_export_subcommand_prints_summary_json(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
@@ -409,6 +449,13 @@ class TestCli:
         cfg = self.write_config(tmp_path, {"env_overrides": {"dt": 0}})
         assert cli_main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "dt must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_viapoint_outside_the_horizon_exits_2(self, tmp_path, capsys):
+        # The default viapoints run to t = 9, past a 1 s horizon.
+        cfg = self.write_config(tmp_path, {"env_overrides": {"horizon": 1.0}})
+        assert cli_main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "viapoints" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command, payload", [
@@ -485,3 +532,10 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert cli_main(["run", cfg]) == 0
         assert (tmp_path / "from_env" / "summary.json").exists()
+
+
+@pytest.mark.slow
+def test_shipped_lq_config_reaches_its_threshold():
+    cfg = ExperimentConfig.from_json(CONFIGS / "lq_viapoints.json")
+    result = run_aspic(cfg)
+    assert result.iterations_to_threshold(cfg.cost_threshold) != [None]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aspic import RolloutBatch, Trajectory, batch_mean_cost, stochastic_cost
+from aspic import RolloutBatch, Trajectory, stochastic_cost
 
 
 def make_traj(state_costs, logp_policy, logp_base, state_dim=1):
@@ -90,12 +90,12 @@ class TestRolloutBatch:
     def test_mean_cost(self):
         trajs = [make_traj([c], [0.0], [0.0]) for c in (1.0, 2.0, 3.0)]
         batch = stack(trajs, gamma=0.0)
-        assert batch_mean_cost(batch) == pytest.approx(2.0)
+        assert np.mean(batch.stochastic_costs) == pytest.approx(2.0)
 
     def test_constant_costs(self):
         trajs = [make_traj([7.0], [0.0], [0.0]) for _ in range(4)]
         batch = stack(trajs, gamma=0.0)
-        assert batch_mean_cost(batch) == 7.0
+        assert np.mean(batch.stochastic_costs) == 7.0
 
     def test_batch_needs_two_trajectories(self):
         with pytest.raises(ValueError):

@@ -13,10 +13,10 @@ the discretized Girsanov quadratic control cost.
 
 ``sample_batch`` simulates N rollouts in lockstep straight into the arrays
 of a ``RolloutBatch``; ``rollout`` returns one rollout as a ``Trajectory``.
-Both draw rollout i's noise from child i of the seed, so ``rollout`` replays
-rollout 0 of ``sample_batch`` with the same seed, with the same noise bit for
-bit (a policy mean computed by a BLAS matmul may round differently in the
-last bit at another row count).
+Both draw a batch's noise row-major from one generator seeded by the seed, so
+``rollout`` replays rollout 0 of ``sample_batch`` with the same seed, with the
+same noise bit for bit (a policy mean computed by a BLAS matmul may round
+differently in the last bit at another row count).
 """
 
 from __future__ import annotations
@@ -223,14 +223,8 @@ class Acrobot(Environment):
         return acc1, acc2
 
     def xdot(self, x, a):
-        acc1, acc2 = self.accelerations(x, 0.0)
-        # Torque enters through the same mass-matrix solve as the torque-free
-        # accelerations; by linearity its contribution is M^-1 (0, lam a).
-        d11, d12, d22 = self.mass_matrix_terms(x)
-        det = d11 * d22 - d12 ** 2
-        torque = self.lam * a[..., 0]
-        return np.stack([x[..., 2], x[..., 3], acc1 - d12 * torque / det,
-                         acc2 + d11 * torque / det], axis=-1)
+        acc1, acc2 = self.accelerations(x, self.lam * a[..., 0])
+        return np.stack([x[..., 2], x[..., 3], acc1, acc2], axis=-1)
 
     def _event_cost(self, index, x):
         height = (-self.l1 * np.cos(x[..., 0])
@@ -268,12 +262,9 @@ def _simulate(env: Environment, policy, noises: np.ndarray) -> dict:
 
 def _noises(env: Environment, n: int, rng_seed,
             noise_scale: float) -> np.ndarray:
-    """(n, T, adim) action noise; row i from child i of ``rng_seed``."""
-    noises = np.empty((n, env.num_steps, env.action_dim))
-    sd = np.sqrt(env.noise_var)
-    for i, child in enumerate(np.random.SeedSequence(rng_seed).spawn(n)):
-        noises[i] = np.random.default_rng(child).normal(
-            0.0, sd, size=noises.shape[1:])
+    """(n, T, adim) action noise: one draw from ``default_rng(rng_seed)``."""
+    noises = np.random.default_rng(rng_seed).normal(
+        0.0, np.sqrt(env.noise_var), size=(n, env.num_steps, env.action_dim))
     noises *= noise_scale
     return noises
 
@@ -288,7 +279,7 @@ def rollout(env: Environment, policy, rng_seed, *,
 
 def sample_batch(env: Environment, policy, n: int, rng_seed, gamma: float, *,
                  noise_scale: float = 1.0) -> RolloutBatch:
-    """N rollouts with per-rollout seeds spawned from ``rng_seed``."""
+    """N rollouts; rollout i takes row i of the noise of ``rng_seed``."""
     if n < 2:
         raise ValueError("need at least 2 rollouts per batch")
     noises = _noises(env, n, rng_seed, noise_scale)

@@ -194,7 +194,9 @@ class MlpPolicy(GaussianPolicy):
         self.noise_var = _positive(noise_var)
         self.action_dim = self.layer_sizes[-1]
         if params is None:
-            params = self._glorot_init(rng or np.random.default_rng())
+            if rng is None:
+                raise ValueError("MlpPolicy needs params or a seeded rng")
+            params = self._glorot_init(rng)
         self._params = np.asarray(params, dtype=float).copy()
         if self._params.size != self.num_params:
             raise ValueError(f"expected {self.num_params} parameters, "

@@ -3,8 +3,8 @@
 One iteration: sample a batch under the current policy, pick the smoothing
 level by the weight-entropy constraint (smoothed estimator only), form the
 whitened ascent direction, and take a trust-region natural-gradient step.
-Seeding is a splittable chain master seed -> repeat -> iteration -> rollout,
-so the full record stream is a pure function of the config.
+Seeding is a splittable chain master seed -> repeat -> iteration (one noise
+generator per batch), so the record stream is a pure function of the config.
 """
 
 from __future__ import annotations

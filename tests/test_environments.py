@@ -185,12 +185,17 @@ class TestRollout:
         env = make_env(name,
                        {} if name == "lq_viapoints" else {"horizon": 0.5})
         zero = ZeroPolicy(env.noise_var)
-        for n in (2, 5):
-            single = rollout(env, zero, (3, 1))
-            first = sample_batch(env, zero, n, (3, 1), gamma=1.0)[0]
-            for seq in SEQUENCES:
-                np.testing.assert_array_equal(getattr(single, seq),
-                                              getattr(first, seq))
+        single = rollout(env, zero, (3, 1))
+        small = sample_batch(env, zero, 2, (3, 1), gamma=1.0)
+        large = sample_batch(env, zero, 5, (3, 1), gamma=1.0)
+        for seq in SEQUENCES:
+            np.testing.assert_array_equal(getattr(single, seq),
+                                          getattr(small[0], seq))
+            # The first rows of a larger batch are the smaller batch, which
+            # gives an n-axis sweep its common random numbers.
+            for i in range(2):
+                np.testing.assert_array_equal(getattr(small[i], seq),
+                                              getattr(large[i], seq))
         # A matmul over a different row count may take another BLAS kernel,
         # so with a network mean only the noise is equal bit for bit.
         mlp = MlpPolicy([env.state_dim, 8, 1], env.noise_var,
@@ -247,15 +252,22 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             sample_batch(env, ZeroPolicy(env.noise_var), 1, 0, gamma=1.0)
 
+    @pytest.mark.parametrize("seed", [5, (2, 0, 7)])
+    def test_noise_is_one_generator_per_batch(self, seed):
+        env = LqViapoints()
+        batch = sample_batch(env, ZeroPolicy(env.noise_var), 6, seed,
+                             gamma=1.0)
+        expected = np.random.default_rng(seed).normal(
+            0.0, np.sqrt(env.noise_var), (6, env.num_steps, 1))
+        np.testing.assert_array_equal(batch.noises, expected)
+
     def test_blowup_carries_rollout_index(self):
         env = Acrobot(dt=0.5, horizon=500.0)  # coarse enough to diverge
-        try:
+        with pytest.raises(RolloutBlowupError) as info:
             sample_batch(env, ZeroPolicy(env.noise_var), 4, 0, gamma=1.0,
                          noise_scale=100.0)
-        except RolloutBlowupError as err:
-            assert err.index is not None
-        else:
-            pytest.skip("fixture did not diverge on this platform")
+        assert 0 <= info.value.index < 4
+        assert 0 <= info.value.step < env.num_steps
 
 
 class TestEnergyDrift:

@@ -40,15 +40,15 @@ CASES = {
 
 GOLDEN = {
     "acrobot_smoothed_pinv":
-        "7d878a51321754d21390c0a82ec8355bdc01fb846a1b9ca0b4d9eefd02d6c9da",
+        "011c1cbb30f7ae9a017dd60614f2c661f992163dc2c31f54ec8d19017f780f59",
     "lq_direct_pinv":
-        "ff464174c0d66e10ca905effaac1de9a4042d9c737579fccfd6a6e6f62d8b41e",
+        "ce8a45288c08cd18a639eaab06a8479846711f81fffa52d37958f91c33d6b354",
     "lq_smoothed_cg":
-        "8ce0fc29d355c43e60728102d5514f774f33ecf6a49b58262716b13ef7361079",
+        "c242ea877df584cd2664eb1a082f3a8f91a0e466eaf131320aed6330e38451f2",
     "pendulum_mlp_cg":
-        "d81387479aa0d6ec436f8793d69309d92fc0a53541bc08419f045a143d2162c0",
+        "8d5c3e75058e1a5df7f541ca4039d641f4e0d902abd6561faabaa3b7a4e9813e",
     "pendulum_pice_pinv":
-        "866ef8f1cda195dc89ecca449ccfa651036bdfdad041e0c9ac7b54c702094f2d",
+        "79203696611cf42e74a77bc281f865b93fdf383b2dea281cd7794742e4a7d880",
 }
 
 

@@ -203,6 +203,10 @@ class TestMlpPolicy:
         with pytest.raises(ValueError):
             MlpPolicy([2, 8, 1], 1.0, params=np.zeros(3))
 
+    def test_needs_params_or_rng(self):
+        with pytest.raises(ValueError, match="params or a seeded rng"):
+            MlpPolicy([2, 8, 1], 1.0)
+
 
 def frozen(a):
     a = np.array(a, dtype=float)

@@ -20,6 +20,8 @@ built.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 __all__ = ["GaussianPolicy", "TimeVaryingLinearPolicy", "MlpPolicy",
@@ -179,13 +181,16 @@ class MlpPolicy(GaussianPolicy):
     hand-rolled (the rest of the library is plain numpy) and checked against
     finite differences in the tests.
 
-    A policy keeps the activations of its last forward pass over an ``xs``
-    that owns its memory and is read-only (such as ``RolloutBatch.xs``).
-    While it is handed that same array object, ``mean_steps``,
-    ``jac_y_steps`` and ``jac_t_v_steps`` reuse those activations instead
-    of running the network again; since the parameters and the array are
-    both immutable, the results are the same floats.  Any other ``xs``, a
-    writable array or a view, is evaluated afresh on every call.
+    A Jacobian product keeps the activations of its forward pass over an
+    ``xs`` that owns its memory and is read-only (such as
+    ``RolloutBatch.xs``).  While it is handed that same array object,
+    ``mean_steps``, ``jac_y_steps`` and ``jac_t_v_steps`` reuse those
+    activations instead of running the network again; since the parameters
+    and the array are both immutable, the results are the same floats.  Any
+    other ``xs``, a writable array or a view, is evaluated afresh on every
+    call; a mean over a batch that is not cached caches nothing.  Other
+    temporaries live in two per-thread buffers, each as large as the largest
+    rows x hidden width seen and kept for the thread's life.
     """
 
     def __init__(self, layer_sizes, noise_var: float,
@@ -231,32 +236,43 @@ class MlpPolicy(GaussianPolicy):
     def with_params(self, params: np.ndarray) -> "MlpPolicy":
         return MlpPolicy(self.layer_sizes, self.noise_var, params)
 
+    def _is_cached(self, xs) -> bool:
+        return xs is self._cached[0] and not xs.flags.writeable
+
     def _activations(self, xs) -> list:
         """[x, h_1, ..., h_{L-1}, u] over the flattened batch of ``xs``."""
-        frozen = (isinstance(xs, np.ndarray) and xs.base is None
-                  and not xs.flags.writeable)
-        if frozen and xs is self._cached[0]:
+        if self._is_cached(xs):
             return self._cached[1]
+        acts = self._forward(xs, keep=True)
+        if (isinstance(xs, np.ndarray) and xs.base is None
+                and not xs.flags.writeable):
+            for a in acts:
+                a.flags.writeable = False
+            self._cached = (xs, acts)
+        return acts
+
+    def _forward(self, xs, keep: bool) -> list:
+        """Activations over xs; hidden layers in scratch unless ``keep``."""
         h = np.asarray(xs, dtype=float).reshape(-1, self.layer_sizes[0])
         acts = [h]
         layers = list(self._layers(self._params))
         for i, (w, b) in enumerate(layers):
-            h = h @ w
+            hidden = i < len(layers) - 1
+            out = (_scratch(i % 2, len(h), w.shape[1])
+                   if hidden and not keep else None)
+            h = np.matmul(h, w, out=out)
             h += b
-            if i < len(layers) - 1:
+            if hidden:
                 np.tanh(h, out=h)
             acts.append(h)
-        if frozen:
-            for a in acts:
-                a.flags.writeable = False
-            self._cached = (xs, acts)
         return acts
 
     def mean(self, x: np.ndarray, t: int) -> np.ndarray:
         return self.mean_steps(x)
 
     def mean_steps(self, xs: np.ndarray) -> np.ndarray:
-        out = self._activations(xs)[-1]
+        out = (self._cached[1] if self._is_cached(xs)
+               else self._forward(xs, keep=False))[-1]
         return out.reshape(np.shape(xs)[:-1] + (self.action_dim,)).copy()
 
     def jac_t_v_steps(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -264,12 +280,14 @@ class MlpPolicy(GaussianPolicy):
         layers = list(self._layers(self._params))
         grads = [None] * len(layers)
         g = np.asarray(v, dtype=float).reshape(-1, self.action_dim)
+        # The slope at layer i, then the g it feeds, take slot i % 2.
         for i in range(len(layers) - 1, -1, -1):
-            if i < len(layers) - 1:
-                g *= _tanh_slope(acts[i + 1])  # our own g @ w.T, not v
+            if i < len(layers) - 1:  # g is our own g @ w.T, not v
+                g *= _tanh_slope(acts[i + 1], out=_scratch(i % 2, *g.shape))
             grads[i] = ((acts[i].T @ g).ravel(), g.sum(axis=0))
             if i > 0:
-                g = g @ layers[i][0].T
+                g = np.matmul(g, layers[i][0].T, out=_scratch(
+                    i % 2, len(g), self.layer_sizes[i]))
         return np.concatenate([part for pair in grads for part in pair])
 
     def jac_y_steps(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -277,17 +295,34 @@ class MlpPolicy(GaussianPolicy):
         acts = self._activations(xs)
         layers = list(self._layers(self._params))
         dlayers = list(self._layers(np.asarray(y, dtype=float)))
-        # One temporary per layer, freed before the next layer allocates.
+        # dh goes to slot i % 2, tmp to the slot of the dh it replaced.
         dh = np.zeros_like(acts[0])
         for i, ((w, _), (dw, db)) in enumerate(zip(layers, dlayers)):
-            dh = dh @ w
-            tmp = acts[i] @ dw
+            hidden = i < len(layers) - 1
+            rows, cols = len(dh), w.shape[1]
+            dh = np.matmul(dh, w,
+                           out=_scratch(i % 2, rows, cols) if hidden else None)
+            tmp = np.matmul(acts[i], dw, out=_scratch(1 - i % 2, rows, cols))
             dh += tmp
             dh += db
-            if i < len(layers) - 1:
+            if hidden:
                 dh *= _tanh_slope(acts[i + 1], out=tmp)
-            del tmp
         return dh.reshape(np.shape(xs)[:-1] + (self.action_dim,))
+
+
+_SCRATCH = threading.local()
+
+
+def _scratch(slot: int, rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) view of this thread's flat buffer ``slot`` (0 or 1),
+    grown when a request is larger.  Only temporaries that never leave their
+    call may live here: never a returned or cached array."""
+    bufs = getattr(_SCRATCH, "bufs", None)
+    if bufs is None:
+        bufs = _SCRATCH.bufs = [np.empty(0), np.empty(0)]
+    if bufs[slot].size < rows * cols:
+        bufs[slot] = np.empty(rows * cols)
+    return bufs[slot][:rows * cols].reshape(rows, cols)
 
 
 def _tanh_slope(h: np.ndarray, out=None) -> np.ndarray:

@@ -78,15 +78,25 @@ class TestControlAffineRate:
         rng = np.random.default_rng(0)
         x = random_states(rng, 1000, 4)
         a = rng.normal(0.0, 3.0, (1000, 1))
-        effect = env.xdot(x, a) - env.xdot(x, np.zeros_like(a))
-        free = np.stack(env.accelerations(x, 0.0), axis=-1)
-        solved = (np.stack(env.accelerations(x, env.lam * a[:, 0]), axis=-1)
-                  - free)
+        free = env.xdot(x, np.zeros_like(a))
+        effect = env.xdot(x, a) - free
+        # The two-link arm's mass matrix, written out from the textbook
+        # formulas rather than taken from the environment.
+        m1, m2, l1, lc1, lc2 = env.m1, env.m2, env.l1, env.lc1, env.lc2
+        c2 = np.cos(x[:, 1])
+        d11 = (m1 * lc1 ** 2 + m2 * (l1 ** 2 + lc2 ** 2 + 2 * l1 * lc2 * c2)
+               + env.i1 + env.i2)
+        d12 = m2 * (lc2 ** 2 + l1 * lc2 * c2) + env.i2
+        d22 = np.full_like(c2, m2 * lc2 ** 2 + env.i2)
+        mass = np.stack([np.stack([d11, d12], -1),
+                         np.stack([d12, d22], -1)], -2)
+        torque = np.stack([np.zeros(1000), env.lam * a[:, 0]], -1)
+        solved = np.linalg.solve(mass, torque[..., None])[..., 0]
         np.testing.assert_array_equal(effect[:, :2], 0.0)
-        # Both sides difference two accelerations, so they agree to the
-        # rounding of the accelerations, not of their difference.
+        # effect differences two accelerations, so it carries their
+        # rounding, not the rounding of the torque term alone.
         np.testing.assert_allclose(effect[:, 2:], solved, rtol=1e-12,
-                                   atol=1e-12 * np.abs(free).max())
+                                   atol=1e-12 * np.abs(free[:, 2:]).max())
 
     def test_pendulum_torque_enters_the_velocity_row(self):
         env = Pendulum(lam=0.7)

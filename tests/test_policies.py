@@ -1,12 +1,16 @@
 """Tests for the Gaussian policy families and their parameter plumbing."""
 
 import itertools
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from aspic import (MlpPolicy, TimeVaryingLinearPolicy, acrobot_features,
-                   lq_features, pendulum_features)
+                   lq_features, pendulum_features, policies)
 
 
 def make_linear(num_steps=3, noise_var=1.0, seed=None):
@@ -221,6 +225,17 @@ def mlp_calls(pol, xs, y, v):
             "jac_t_v": lambda: pol.jac_t_v_steps(xs, v)}
 
 
+def peak_bytes(call):
+    """Allocation peak of a second call, after one that warms it up."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMlpActivationCache:
     """A read-only xs is evaluated once per policy; results never change."""
 
@@ -232,11 +247,14 @@ class TestMlpActivationCache:
         self.y = rng.normal(size=self.pol.params.size)
         self.v = rng.normal(size=(6, 4, 1))
 
-    def expected(self, xs):
-        """Each call on a fresh policy and a writable copy of xs."""
-        fresh = self.pol.with_params(self.pol.params)
-        return {name: call() for name, call in
-                mlp_calls(fresh, np.array(xs), self.y, self.v).items()}
+    def expected(self, xs, pol=None, y=None, v=None):
+        """Each call on a fresh policy and a writable copy of xs, copied
+        as soon as it returns."""
+        pol = self.pol if pol is None else pol
+        fresh = pol.with_params(pol.params)
+        return {name: np.array(call()) for name, call in mlp_calls(
+            fresh, np.array(xs), self.y if y is None else y,
+            self.v if v is None else v).items()}
 
     @pytest.mark.parametrize("order", list(itertools.permutations(
         ["mean", "jac_y", "jac_t_v"])))
@@ -286,6 +304,85 @@ class TestMlpActivationCache:
             for name, call in mlp_calls(self.pol, xs, self.y,
                                         self.v).items():
                 np.testing.assert_array_equal(call(), want[name])
+
+    def test_scratch_growing_between_calls_leaves_results_alone(self):
+        wide = MlpPolicy([2, 16, 12, 1], noise_var=1.0,
+                         rng=np.random.default_rng(1))
+        rng = np.random.default_rng(31)
+        big = frozen(rng.normal(size=(20, 7, 2)))
+
+        def run():  # in a new thread, whose scratch starts empty
+            kept, sizes = [], []
+            for pol, xs in [(self.pol, self.xs), (wide, big), (self.pol, big),
+                            (wide, self.xs), (self.pol, np.array(big))]:
+                y = rng.normal(size=pol.params.size)
+                v = rng.normal(size=xs.shape[:-1] + (1,))
+                want = self.expected(xs, pol, y, v)
+                for name, call in mlp_calls(pol, xs, y, v).items():
+                    got = call()
+                    np.testing.assert_array_equal(got, want[name])
+                    kept.append((got, want[name]))
+                sizes.append([buf.size for buf in policies._SCRATCH.bufs])
+            for got, want in kept:
+                np.testing.assert_array_equal(got, want)
+            return sizes
+
+        with ThreadPoolExecutor(1) as pool:
+            sizes = pool.submit(run).result(timeout=60)
+        assert sizes[1][0] > sizes[0][0]  # the second case grew slot 0
+
+    def test_threads_get_their_own_scratch(self):
+        def work(pol, xs, y, start=lambda: None):
+            start()
+            out = []
+            for k in range(30):
+                out.append(pol.jac_t_v_steps(xs, pol.jac_y_steps(xs, y)))
+                step = pol.with_params(pol.params + 1e-3 * k * y)
+                out.append(step.mean_steps(xs))
+            return out
+
+        rng = np.random.default_rng(32)
+        jobs = []
+        # Batches large enough for numpy to release the GIL in its loops.
+        for sizes, shape in [([2, 8, 5, 1], (30, 30, 2)),
+                             ([2, 16, 12, 1], (40, 30, 2))]:
+            pol = MlpPolicy(sizes, noise_var=1.0, rng=rng)
+            jobs.append((pol, frozen(rng.normal(size=shape)),
+                         rng.normal(size=pol.params.size)))
+        serial = [work(*job) for job in jobs]
+        start = threading.Barrier(2, timeout=60).wait
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                futures = [pool.submit(work, *job, start) for job in jobs]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, threaded):
+            for a, b in zip(want, got, strict=True):
+                np.testing.assert_array_equal(a, b)
+
+    def big_case(self):
+        """A (50, 60) batch through 32-wide layers: one (3000, 32) hidden
+        array is 768,000 bytes, more than the calls below may allocate."""
+        pol = MlpPolicy([2, 32, 32, 1], noise_var=2.0,
+                        rng=np.random.default_rng(0))
+        rng = np.random.default_rng(33)
+        xs = frozen(rng.normal(size=(50, 60, 2)))
+        return pol, xs, rng.normal(size=pol.params.size), 50 * 60 * 32 * 8
+
+    def test_fisher_vector_product_allocates_no_hidden_layer(self):
+        pol, xs, y, limit = self.big_case()
+        assert peak_bytes(
+            lambda: pol.jac_t_v_steps(xs, pol.jac_y_steps(xs, y))) < limit
+
+    def test_line_search_log_prob_allocates_no_hidden_layer(self):
+        pol, xs, y, limit = self.big_case()
+        actions = pol.mean_steps(xs) + 0.1
+        params = pol.params + 1e-2 * y
+        assert peak_bytes(lambda: pol.with_params(params).log_prob_steps(
+            xs, actions)) < limit
 
 
 @pytest.mark.parametrize("family", ["linear", "mlp"])

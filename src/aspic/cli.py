@@ -21,18 +21,20 @@ def _outdir(args) -> str:
 
 def _write(cells: dict, base: str) -> int:
     """Export each cell under ``base/<label>``: its result, or the partial
-    result of a failed run (a cell that could not be built writes nothing).
+    result of a failed run with its error (a cell that could not be built
+    writes nothing).
     Returns 1 if any cell failed, else 0."""
     failed = False
     for label, cell in cells.items():
+        error = None
         if isinstance(cell, Exception):
             failed = True
             what = f"cell {label} failed" if label else "error"
             print(f"{what}: {cell}", file=sys.stderr)
             if not isinstance(cell, RunError):
                 continue
-            cell = cell.partial
-        for path in export(cell, os.path.join(base, label)):
+            error, cell = str(cell), cell.partial
+        for path in export(cell, os.path.join(base, label), error):
             print(path)
     return 1 if failed else 0
 

@@ -51,8 +51,8 @@ def sample_policy_kl(batch: RolloutBatch, policy_old, policy_new) -> float:
     if policy_old.params.shape != policy_new.params.shape:
         raise ValueError("policies have mismatched parameter shapes")
     xs, acts = batch.xs, batch.actions
-    return float(np.sum(policy_old.log_prob_steps(xs, acts)
-                        - policy_new.log_prob_steps(xs, acts))) / batch.n
+    return (float(np.sum(policy_old.log_prob_steps(xs, acts)))
+            - float(np.sum(policy_new.log_prob_steps(xs, acts)))) / batch.n
 
 
 def fisher_vector_product(batch: RolloutBatch, policy, y: np.ndarray) -> np.ndarray:
@@ -174,12 +174,9 @@ def trust_region_step(batch: RolloutBatch, policy, g: np.ndarray,
         def kl_at(eta: float) -> float:
             return (eta * eta * a2 - 2.0 * eta * rb) / denom
     else:
-        lp_old = float(np.sum(policy.log_prob_steps(xs, acts)))
-
         def kl_at(eta: float) -> float:
-            new = policy.with_params(theta + eta * g_f)
-            return (lp_old - float(np.sum(new.log_prob_steps(xs, acts)))
-                    ) / batch.n
+            return sample_policy_kl(batch, policy,
+                                    policy.with_params(theta + eta * g_f))
 
     # Quadratic KL model seeds the step size; bisection pins the equality.
     eta = float(np.sqrt(2.0 * epsilon / (abs(float(g @ g_f)) + 1e-300)))

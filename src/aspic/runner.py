@@ -76,7 +76,6 @@ class ExperimentConfig:
     env_overrides: dict = field(default_factory=dict)
     seed: int = 0
     repeats: int = 1
-    whiten: bool = True
     cost_threshold: float | None = None  # optional early stop
     rollout_budget: int | None = None    # used by the N-axis sweep
 
@@ -85,8 +84,6 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not (optional and value is None):
                 setattr(self, key, _typed(key, value, typ))
-        if not isinstance(self.whiten, bool):
-            raise ValueError(f"whiten must be a bool, got {self.whiten!r}")
         if not isinstance(self.solver, dict):
             raise ValueError(f"solver must be a dict, got {self.solver!r}")
         kind = self.solver.get("kind", "cg")
@@ -220,7 +217,9 @@ def _make_policy(config: ExperimentConfig, env, run_rng) -> object:
                      env.noise_var, rng=run_rng)
 
 
-def _run_single(config: ExperimentConfig, run_index: int) -> list:
+def _run_single(config: ExperimentConfig, run_index: int,
+                records: list) -> None:
+    """Append repeat ``run_index``'s records to ``records`` as they are made."""
     env = make_env(config.env, config.env_overrides)
     run_seed = int(np.random.SeedSequence(
         (config.seed, run_index)).generate_state(1)[0])
@@ -229,7 +228,6 @@ def _run_single(config: ExperimentConfig, run_index: int) -> list:
     solver_kwargs = dict(config.solver)
     kind = solver_kwargs.pop("kind", "cg")
 
-    records = []
     for it in range(config.iterations):
         t0 = time.perf_counter()
         batch = sample_batch(env, policy, config.n_rollouts,
@@ -241,11 +239,10 @@ def _run_single(config: ExperimentConfig, run_index: int) -> list:
         if config.estimator == "smoothed":
             delta = resolve_delta(config.delta, config.n_rollouts)
             sr = find_alpha(batch.stochastic_costs, config.gamma, delta)
-            grad = smoothed_gradient(batch, policy, sr.alpha,
-                                     whiten=config.whiten)
+            grad = smoothed_gradient(batch, policy, sr.alpha)
             alpha, kl_est = sr.alpha, sr.kl_estimate
         elif config.estimator == "direct":
-            grad = direct_gradient(batch, policy, whiten=config.whiten)
+            grad = direct_gradient(batch, policy)
         else:
             grad = pice_gradient(batch, policy)
 
@@ -262,26 +259,33 @@ def _run_single(config: ExperimentConfig, run_index: int) -> list:
         if (config.cost_threshold is not None
                 and mean_cost <= config.cost_threshold):
             break
-    return records
 
 
 class RunError(RuntimeError):
-    """A repeat failed; ``partial`` holds everything recorded before that."""
+    """Repeat ``run`` failed in ``iteration``; ``partial`` holds the repeats
+    recorded before it."""
 
-    def __init__(self, cause: Exception, partial: "RunResult"):
-        super().__init__(f"run terminated: {cause}")
+    def __init__(self, cause: Exception, partial: "RunResult", run: int,
+                 iteration: int):
+        super().__init__(f"run terminated in repeat {run} at iteration "
+                         f"{iteration}: {cause}")
         self.cause = cause
         self.partial = partial
+        self.run = run
+        self.iteration = iteration
 
 
 def run_aspic(config: ExperimentConfig) -> RunResult:
     """Execute all repeats; a failing repeat raises with partial records."""
     records = []
     for r in range(config.repeats):
+        current = []
         try:
-            records.append(_run_single(config, r))
+            _run_single(config, r, current)
         except Exception as exc:
-            raise RunError(exc, RunResult(config=config, records=records))
+            raise RunError(exc, RunResult(config=config, records=records), r,
+                           len(current))
+        records.append(current)
     return RunResult(config=config, records=records)
 
 
@@ -347,9 +351,10 @@ def _write_csv(path, records) -> None:
                                  for v in astuple(r)])
 
 
-def _summary(result: RunResult) -> dict:
+def _summary(result: RunResult, error: str | None) -> dict:
     threshold = result.config.cost_threshold
     return {
+        "error": error,
         "config": result.config.to_dict(),
         "config_hash": config_hash(result.config),
         "final_costs": result.final_costs(),
@@ -358,15 +363,18 @@ def _summary(result: RunResult) -> dict:
     }
 
 
-def export(result: RunResult, outdir) -> list:
-    """Write records.csv and summary.json under ``outdir``; their paths."""
+def export(result: RunResult, outdir, error: str | None = None) -> list:
+    """Write records.csv and summary.json under ``outdir``; their paths.
+
+    ``error`` is the message of the failure that cut a partial result short.
+    """
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "records.csv")
     json_path = os.path.join(outdir, "summary.json")
     try:
         _write_csv(csv_path, result.records)
         with open(json_path, "w") as fh:
-            json.dump(_summary(result), fh, indent=2)
+            json.dump(_summary(result, error), fh, indent=2)
     except OSError as exc:
         raise OSError(f"failed writing results under {outdir}: {exc}") from exc
     return [csv_path, json_path]

@@ -71,8 +71,9 @@ def find_alpha(costs, gamma: float, delta: float) -> SmoothingResult:
     """Smallest alpha with kl_estimate(weights(costs, gamma, alpha)) <= delta.
 
     Monotonicity of the KL estimate in alpha makes bracket-then-bisect exact:
-    alpha doubles from the floor until the constraint holds, then the interval
-    is bisected to relative tolerance ``ALPHA_REL_TOL``.
+    alpha doubles from max(1, 2 * floor) until the constraint holds, then the
+    interval from the last alpha known to violate it (at first the floor) is
+    bisected to relative tolerance ``ALPHA_REL_TOL``.
     """
     costs = np.asarray(costs, dtype=float)
     if delta <= 0:
@@ -91,13 +92,12 @@ def find_alpha(costs, gamma: float, delta: float) -> SmoothingResult:
     else:
         # Finite even when 1e12 * spread overflows, so the doubling stops.
         ceiling = min(1e12 * max(1.0, spread), np.finfo(float).max)
-        hi = max(1.0, 2.0 * floor)
+        lo, hi = floor, max(1.0, 2.0 * floor)
         while _kl_at(costs, gamma, hi) > delta:
-            hi *= 2.0
+            lo, hi = hi, 2.0 * hi
             if hi > ceiling:
                 raise ValueError("smoothing constraint unsatisfiable below the "
                                  "alpha ceiling; check the costs for outliers")
-        lo = max(floor, hi / 2.0)
         while hi - lo > ALPHA_REL_TOL * hi:
             mid = 0.5 * (lo + hi)
             if _kl_at(costs, gamma, mid) <= delta:
@@ -107,6 +107,5 @@ def find_alpha(costs, gamma: float, delta: float) -> SmoothingResult:
         alpha = hi
 
     w = normalized_weights(costs, gamma, alpha)
-    h = weight_entropy(w)
-    return SmoothingResult(alpha=alpha, weights=w, entropy=h,
-                           kl_estimate=max(0.0, float(np.log(w.size)) - h))
+    return SmoothingResult(alpha=alpha, weights=w, entropy=weight_entropy(w),
+                           kl_estimate=kl_estimate(w))

@@ -1,18 +1,20 @@
 """Rollout containers and the stochastic path cost.
 
-A ``RolloutBatch`` holds everything the estimators need as stacked read-only
-arrays over N rollouts: visited states, noisy actions, injected noise, state
-costs, and per-step log-probabilities under the sampling policy and the
-uncontrolled base policy.  The sampler fills them in lockstep; ``xs`` and the
-stochastic costs are computed once when the batch is built.  State costs are
-already the per-step contribution to the path cost (delta events added once
-at their grid index).  ``batch[i]``, like ``rollout()``, gives one rollout as
-a ``Trajectory`` of views.
+A ``RolloutBatch`` is a ``Trajectory`` with a leading batch axis: it holds
+everything the estimators need as stacked read-only arrays over N rollouts:
+visited states, noisy actions, injected noise, state costs, and per-step
+log-probabilities under the sampling policy and the uncontrolled base policy.
+The sampler fills them in lockstep; ``xs`` and the stochastic costs are
+computed once when the batch is built.  State costs are already the per-step
+contribution to the path cost (delta events added once at their grid index).
+``batch[i]``, like ``rollout()``, gives one rollout as a ``Trajectory`` of
+views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,19 +28,6 @@ def _frozen(a) -> np.ndarray:
     out = np.asarray(a, dtype=float)
     out.flags.writeable = False
     return out
-
-
-def _freeze_and_check(obj, lead: int) -> None:
-    """Freeze the sequences; after ``lead`` batch axes, T+1 states, T steps."""
-    for name in _SEQUENCES:
-        object.__setattr__(obj, name, _frozen(getattr(obj, name)))
-    *batch, t = obj.actions.shape[:lead + 1]
-    for name in _SEQUENCES:
-        want = (*batch, t + 1 if name == "states" else t)
-        got = getattr(obj, name).shape[:lead + 1]
-        if got != want:
-            raise ValueError(f"{name} has shape {got} in its leading axes, "
-                             f"expected {want}")
 
 
 @dataclass(frozen=True)
@@ -56,55 +45,58 @@ class Trajectory:
     state_costs: np.ndarray
     logp_policy: np.ndarray
     logp_base: np.ndarray
+    _batch_axes: ClassVar[int] = 0  # leading axes before the time axis
 
     def __post_init__(self):
-        _freeze_and_check(self, 0)
+        """Freeze the sequences; after the batch axes, T+1 states, T steps."""
+        for name in _SEQUENCES:
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        *batch, t = self.actions.shape[:self._batch_axes + 1]
+        for name in _SEQUENCES:
+            want = (*batch, t + 1 if name == "states" else t)
+            got = getattr(self, name).shape[:self._batch_axes + 1]
+            if got != want:
+                raise ValueError(f"{name} has shape {got} in its leading "
+                                 f"axes, expected {want}")
 
 
-def stochastic_cost(traj: Trajectory, gamma: float) -> float:
-    """Path cost plus gamma times the policy/base log-likelihood ratio."""
+def stochastic_cost(traj: Trajectory, gamma: float):
+    """Path cost plus gamma times the policy/base log-likelihood ratio,
+    summed over time: a float for a ``Trajectory``, the row costs for a
+    ``RolloutBatch``."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if traj.state_costs.shape != traj.logp_policy.shape:
-        raise ValueError("cost and log-prob sequences have mismatched lengths")
-    return float(np.sum(traj.state_costs)
-                 + gamma * np.sum(traj.logp_policy - traj.logp_base))
+    cost = (np.sum(traj.state_costs, axis=-1)
+            + gamma * np.sum(traj.logp_policy - traj.logp_base, axis=-1))
+    return cost if traj._batch_axes else float(cost)
 
 
 @dataclass(frozen=True)
-class RolloutBatch:
+class RolloutBatch(Trajectory):
     """N rollouts as stacked read-only arrays, with their stochastic costs.
 
     Shapes: ``states`` (N, T+1, state_dim); ``actions`` and ``noises``
     (N, T, adim); ``state_costs``, ``logp_policy``, ``logp_base`` (N, T).
     ``xs`` is a contiguous copy of ``states[:, :-1]``.  Stochastic costs
-    default to ``stochastic_cost(batch[i], gamma)`` per row, as row sums.
+    default to ``stochastic_cost(batch, gamma)``.
     """
 
-    states: np.ndarray
-    actions: np.ndarray
-    noises: np.ndarray
-    state_costs: np.ndarray
-    logp_policy: np.ndarray
-    logp_base: np.ndarray
     gamma: float
     stochastic_costs: np.ndarray = field(default=None)  # type: ignore[assignment]
     xs: np.ndarray = field(init=False, repr=False, compare=False)
+    _batch_axes: ClassVar[int] = 1
 
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        _freeze_and_check(self, 1)
+        super().__post_init__()
         if self.n < 2:
             raise ValueError("a rollout batch needs at least 2 trajectories")
         object.__setattr__(self, "xs", _frozen(
             np.ascontiguousarray(self.states[:, :-1])))
-        if self.stochastic_costs is None:
-            costs = (np.sum(self.state_costs, axis=1) + self.gamma
-                     * np.sum(self.logp_policy - self.logp_base, axis=1))
-        else:
-            costs = self.stochastic_costs
-        object.__setattr__(self, "stochastic_costs", _frozen(costs))
+        object.__setattr__(self, "stochastic_costs", _frozen(
+            stochastic_cost(self, self.gamma) if self.stochastic_costs is None
+            else self.stochastic_costs))
         if self.stochastic_costs.shape != (self.n,):
             raise ValueError("stochastic_costs length does not match "
                              "the batch size")

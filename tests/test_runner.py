@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspic import (ExperimentConfig, RunError, config_hash, export,
-                   resolve_delta, run_aspic, sweep)
+import aspic.runner
+from aspic import (ExperimentConfig, RolloutBlowupError, RunError,
+                   config_hash, export, resolve_delta, run_aspic, sweep)
 from aspic.cli import main as cli_main
 from aspic.runner import CSV_COLUMNS
 
@@ -79,7 +80,6 @@ class TestConfig:
         (dict(gamma=None), "gamma"),
         (dict(cost_threshold="2e4"), "cost_threshold"),
         (dict(rollout_budget=True), "rollout_budget"),
-        (dict(whiten="no"), "whiten"),
         (dict(solver="cg"), "solver"),
         (dict(solver={"kind": ["cg"]}), "kind"),
         (dict(delta=[0.5]), "delta"),
@@ -192,7 +192,6 @@ configs = st.fixed_dictionaries({
     "solver": solvers,
     "seed": st.integers(0, 2**63),
     "repeats": st.integers(1, 100),
-    "whiten": st.booleans(),
     "cost_threshold": st.none() | st.floats(-1e9, 1e9),
     "rollout_budget": st.none() | st.integers(2, 10**9),
 }).filter(lambda d: d["gamma"] > 0 or d["estimator"] != "pice").flatmap(
@@ -247,7 +246,28 @@ class TestRun:
         cfg = ExperimentConfig(**COARSE_ACROBOT, repeats=2)
         with pytest.raises(RunError) as excinfo:
             run_aspic(cfg)
-        assert isinstance(excinfo.value.partial.records, list)
+        err = excinfo.value
+        assert err.partial.records == []
+        assert (err.run, err.iteration) == (0, 0)
+        assert str(err) == ("run terminated in repeat 0 at iteration 0: "
+                            "state blow-up at rollout 3, step 7")
+
+    def test_later_failure_keeps_the_repeats_before_it(self, monkeypatch):
+        real = aspic.runner.sample_batch
+
+        def failing(env, policy, n, seed, gamma):
+            if seed[1:] == (1, 2):
+                raise RolloutBlowupError(7, 3)
+            return real(env, policy, n, seed, gamma)
+
+        monkeypatch.setattr(aspic.runner, "sample_batch", failing)
+        with pytest.raises(RunError) as excinfo:
+            run_aspic(small_config(repeats=3))
+        err = excinfo.value
+        assert (err.run, err.iteration) == (1, 2)
+        assert str(err).startswith("run terminated in repeat 1 at iteration 2")
+        assert _strip_wall(err.partial.records) == _strip_wall(
+            run_aspic(small_config()).records)
 
     def test_mlp_policy_runs(self):
         res = run_aspic(small_config(policy="mlp",
@@ -352,6 +372,7 @@ class TestExport:
         restored = ExperimentConfig.from_dict(payload["config"])
         assert config_hash(restored) == payload["config_hash"]
         assert payload["final_costs"] == res.final_costs()
+        assert payload["error"] is None
 
     def test_direct_records_leave_alpha_empty(self, tmp_path):
         res = run_aspic(small_config(estimator="direct", delta=None))
@@ -401,7 +422,9 @@ class TestCli:
                          "--out", str(out)]) == 1
         assert "error: run terminated" in capsys.readouterr().err
         assert (out / "records.csv").exists()
-        assert (out / "summary.json").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == ("run terminated in repeat 0 at iteration "
+                                    "0: state blow-up at rollout 3, step 7")
 
     def test_failed_sweep_cells_write_their_partial_results(self, tmp_path,
                                                             capsys):
@@ -413,7 +436,8 @@ class TestCli:
         for label in ("n=4", "n=8"):
             assert f"cell {label} failed: run terminated" in err
             assert (out / label / "records.csv").exists()
-            assert (out / label / "summary.json").exists()
+            summary = json.loads((out / label / "summary.json").read_text())
+            assert summary["error"].startswith("run terminated in repeat 0")
 
     @pytest.mark.parametrize("command", [
         ["run"], ["sweep", "--axis", "delta", "--values", "[0]"]])

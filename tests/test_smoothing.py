@@ -122,14 +122,18 @@ class TestFindAlpha:
         assert res.alpha == pytest.approx(alpha_oracle, rel=2e-3)
         assert res.kl_estimate <= delta
 
-    def test_minimality_witness(self):
+    # The second case meets delta at the first probe, alpha = 1; the smallest
+    # alpha lies below 0.5.
+    @pytest.mark.parametrize("scale, size, delta", [(10.0, 50, 0.3),
+                                                    (0.4, 100, 0.05)])
+    def test_minimality_witness(self, scale, size, delta):
         rng = np.random.default_rng(0)
-        costs = rng.normal(scale=10.0, size=50)
-        res = find_alpha(costs, gamma=1.0, delta=0.3)
+        costs = rng.normal(scale=scale, size=size)
+        res = find_alpha(costs, gamma=1.0, delta=delta)
         assert res.alpha > 0.0
-        assert res.kl_estimate <= 0.3
+        assert res.kl_estimate <= delta
         shrunk = kl_estimate(normalized_weights(costs, 1.0, res.alpha * 0.99))
-        assert shrunk > 0.3
+        assert shrunk > delta
 
     def test_gamma_zero_uses_positive_floor(self):
         res = find_alpha([0.0, 0.0], gamma=0.0, delta=0.5)

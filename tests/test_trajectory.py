@@ -87,6 +87,16 @@ class TestRolloutBatch:
         np.testing.assert_allclose(batch.stochastic_costs, recomputed,
                                    rtol=0, atol=0)
 
+    def test_batch_is_a_trajectory_with_row_costs(self):
+        rng = np.random.default_rng(12)
+        trajs = [make_traj(rng.normal(size=3), rng.normal(size=3),
+                           rng.normal(size=3)) for _ in range(4)]
+        batch = stack(trajs, gamma=0.5)
+        assert isinstance(batch, Trajectory)
+        np.testing.assert_array_equal(stochastic_cost(batch, 0.5),
+                                      batch.stochastic_costs)
+        assert isinstance(stochastic_cost(batch[0], 0.5), float)
+
     def test_mean_cost(self):
         trajs = [make_traj([c], [0.0], [0.0]) for c in (1.0, 2.0, 3.0)]
         batch = stack(trajs, gamma=0.0)

@@ -66,8 +66,12 @@ def cmd_export(args) -> int:
     if missing:
         raise ValueError(f"summary is missing keys {missing}")
     config = ExperimentConfig.from_dict(payload["config"])
+    # An older summary lacks the last two keys; they export as null.
     print(json.dumps({"config_hash": payload["config_hash"],
                       "final_costs": payload["final_costs"],
+                      "error": payload.get("error"),
+                      "iterations_to_threshold":
+                          payload.get("iterations_to_threshold"),
                       "config": config.to_dict()}, indent=2))
     return 0
 

@@ -12,7 +12,8 @@ zero-mean Gaussian with the same variance, so the per-step log-prob ratio is
 the discretized Girsanov quadratic control cost.
 
 ``sample_batch`` simulates N rollouts in lockstep straight into the arrays
-of a ``RolloutBatch``; ``rollout`` returns one rollout as a ``Trajectory``.
+of a ``RolloutBatch``, with the feature matrix of a linear policy;
+``rollout`` returns one rollout as a ``Trajectory``.
 Both draw a batch's noise row-major from one generator seeded by the seed, so
 ``rollout`` replays rollout 0 of ``sample_batch`` with the same seed, with the
 same noise bit for bit (a policy mean computed by a BLAS matmul may round
@@ -26,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .policies import gaussian_log_prob
+from .policies import TimeVaryingLinearPolicy, gaussian_log_prob
 from .trajectory import RolloutBatch, Trajectory
 
 __all__ = ["Environment", "LqViapoints", "Pendulum", "Acrobot",
@@ -56,7 +57,8 @@ class Environment:
     The fields are the task's parameters, the keys ``env_overrides`` takes.
     Building a task sets ``num_steps``, ``noise_var = nu/dt`` and the start
     ``x0``, at rest at the origin unless the task sets another.  ``xdot`` and
-    ``event_cost`` are vectorized over leading batch dimensions of the state.
+    ``event_cost`` are vectorized over leading batch dimensions of the state;
+    ``xdot`` writes the rate into ``out`` when given, else into a new array.
     Event costs are keyed by grid index (1..num_steps), with event times
     snapped to the nearest grid point; ``event_indices`` lists the indices
     that carry one, by default the final index only.
@@ -81,19 +83,22 @@ class Environment:
         self.event_indices = (self.num_steps,)
         self.x0 = np.zeros(self.state_dim)
 
-    def xdot(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    def xdot(self, x: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
         """The rate f(x) + g(x) a, in state space."""
         raise NotImplementedError
 
     def step(self, x: np.ndarray, a: np.ndarray, t: int) -> np.ndarray:
         """Euler step x + dt * xdot(x, a); raises ``RolloutBlowupError``
         naming the first row whose next state is non-finite or too large."""
-        x = np.asarray(x, dtype=float)
-        a = np.asarray(a, dtype=float)
-        nxt = x + self.dt * self.xdot(x, a)
-        ok = np.abs(nxt) <= BLOWUP_THRESHOLD
-        if not ok.all():
-            raise RolloutBlowupError(t, int(np.argmin(ok.all(axis=-1))))
+        nxt = self._euler(np.asarray(x, dtype=float),
+                          np.asarray(a, dtype=float))
+        _raise_on_blowup(nxt.reshape(1, -1, nxt.shape[-1]), t)
+        return nxt
+
+    def _euler(self, x, a, out=None):
+        nxt = self.xdot(x, a, out)
+        nxt *= self.dt
+        nxt += x
         return nxt
 
     def event_cost(self, index: int, x: np.ndarray) -> np.ndarray:
@@ -130,8 +135,10 @@ class LqViapoints(Environment):
             self._events[index] = target
         self.event_indices = tuple(sorted(self._events))
 
-    def xdot(self, x, a):
-        return a
+    def xdot(self, x, a, out=None):
+        out = np.empty(x.shape) if out is None else out
+        out[...] = a
+        return out
 
     def _event_cost(self, index, x):
         return (x[..., 0] - self._events[index]) ** 2 / (2.0 * self.sigma ** 2)
@@ -152,10 +159,13 @@ class Pendulum(Environment):
     omega0_sq: float = 10.0
     lam: float = 0.2
 
-    def xdot(self, x, a):
+    def xdot(self, x, a, out=None):
+        out = np.empty(x.shape) if out is None else out
         ang, vel = x[..., 0], x[..., 1]
         acc = -self.c_omega0 * vel - self.omega0_sq * np.sin(ang)
-        return np.stack([vel, acc + self.lam * a[..., 0]], axis=-1)
+        np.add(acc, self.lam * a[..., 0], out=out[..., 1])
+        out[..., 0] = vel
+        return out
 
     def _event_cost(self, index, x):
         height = -np.cos(x[..., 0])
@@ -222,14 +232,26 @@ class Acrobot(Environment):
         acc2 = (d11 * rhs2 - d12 * rhs1) / det
         return acc1, acc2
 
-    def xdot(self, x, a):
-        acc1, acc2 = self.accelerations(x, self.lam * a[..., 0])
-        return np.stack([x[..., 2], x[..., 3], acc1, acc2], axis=-1)
+    def xdot(self, x, a, out=None):
+        out = np.empty(x.shape) if out is None else out
+        out[..., 2], out[..., 3] = self.accelerations(x, self.lam * a[..., 0])
+        out[..., :2] = x[..., 2:]
+        return out
 
     def _event_cost(self, index, x):
         height = (-self.l1 * np.cos(x[..., 0])
                   - self.l2 * np.cos(x[..., 0] + x[..., 1]))
         return -500.0 * height + 10.0 * (x[..., 2] ** 2 + x[..., 3] ** 2)
+
+
+def _raise_on_blowup(states: np.ndarray, first_step: int) -> None:
+    """Raise ``RolloutBlowupError`` at the first step, then the first row,
+    of ``states`` (steps, rows, state_dim) whose state is non-finite or
+    beyond ``BLOWUP_THRESHOLD``; step 0 of ``states`` is ``first_step``."""
+    if not np.abs(states).max() <= BLOWUP_THRESHOLD:  # NaN fails too
+        bad = ~(np.abs(states) <= BLOWUP_THRESHOLD).all(axis=-1)
+        k = int(np.argmax(bad.any(axis=1)))
+        raise RolloutBlowupError(first_step + k, int(np.argmax(bad[k])))
 
 
 # ---------------------------------------------------------------------------
@@ -239,25 +261,37 @@ class Acrobot(Environment):
 def _simulate(env: Environment, policy, noises: np.ndarray) -> dict:
     """Run n rollouts in lockstep; noises is (n, T, adim).
 
-    Returns the ``RolloutBatch`` sequences as a dict of stacked arrays.
+    Returns the ``RolloutBatch`` sequences as a dict of stacked arrays, with
+    the features of a linear policy (else None).  States and actions fill
+    step-major buffers, one contiguous slice per step.  Rows are independent,
+    so the blow-up check after the loop names the step and row a check
+    after every step would.
     """
     n, t_steps, _ = noises.shape
-    states = np.empty((n, t_steps + 1, env.state_dim))
-    actions = np.empty((n, t_steps, env.action_dim))
+    step_noises = np.ascontiguousarray(noises.swapaxes(0, 1))
+    states = np.empty((t_steps + 1, n, env.state_dim))
+    actions = np.empty((t_steps, n, env.action_dim))
     costs = np.zeros((n, t_steps))
-    x = np.broadcast_to(env.x0, (n, env.state_dim)).copy()
-    states[:, 0] = x
-    for k in range(t_steps):
-        a = policy.mean(x, k) + noises[:, k]
-        actions[:, k] = a
-        x = env.step(x, a, k)
-        states[:, k + 1] = x
-        if k + 1 in env.event_indices:
-            costs[:, k] += env.event_cost(k + 1, x)
+    phi = (np.empty((n, t_steps, policy.num_features))
+           if isinstance(policy, TimeVaryingLinearPolicy) else None)
+    is_event = [k in env.event_indices for k in range(t_steps + 1)]
+    states[0] = env.x0
+    with np.errstate(all="ignore"):  # non-finite states raise below
+        for k in range(t_steps):
+            mean = (policy.mean(states[k], k) if phi is None
+                    else policy.mean(states[k], k, features=phi[:, k]))
+            a = np.add(mean, step_noises[k], out=actions[k])
+            x = env._euler(states[k], a, out=states[k + 1])
+            if is_event[k + 1]:
+                costs[:, k] += env.event_cost(k + 1, x)
+    _raise_on_blowup(states[1:], 0)
+    states, actions = (np.ascontiguousarray(arr.swapaxes(0, 1))
+                       for arr in (states, actions))
     return dict(states=states, actions=actions, noises=noises,
                 state_costs=costs,
                 logp_policy=gaussian_log_prob(noises, env.noise_var),
-                logp_base=gaussian_log_prob(actions, env.noise_var))
+                logp_base=gaussian_log_prob(actions, env.noise_var),
+                features=phi)
 
 
 def _noises(env: Environment, n: int, rng_seed,
@@ -274,6 +308,7 @@ def rollout(env: Environment, policy, rng_seed, *,
     """One seeded rollout, rollout 0 of ``sample_batch`` with the same seed;
     ``noise_scale=0`` gives the deterministic path."""
     seqs = _simulate(env, policy, _noises(env, 1, rng_seed, noise_scale))
+    del seqs["features"]
     return Trajectory(**{name: arr[0] for name, arr in seqs.items()})
 
 

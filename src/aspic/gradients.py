@@ -42,8 +42,8 @@ def _weighted_score_sum(batch: RolloutBatch, policy,
     the zero vector for ``coeffs = None`` (degenerate whitening)."""
     if coeffs is None:
         return np.zeros(policy.params.size)
-    resid = (batch.actions - policy.mean_steps(batch.xs)) / policy.noise_var
-    return policy.jac_t_v_steps(batch.xs, coeffs[:, None, None] * resid)
+    resid = (batch.actions - policy.mean_steps(batch)) / policy.noise_var
+    return policy.jac_t_v_steps(batch, coeffs[:, None, None] * resid)
 
 
 def smoothed_gradient(batch: RolloutBatch, policy, alpha: float,

@@ -60,8 +60,8 @@ def fisher_vector_product(batch: RolloutBatch, policy, y: np.ndarray) -> np.ndar
     y = np.asarray(y, dtype=float)
     if y.size != policy.params.size:
         raise ValueError("vector length does not match the parameter count")
-    jy = policy.jac_y_steps(batch.xs, y)
-    return policy.jac_t_v_steps(batch.xs, jy) / (batch.n * policy.noise_var)
+    jy = policy.jac_y_steps(batch, y)
+    return policy.jac_t_v_steps(batch, jy) / (batch.n * policy.noise_var)
 
 
 def conjugate_gradient(apply_a, b: np.ndarray, max_iters: int,
@@ -110,7 +110,7 @@ def per_timestep_natural_direction(batch: RolloutBatch,
     if not isinstance(policy, TimeVaryingLinearPolicy):
         raise TypeError("per-timestep inversion needs a policy with "
                         "per-timestep parameter blocks")
-    feats = policy.features(batch.xs)  # (N, T, K)
+    feats = policy.step_inputs(batch)  # (N, T, K)
     blocks = np.einsum("ntk,ntl->tkl", feats, feats) / (batch.n * policy.noise_var)
     g_blocks = np.asarray(g, dtype=float).reshape(policy.num_steps, -1)
     inv = np.linalg.pinv(blocks, rcond=rcond)
@@ -146,7 +146,6 @@ def trust_region_step(batch: RolloutBatch, policy, g: np.ndarray,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     g = np.asarray(g, dtype=float)
     theta = policy.params
-    xs, acts = batch.xs, batch.actions
 
     cg_used = None
     if solver == "cg":
@@ -165,8 +164,8 @@ def trust_region_step(batch: RolloutBatch, policy, g: np.ndarray,
     if isinstance(policy, TimeVaryingLinearPolicy):
         # The mean is linear in the parameters, so the sampled KL along the
         # ray theta + eta * g_f is an exact quadratic in eta.
-        resid = acts - policy.mean_steps(xs)
-        du = policy.jac_y_steps(xs, g_f)
+        resid = batch.actions - policy.mean_steps(batch)
+        du = policy.jac_y_steps(batch, g_f)
         a2 = float(np.sum(du * du))
         rb = float(np.sum(resid * du))
         denom = 2.0 * policy.noise_var * batch.n

@@ -14,8 +14,9 @@ the estimators form the gradient as ``jac_t_v_steps`` of the scaled residual.
 
 The methods take stacked arrays: ``xs`` of shape (..., T, state_dim) with
 matching actions, where T is the number of control steps and the leading
-dimensions enumerate rollouts.  The parameter count is fixed when a policy is
-built.
+dimensions enumerate rollouts.  In place of ``xs`` they also take a
+``RolloutBatch``: an MLP reads its ``xs``, a linear policy the feature matrix
+the sampler stored.  The parameter count is fixed when a policy is built.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+
+from .trajectory import RolloutBatch
 
 __all__ = ["GaussianPolicy", "TimeVaryingLinearPolicy", "MlpPolicy",
            "gaussian_log_prob", "lq_features", "pendulum_features",
@@ -61,6 +64,10 @@ class GaussianPolicy:
     def with_params(self, params: np.ndarray) -> "GaussianPolicy":
         raise NotImplementedError
 
+    def step_inputs(self, xs):
+        """What the stacked-array methods read: ``xs``, or a batch's ``xs``."""
+        return xs.xs if isinstance(xs, RolloutBatch) else xs
+
     def mean(self, x: np.ndarray, t: int) -> np.ndarray:
         """Action mean u(x, t); x may carry leading batch dimensions."""
         raise NotImplementedError
@@ -87,20 +94,30 @@ class GaussianPolicy:
 # Feature maps for the time-varying linear controllers
 # ---------------------------------------------------------------------------
 
-def lq_features(x: np.ndarray) -> np.ndarray:
+# Each map writes the features of states (..., state_dim) into ``out``
+# (..., K) when given, else into a new array.
+
+def lq_features(x: np.ndarray, out=None) -> np.ndarray:
     """[x, 1] for the one-dimensional Brownian particle."""
     x = np.asarray(x, dtype=float)
-    return np.stack([x[..., 0], np.ones_like(x[..., 0])], axis=-1)
+    out = np.empty(x.shape[:-1] + (2,)) if out is None else out
+    out[..., 0] = x[..., 0]
+    out[..., 1] = 1.0
+    return out
 
 
-def pendulum_features(x: np.ndarray) -> np.ndarray:
+def pendulum_features(x: np.ndarray, out=None) -> np.ndarray:
     """[cos x, sin x, xdot, 1]."""
     x = np.asarray(x, dtype=float)
-    ang, vel = x[..., 0], x[..., 1]
-    return np.stack([np.cos(ang), np.sin(ang), vel, np.ones_like(ang)], axis=-1)
+    out = np.empty(x.shape[:-1] + (4,)) if out is None else out
+    np.cos(x[..., 0], out=out[..., 0])
+    np.sin(x[..., 0], out=out[..., 1])
+    out[..., 2] = x[..., 1]
+    out[..., 3] = 1.0
+    return out
 
 
-def acrobot_features(x: np.ndarray) -> np.ndarray:
+def acrobot_features(x: np.ndarray, out=None) -> np.ndarray:
     """The 9-term acrobot controller basis.
 
     Order: [cos x1, sin x2, cos x2, sin x2, sin(x1+x2), cos(x1+x2),
@@ -109,16 +126,24 @@ def acrobot_features(x: np.ndarray) -> np.ndarray:
     deficiency is handled by the pseudo-inverse / damping in the solvers.
     """
     x = np.asarray(x, dtype=float)
-    x1, x2, v1, v2 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    return np.stack([np.cos(x1), np.sin(x2), np.cos(x2), np.sin(x2),
-                     np.sin(x1 + x2), np.cos(x1 + x2), v1, v2,
-                     np.ones_like(x1)], axis=-1)
+    out = np.empty(x.shape[:-1] + (9,)) if out is None else out
+    both = x[..., 0] + x[..., 1]
+    np.cos(x[..., 0], out=out[..., 0])
+    np.sin(x[..., 1], out=out[..., 1])
+    np.cos(x[..., 1], out=out[..., 2])
+    out[..., 3] = out[..., 1]
+    np.sin(both, out=out[..., 4])
+    np.cos(both, out=out[..., 5])
+    out[..., 6:8] = x[..., 2:4]
+    out[..., 8] = 1.0
+    return out
 
 
 class TimeVaryingLinearPolicy(GaussianPolicy):
     """u(x, t) = theta_t . phi(x), one coefficient block per grid time.
 
-    ``feature_fn`` maps states to ``num_features`` features.  Parameters
+    ``feature_fn(x, out=None)`` maps states to ``num_features`` features,
+    into ``out`` when the sampler passes one.  Parameters
     flatten to shape (num_steps * num_features,) and default to zeros; the
     block for time t only influences step t, which makes the Fisher matrix
     exactly block-diagonal across time.  Scalar actions only, matching the
@@ -139,32 +164,39 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
         if self._params.size != size:
             raise ValueError(f"expected {size} parameters, "
                              f"got {self._params.size}")
+        self._theta = self._params.reshape(self.num_steps, self.num_features)
 
-    def features(self, xs: np.ndarray) -> np.ndarray:
-        return self.feature_fn(np.asarray(xs, dtype=float))
+    def features(self, xs: np.ndarray, out=None) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        return self.feature_fn(xs) if out is None else self.feature_fn(xs, out)
 
-    def _theta(self) -> np.ndarray:
-        return self._params.reshape(self.num_steps, self.num_features)
+    def step_inputs(self, xs) -> np.ndarray:
+        """A batch's stored feature matrix, else the features of the states."""
+        if isinstance(xs, RolloutBatch) and xs.features is not None:
+            return xs.features
+        return self.features(super().step_inputs(xs))
 
     def with_params(self, params: np.ndarray) -> "TimeVaryingLinearPolicy":
         return TimeVaryingLinearPolicy(self.feature_fn, self.num_features,
                                        self.num_steps, self.noise_var, params)
 
-    def mean(self, x: np.ndarray, t: int) -> np.ndarray:
-        feats = self.features(x)
-        return (feats @ self._theta()[t])[..., None]
+    def mean(self, x: np.ndarray, t: int, features=None) -> np.ndarray:
+        """u(x, t); the features of x go into ``features`` when given."""
+        feats = self.features(x, features)
+        return (feats @ self._theta[t])[..., None]
 
     def mean_steps(self, xs: np.ndarray) -> np.ndarray:
-        feats = self.features(xs)
-        return np.einsum("...tk,tk->...t", feats, self._theta())[..., None]
+        feats = self.step_inputs(xs)
+        return np.einsum("...tk,tk->...t", feats, self._theta)[..., None]
 
     def jac_y_steps(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
-        feats = self.features(xs)
+        feats = self.step_inputs(xs)
         yb = np.asarray(y, dtype=float).reshape(self.num_steps, -1)
         return np.einsum("...tk,tk->...t", feats, yb)[..., None]
 
     def jac_t_v_steps(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        feats = self.features(xs).reshape(-1, self.num_steps, self.num_features)
+        feats = self.step_inputs(xs).reshape(-1, self.num_steps,
+                                             self.num_features)
         v = np.asarray(v, dtype=float)[..., 0].reshape(-1, self.num_steps)
         return np.einsum("ntk,nt->tk", feats, v).ravel()
 
@@ -271,12 +303,13 @@ class MlpPolicy(GaussianPolicy):
         return self.mean_steps(x)
 
     def mean_steps(self, xs: np.ndarray) -> np.ndarray:
+        xs = self.step_inputs(xs)
         out = (self._cached[1] if self._is_cached(xs)
                else self._forward(xs, keep=False))[-1]
         return out.reshape(np.shape(xs)[:-1] + (self.action_dim,)).copy()
 
     def jac_t_v_steps(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        acts = self._activations(xs)
+        acts = self._activations(self.step_inputs(xs))
         layers = list(self._layers(self._params))
         grads = [None] * len(layers)
         g = np.asarray(v, dtype=float).reshape(-1, self.action_dim)
@@ -292,6 +325,7 @@ class MlpPolicy(GaussianPolicy):
 
     def jac_y_steps(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Forward-mode directional derivative of the mean along y."""
+        xs = self.step_inputs(xs)
         acts = self._activations(xs)
         layers = list(self._layers(self._params))
         dlayers = list(self._layers(np.asarray(y, dtype=float)))

@@ -179,7 +179,7 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # no per-record dict: runs keep many
 class IterationRecord:
     run: int
     iteration: int

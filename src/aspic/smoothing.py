@@ -20,6 +20,8 @@ __all__ = ["SmoothingResult", "normalized_weights", "weight_entropy",
 
 # Relative width at which the alpha bisection stops.
 ALPHA_REL_TOL = 1e-3
+# Bisection levels one pass of the search evaluates: 2**levels - 1 alphas.
+BISECT_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,22 @@ def kl_estimate(weights) -> float:
     return max(0.0, float(np.log(w.size)) - weight_entropy(w))
 
 
-def _kl_at(costs: np.ndarray, gamma: float, alpha: float) -> float:
-    return kl_estimate(normalized_weights(costs, gamma, alpha))
+def _kl_estimates(neg: np.ndarray, gamma: float, alphas) -> np.ndarray:
+    """kl_estimate(normalized_weights(costs, gamma, alpha)) for each alpha,
+    with the same float operations, from ``neg = -(costs - costs.min())``.
+
+    A row reduction sums each row as the 1-D sum does; a row with an
+    underflowed weight sums its nonzero terms alone, as ``weight_entropy``.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = np.exp(neg / (gamma + np.asarray(alphas))[:, None])
+        w /= w.sum(axis=1, keepdims=True)
+        terms = w * np.log(w)  # NaN at a zero weight
+    entropy = -terms.sum(axis=1)
+    for r in np.flatnonzero(np.isnan(entropy)):
+        entropy[r] = -terms[r][w[r] > 0.0].sum()
+    # As max(0.0, kl) in kl_estimate: kl is never NaN or -0.0 here.
+    return np.maximum(np.log(neg.size) - entropy, 0.0)
 
 
 def find_alpha(costs, gamma: float, delta: float) -> SmoothingResult:
@@ -74,6 +90,13 @@ def find_alpha(costs, gamma: float, delta: float) -> SmoothingResult:
     alpha doubles from max(1, 2 * floor) until the constraint holds, then the
     interval from the last alpha known to violate it (at first the floor) is
     bisected to relative tolerance ``ALPHA_REL_TOL``.
+
+    The costs are validated and shifted once.  One vectorized pass
+    evaluates the floor and the whole doubling ladder, and each further
+    pass every midpoint of the next ``BISECT_LEVELS`` levels.  Each
+    evaluation has the float operations of
+    ``kl_estimate(normalized_weights(...))``, so alpha is the one the
+    step-by-step search finds, bit for bit.
     """
     costs = np.asarray(costs, dtype=float)
     if delta <= 0:
@@ -84,28 +107,43 @@ def find_alpha(costs, gamma: float, delta: float) -> SmoothingResult:
         spread = float(costs.max() - costs.min())
     if not np.isfinite(spread):
         raise ValueError(f"cost spread is not finite: {spread}")
+    neg = -(costs - costs.min())
 
     # gamma = 0 needs a strictly positive divisor; scale with the cost spread.
     floor = 0.0 if gamma > 0 else 1e-8 * (spread + 1.0)
-    if _kl_at(costs, gamma, floor) <= delta:
-        alpha = floor
-    else:
-        # Finite even when 1e12 * spread overflows, so the doubling stops.
-        ceiling = min(1e12 * max(1.0, spread), np.finfo(float).max)
-        lo, hi = floor, max(1.0, 2.0 * floor)
-        while _kl_at(costs, gamma, hi) > delta:
-            lo, hi = hi, 2.0 * hi
-            if hi > ceiling:
-                raise ValueError("smoothing constraint unsatisfiable below the "
-                                 "alpha ceiling; check the costs for outliers")
-        while hi - lo > ALPHA_REL_TOL * hi:
-            mid = 0.5 * (lo + hi)
-            if _kl_at(costs, gamma, mid) <= delta:
-                hi = mid
-            else:
-                lo = mid
-        alpha = hi
+    # Finite even when 1e12 * spread overflows, so the ladder is finite;
+    # ldexp doubles exactly, as repeated doubling does.
+    ceiling = min(1e12 * max(1.0, spread), np.finfo(float).max)
+    start = max(1.0, 2.0 * floor)
+    with np.errstate(over="ignore"):
+        ladder = np.ldexp(start, np.arange(int(np.log2(ceiling / start)) + 2))
+    alphas = np.concatenate([[floor], ladder[ladder <= ceiling]])
+    ok = _kl_estimates(neg, gamma, alphas) <= delta
+    if not ok.any():
+        raise ValueError("smoothing constraint unsatisfiable below the "
+                         "alpha ceiling; check the costs for outliers")
+    i = int(np.argmax(ok))
+    alpha = float(alphas[i])
+    if i > 0:
+        alpha = _bisect(neg, gamma, delta, float(alphas[i - 1]), alpha)
 
     w = normalized_weights(costs, gamma, alpha)
     return SmoothingResult(alpha=alpha, weights=w, entropy=weight_entropy(w),
                            kl_estimate=kl_estimate(w))
+
+
+def _bisect(neg, gamma, delta, lo, hi) -> float:
+    """Bisect [lo, hi], kl(lo) > delta >= kl(hi), until
+    hi - lo <= ALPHA_REL_TOL * hi; one pass per ``BISECT_LEVELS`` levels."""
+    while hi - lo > ALPHA_REL_TOL * hi:
+        edges = [lo, hi]
+        for _ in range(BISECT_LEVELS):  # each midpoint the walk may visit
+            edges[1:] = [v for a, b in zip(edges, edges[1:])
+                         for v in (0.5 * (a + b), b)]
+        ok = (_kl_estimates(neg, gamma, edges[1:-1]) <= delta).tolist()
+        i, j = 0, len(edges) - 1
+        while j - i > 1 and edges[j] - edges[i] > ALPHA_REL_TOL * edges[j]:
+            mid = (i + j) // 2
+            i, j = (i, mid) if ok[mid - 1] else (mid, j)
+        lo, hi = edges[i], edges[j]
+    return hi

@@ -78,11 +78,15 @@ class RolloutBatch(Trajectory):
     Shapes: ``states`` (N, T+1, state_dim); ``actions`` and ``noises``
     (N, T, adim); ``state_costs``, ``logp_policy``, ``logp_base`` (N, T).
     ``xs`` is a contiguous copy of ``states[:, :-1]``.  Stochastic costs
-    default to ``stochastic_cost(batch, gamma)``.
+    default to ``stochastic_cost(batch, gamma)``.  ``features`` is the
+    (N, T, K) feature matrix of the linear policy that sampled the batch,
+    equal to ``policy.features(xs)`` (None for other policies); a
+    ``replace`` with new ``states`` must pass new features or None.
     """
 
     gamma: float
     stochastic_costs: np.ndarray = field(default=None)  # type: ignore[assignment]
+    features: np.ndarray | None = field(default=None, repr=False)
     xs: np.ndarray = field(init=False, repr=False, compare=False)
     _batch_axes: ClassVar[int] = 1
 
@@ -100,6 +104,10 @@ class RolloutBatch(Trajectory):
         if self.stochastic_costs.shape != (self.n,):
             raise ValueError("stochastic_costs length does not match "
                              "the batch size")
+        if self.features is not None:
+            object.__setattr__(self, "features", _frozen(self.features))
+            if self.features.shape[:2] != self.actions.shape[:2]:
+                raise ValueError("features do not match the batch's steps")
 
     def __getitem__(self, i: int) -> Trajectory:
         return Trajectory(*(getattr(self, name)[i] for name in _SEQUENCES))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from aspic import (Acrobot, LqViapoints, MlpPolicy, Pendulum,
-                   RolloutBlowupError, TimeVaryingLinearPolicy, lq_features,
-                   make_env, rollout, sample_batch)
+                   RolloutBlowupError, TimeVaryingLinearPolicy,
+                   acrobot_features, lq_features, make_env, pendulum_features,
+                   rollout, sample_batch)
 
 SEQUENCES = ("states", "actions", "noises", "state_costs", "logp_policy",
              "logp_base")
@@ -27,6 +28,33 @@ class ZeroPolicy:
     def mean_steps(self, xs):
         xs = np.asarray(xs, dtype=float)
         return np.zeros(xs.shape[:-1] + (self.action_dim,))
+
+
+class InjectingPolicy(ZeroPolicy):
+    """Zero mean, except ``bad[(step, row)]`` at that step and row."""
+
+    def __init__(self, noise_var, bad):
+        super().__init__(noise_var)
+        self.bad = bad
+
+    def mean(self, x, t):
+        out = super().mean(x, t)
+        for (step, row), value in self.bad.items():
+            if step == t:
+                out[row] = value
+        return out
+
+
+def reference_blowup(env, policy, n):
+    """(step, rollout) a check after every noiseless ``env.step`` names."""
+    x = np.broadcast_to(env.x0, (n, env.state_dim))
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            for k in range(env.num_steps):
+                x = env.step(x, policy.mean(x, k), k)
+        except RolloutBlowupError as err:
+            return err.step, err.index
+    return None
 
 
 class TestStep:
@@ -270,6 +298,54 @@ class TestSampleBatch:
         expected = np.random.default_rng(seed).normal(
             0.0, np.sqrt(env.noise_var), (6, env.num_steps, 1))
         np.testing.assert_array_equal(batch.noises, expected)
+
+    @pytest.mark.parametrize("name, feature_fn, k", [
+        ("lq_viapoints", lq_features, 2),
+        ("pendulum", pendulum_features, 4),
+        ("acrobot", acrobot_features, 9)])
+    def test_batch_features_are_the_policy_features(self, name, feature_fn,
+                                                    k):
+        env = make_env(name, {} if name == "lq_viapoints"
+                       else {"horizon": 0.5})
+        pol = TimeVaryingLinearPolicy(feature_fn, k, env.num_steps,
+                                      env.noise_var)
+        pol = pol.with_params(np.random.default_rng(0).normal(
+            scale=0.3, size=pol.params.size))
+        batch = sample_batch(env, pol, 7, 3, gamma=1.0)
+        assert not batch.features.flags.writeable
+        np.testing.assert_array_equal(batch.features, pol.features(batch.xs))
+        # Read from the batch or evaluated from its states, the same floats.
+        y = np.random.default_rng(1).normal(size=pol.params.size)
+        np.testing.assert_array_equal(pol.mean_steps(batch),
+                                      pol.mean_steps(batch.xs))
+        np.testing.assert_array_equal(pol.jac_y_steps(batch, y),
+                                      pol.jac_y_steps(batch.xs, y))
+        mlp = MlpPolicy([env.state_dim, 4, 1], env.noise_var,
+                        rng=np.random.default_rng(2))
+        assert sample_batch(env, mlp, 3, 3, gamma=1.0).features is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e12])
+    @pytest.mark.parametrize("step, row", [(0, 3), (6, 1), (42, 4)])
+    def test_blowup_names_the_step_and_rollout_of_a_per_step_check(
+            self, bad, step, row):
+        # Row ``row`` blows up at ``step``; row 0 follows two steps later,
+        # so the first bad step, not the first bad row overall, is named.
+        env = LqViapoints()
+        pol = InjectingPolicy(env.noise_var, {(step, row): bad,
+                                              (step + 2, 0): bad})
+        with pytest.raises(RolloutBlowupError) as info:
+            sample_batch(env, pol, 5, 0, gamma=1.0, noise_scale=0.0)
+        assert (info.value.step, info.value.index) == (step, row)
+        assert reference_blowup(env, pol, 5) == (step, row)
+
+    def test_coarse_acrobot_blowup_site(self):
+        env = Acrobot(dt=0.5, horizon=100.0)
+        policy = TimeVaryingLinearPolicy(acrobot_features, 9, env.num_steps,
+                                         env.noise_var)
+        # The first batch of seed 0, as the runner draws it.
+        with pytest.raises(RolloutBlowupError) as info:
+            sample_batch(env, policy, 4, (0, 0, 0), gamma=1.0)
+        assert (info.value.step, info.value.index) == (7, 3)
 
     def test_blowup_carries_rollout_index(self):
         env = Acrobot(dt=0.5, horizon=500.0)  # coarse enough to diverge

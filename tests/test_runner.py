@@ -426,6 +426,31 @@ class TestCli:
         assert summary["error"] == ("run terminated in repeat 0 at iteration "
                                     "0: state blow-up at rollout 3, step 7")
 
+    def test_export_of_a_failed_run_shows_its_error(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert cli_main(["run", self.write_coarse_acrobot(tmp_path),
+                         "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert cli_main(["export", str(out / "summary.json")]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["error"].endswith("state blow-up at rollout 3, step 7")
+        assert printed["iterations_to_threshold"] is None
+
+    def test_export_of_an_older_summary_prints_null_for_new_keys(
+            self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert cli_main(["run", self.write_config(tmp_path),
+                         "--out", str(out)]) == 0
+        path = out / "summary.json"
+        saved = json.loads(path.read_text())
+        del saved["error"], saved["iterations_to_threshold"]
+        path.write_text(json.dumps(saved))
+        capsys.readouterr()
+        assert cli_main(["export", str(path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["error"] is None
+        assert printed["iterations_to_threshold"] is None
+
     def test_failed_sweep_cells_write_their_partial_results(self, tmp_path,
                                                             capsys):
         out = tmp_path / "s"
@@ -459,6 +484,9 @@ class TestCli:
         saved = json.loads((out / "summary.json").read_text())
         assert printed["config_hash"] == saved["config_hash"]
         assert printed["final_costs"] == saved["final_costs"]
+        assert printed["error"] is None
+        assert (printed["iterations_to_threshold"]
+                == saved["iterations_to_threshold"])
         with pytest.raises(SystemExit):
             cli_main(["export", str(out / "summary.json"), "--format", "csv"])
 

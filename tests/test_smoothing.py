@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspic import find_alpha, kl_estimate, normalized_weights, weight_entropy
+from aspic import smoothing
 
 
 class TestNormalizedWeights:
@@ -191,3 +192,78 @@ def test_find_alpha_on_adversarial_costs(costs, gamma, delta):
     assert np.all(np.isfinite(res.weights)) and np.all(res.weights >= 0.0)
     assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert res.kl_estimate <= delta
+
+
+# -- the vectorized search against the step-by-step one -----------------------
+
+def _spread_costs(n, spread, seed, outliers=0):
+    """n costs spread over ``spread`` around an offset, both ends hit, and
+    up to ``outliers`` of them moved far above the rest, where their
+    weights underflow while the others' do not."""
+    rng = np.random.default_rng(seed)
+    costs = 1e3 + spread * rng.random(n)
+    costs[rng.integers(n)] = 1e3
+    costs[rng.integers(n)] = 1e3 + spread
+    costs[rng.integers(n, size=outliers)] += 1e6 * (1.0 + spread)
+    return costs
+
+
+spreads = st.sampled_from([0.0, 1e-9, 1.0, 3e2, 1e4, 1e6, 1e9, 1e12])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 300), spreads, st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 3), st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+       st.lists(st.floats(1e-12, 1e9), min_size=1, max_size=12))
+def test_kl_estimates_match_the_public_functions_bit_for_bit(
+        n, spread, seed, outliers, gamma, alphas):
+    costs = _spread_costs(n, spread, seed, outliers)
+    got = smoothing._kl_estimates(-(costs - costs.min()), gamma, alphas)
+    want = [kl_estimate(normalized_weights(costs, gamma, a)) for a in alphas]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kl_estimates_of_underflowed_weights(seed):
+    # Three outliers underflow at every alpha below; the other 297 weights
+    # do not, so the entropy sums a compressed row of 297 terms.
+    costs = np.random.default_rng(seed).normal(scale=3.0, size=300)
+    costs[[5, 77, 150]] = 1e6
+    alphas = [1e-9, 0.3, 1.0, 50.0, 1e3]
+    weights = [normalized_weights(costs, 0.0, a) for a in alphas]
+    assert all((w == 0.0).sum() >= 3 for w in weights)
+    got = smoothing._kl_estimates(-(costs - costs.min()), 0.0, alphas)
+    assert got.tolist() == [kl_estimate(w) for w in weights]
+
+
+def reference_alpha(costs, gamma, delta):
+    """The search one evaluation at a time: double, then bisect."""
+    def kl(alpha):
+        return kl_estimate(normalized_weights(costs, gamma, alpha))
+
+    spread = float(costs.max() - costs.min())
+    floor = 0.0 if gamma > 0 else 1e-8 * (spread + 1.0)
+    if kl(floor) <= delta:
+        return floor
+    lo, hi = floor, max(1.0, 2.0 * floor)
+    while kl(hi) > delta:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > smoothing.ALPHA_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if kl(mid) <= delta else (mid, hi)
+    return hi
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(2, 300), spreads, st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 3), st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+       st.floats(1e-4, 3.0))
+def test_find_alpha_is_the_step_by_step_search(n, spread, seed, outliers,
+                                               gamma, delta):
+    costs = _spread_costs(n, spread, seed, outliers)
+    alpha = reference_alpha(costs, gamma, delta)
+    res = find_alpha(costs, gamma, delta)
+    weights = normalized_weights(costs, gamma, alpha)
+    assert res.alpha == alpha
+    np.testing.assert_array_equal(res.weights, weights)
+    assert res.kl_estimate == kl_estimate(weights)

@@ -205,29 +205,38 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
 # MLP mean
 # ---------------------------------------------------------------------------
 
+BLOCK_ROWS = 2048  # rows per pass through the scratch buffers
+
+
 class MlpPolicy(GaussianPolicy):
     """Mean given by a small tanh network; identity output layer.
 
     The network sees the state only (no time input), so the stacked-array
     methods flatten all leading dimensions into one batch axis.  Backprop is
     hand-rolled (the rest of the library is plain numpy) and checked against
-    finite differences in the tests.
+    finite differences in the tests.  The output is one scalar action, so
+    each sample's Jacobian row factors per layer into ``a_{l-1} (x) d_l``:
+    the layer's input times its sensitivity ``d_l = du/dz_l``.
 
-    A Jacobian product keeps the activations of its forward pass over an
+    A Jacobian product keeps the hidden activations and sensitivities of an
     ``xs`` that owns its memory and is read-only (such as
-    ``RolloutBatch.xs``).  While it is handed that same array object,
-    ``mean_steps``, ``jac_y_steps`` and ``jac_t_v_steps`` reuse those
-    activations instead of running the network again; since the parameters
-    and the array are both immutable, the results are the same floats.  Any
-    other ``xs``, a writable array or a view, is evaluated afresh on every
-    call; a mean over a batch that is not cached caches nothing.  Other
-    temporaries live in two per-thread buffers, each as large as the largest
-    rows x hidden width seen and kept for the thread's life.
+    ``RolloutBatch.xs``): ``2 (L-1)`` arrays of rows x width.  While it is
+    handed that same array object, ``mean_steps``, ``jac_y_steps`` and
+    ``jac_t_v_steps`` reuse them, and a product is one matrix product per
+    layer; since the parameters and the array are both immutable, the
+    results are the same floats.  Any other ``xs``, a writable array or a
+    view, is evaluated afresh on every call; a mean over a batch that is not
+    cached caches nothing.  Every temporary as wide as a hidden layer lives
+    in two per-thread buffers of ``BLOCK_ROWS`` x width, kept for the
+    thread's life.
     """
 
     def __init__(self, layer_sizes, noise_var: float,
                  params: np.ndarray | None = None, *, rng=None):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
+        if self.layer_sizes[-1] != 1:
+            raise ValueError("layer_sizes must end in 1 (scalar actions "
+                             f"only), got {list(self.layer_sizes)}")
         self.noise_var = _positive(noise_var)
         self.action_dim = self.layer_sizes[-1]
         if params is None:
@@ -238,7 +247,8 @@ class MlpPolicy(GaussianPolicy):
         if self._params.size != self.num_params:
             raise ValueError(f"expected {self.num_params} parameters, "
                              f"got {self._params.size}")
-        self._cached = (None, None)  # (read-only xs, its activations)
+        self._wb = list(self._layers(self._params))
+        self._cached = (None, None)  # (read-only xs, (activations, sens.))
 
     @property
     def num_params(self) -> int:
@@ -271,80 +281,96 @@ class MlpPolicy(GaussianPolicy):
     def _is_cached(self, xs) -> bool:
         return xs is self._cached[0] and not xs.flags.writeable
 
-    def _activations(self, xs) -> list:
-        """[x, h_1, ..., h_{L-1}, u] over the flattened batch of ``xs``."""
+    def _activations(self, xs) -> tuple:
+        """([x, h_1, ..., h_{L-1}, u], [d_1, ..., d_L]) over the flattened
+        batch of ``xs``."""
         if self._is_cached(xs):
             return self._cached[1]
         acts = self._forward(xs, keep=True)
+        sens = self._sensitivities(acts)
         if (isinstance(xs, np.ndarray) and xs.base is None
                 and not xs.flags.writeable):
-            for a in acts:
+            for a in acts + sens:
                 a.flags.writeable = False
-            self._cached = (xs, acts)
-        return acts
+            self._cached = (xs, (acts, sens))
+        return acts, sens
 
     def _forward(self, xs, keep: bool) -> list:
-        """Activations over xs; hidden layers in scratch unless ``keep``."""
-        h = np.asarray(xs, dtype=float).reshape(-1, self.layer_sizes[0])
-        acts = [h]
-        layers = list(self._layers(self._params))
-        for i, (w, b) in enumerate(layers):
-            hidden = i < len(layers) - 1
-            out = (_scratch(i % 2, len(h), w.shape[1])
-                   if hidden and not keep else None)
-            h = np.matmul(h, w, out=out)
-            h += b
-            if hidden:
-                np.tanh(h, out=h)
-            acts.append(h)
+        """[x, h_1, ..., u] over xs by row blocks; without ``keep`` the
+        hidden layers pass through scratch and their entries are None."""
+        x = np.asarray(xs, dtype=float).reshape(-1, self.layer_sizes[0])
+        acts = [x] + [np.empty((len(x), n)) if keep else None
+                      for n in self.layer_sizes[1:-1]]
+        acts.append(np.empty((len(x), 1)))
+        for r in _blocks(len(x)):
+            h = x[r]
+            for i, ((w, b), out) in enumerate(zip(self._wb, acts[1:])):
+                h = np.matmul(h, w, out=_scratch(i % 2, len(h), w.shape[1])
+                              if out is None else out[r])
+                h += b
+                if i < len(self._wb) - 1:
+                    np.tanh(h, out=h)
         return acts
+
+    def _sensitivities(self, acts) -> list:
+        """d_L = 1 at the identity output, then d_l = (d_{l+1} W_{l+1}^T)
+        (1 - h_l^2), by row blocks."""
+        sens = [np.broadcast_to(1.0, (len(acts[0]), 1))]
+        for h, (w, _) in zip(acts[-2:0:-1], self._wb[:0:-1]):
+            d = np.empty_like(h)
+            for r in _blocks(len(h)):
+                g = np.matmul(sens[-1][r], w.T, out=_scratch(1, *d[r].shape))
+                slope = np.square(h[r], out=_scratch(0, *d[r].shape))
+                np.subtract(1.0, slope, out=slope)  # tanh' = 1 - h^2
+                np.multiply(slope, g, out=d[r])
+            sens.append(d)
+        return sens[::-1]
 
     def mean(self, x: np.ndarray, t: int) -> np.ndarray:
         return self.mean_steps(x)
 
     def mean_steps(self, xs: np.ndarray) -> np.ndarray:
         xs = self.step_inputs(xs)
-        out = (self._cached[1] if self._is_cached(xs)
+        out = (self._cached[1][0] if self._is_cached(xs)
                else self._forward(xs, keep=False))[-1]
-        return out.reshape(np.shape(xs)[:-1] + (self.action_dim,)).copy()
+        return out.reshape(np.shape(xs)[:-1] + (1,)).copy()
 
     def jac_t_v_steps(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        acts = self._activations(self.step_inputs(xs))
-        layers = list(self._layers(self._params))
-        grads = [None] * len(layers)
-        g = np.asarray(v, dtype=float).reshape(-1, self.action_dim)
-        # The slope at layer i, then the g it feeds, take slot i % 2.
-        for i in range(len(layers) - 1, -1, -1):
-            if i < len(layers) - 1:  # g is our own g @ w.T, not v
-                g *= _tanh_slope(acts[i + 1], out=_scratch(i % 2, *g.shape))
-            grads[i] = ((acts[i].T @ g).ravel(), g.sum(axis=0))
-            if i > 0:
-                g = np.matmul(g, layers[i][0].T, out=_scratch(
-                    i % 2, len(g), self.layer_sizes[i]))
-        return np.concatenate([part for pair in grads for part in pair])
+        """(v a_{l-1})^T d_l = a_{l-1}^T (v d_l) and v^T d_l per layer."""
+        acts, sens = self._activations(self.step_inputs(xs))
+        v = np.asarray(v, dtype=float).reshape(-1, 1)
+        grads = []
+        for a, d in zip(acts, sens):
+            swap = a.shape[1] > d.shape[1]  # v scales the narrower side
+            p, q = (d, a) if swap else (a, d)
+            gw, gb = np.zeros((p.shape[1], q.shape[1])), np.zeros(d.shape[1])
+            for r in _blocks(len(v)):
+                gw += np.multiply(p[r], v[r], out=_scratch(
+                    0, *p[r].shape)).T @ q[r]
+                gb += v[r, 0] @ d[r]
+            grads += [(gw.T if swap else gw).ravel(), gb]
+        return np.concatenate(grads)
 
     def jac_y_steps(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Forward-mode directional derivative of the mean along y."""
+        """sum_l rowsum((a_{l-1} dW_l) d_l) + d_l db_l; the first term is
+        also rowsum(a_{l-1} (d_l dW_l^T)), formed on the narrower side."""
         xs = self.step_inputs(xs)
-        acts = self._activations(xs)
-        layers = list(self._layers(self._params))
-        dlayers = list(self._layers(np.asarray(y, dtype=float)))
-        # dh goes to slot i % 2, tmp to the slot of the dh it replaced.
-        dh = np.zeros_like(acts[0])
-        for i, ((w, _), (dw, db)) in enumerate(zip(layers, dlayers)):
-            hidden = i < len(layers) - 1
-            rows, cols = len(dh), w.shape[1]
-            dh = np.matmul(dh, w,
-                           out=_scratch(i % 2, rows, cols) if hidden else None)
-            tmp = np.matmul(acts[i], dw, out=_scratch(1 - i % 2, rows, cols))
-            dh += tmp
-            dh += db
-            if hidden:
-                dh *= _tanh_slope(acts[i + 1], out=tmp)
-        return dh.reshape(np.shape(xs)[:-1] + (self.action_dim,))
+        acts, sens = self._activations(xs)
+        out = np.zeros(len(acts[0]))
+        for a, d, (dw, db) in zip(acts, sens, self._layers(
+                np.asarray(y, dtype=float))):
+            p, q, m = (a, d, dw.T) if a.shape[1] < d.shape[1] else (d, a, dw)
+            for r in _blocks(len(out)):
+                t = np.matmul(q[r], m, out=_scratch(0, *p[r].shape))
+                out[r] += np.einsum("ij,ij->i", t, p[r]) + d[r] @ db
+        return out.reshape(np.shape(xs)[:-1] + (1,))
 
 
 _SCRATCH = threading.local()
+
+
+def _blocks(rows: int) -> list:
+    return [slice(i, i + BLOCK_ROWS) for i in range(0, rows, BLOCK_ROWS)]
 
 
 def _scratch(slot: int, rows: int, cols: int) -> np.ndarray:
@@ -357,10 +383,3 @@ def _scratch(slot: int, rows: int, cols: int) -> np.ndarray:
     if bufs[slot].size < rows * cols:
         bufs[slot] = np.empty(rows * cols)
     return bufs[slot][:rows * cols].reshape(rows, cols)
-
-
-def _tanh_slope(h: np.ndarray, out=None) -> np.ndarray:
-    """1 - h^2, the derivative of tanh at the pre-activation of h = tanh(z)."""
-    d = np.square(h, out=out)
-    np.subtract(1.0, d, out=d)
-    return d

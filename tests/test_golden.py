@@ -46,7 +46,7 @@ GOLDEN = {
     "lq_smoothed_cg":
         "c242ea877df584cd2664eb1a082f3a8f91a0e466eaf131320aed6330e38451f2",
     "pendulum_mlp_cg":
-        "8d5c3e75058e1a5df7f541ca4039d641f4e0d902abd6561faabaa3b7a4e9813e",
+        "79731e359002869a81f07f0d3f4d75347bc70eb6d7ed111c751ea77a0214bda2",
     "pendulum_pice_pinv":
         "79203696611cf42e74a77bc281f865b93fdf383b2dea281cd7794742e4a7d880",
 }

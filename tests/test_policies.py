@@ -207,9 +207,65 @@ class TestMlpPolicy:
         with pytest.raises(ValueError):
             MlpPolicy([2, 8, 1], 1.0, params=np.zeros(3))
 
+    @pytest.mark.parametrize("sizes", [[2, 8, 2], [2, 8, 0], [2, 3]])
+    def test_vector_output_rejected(self, sizes):
+        with pytest.raises(ValueError, match="layer_sizes"):
+            MlpPolicy(sizes, 1.0, rng=np.random.default_rng(0))
+
     def test_needs_params_or_rng(self):
         with pytest.raises(ValueError, match="params or a seeded rng"):
             MlpPolicy([2, 8, 1], 1.0)
+
+
+def reference_products(sizes, params, xs, y, v):
+    """J y by forward mode and J^T v by reverse mode, propagated layer by
+    layer through the tanh slopes: the sensitivity-free reference."""
+    def unflatten(flat):
+        off, out = 0, []
+        for m, n in zip(sizes, sizes[1:]):
+            out.append((flat[off:off + m * n].reshape(m, n),
+                        flat[off + m * n:off + m * n + n]))
+            off += m * n + n
+        return out
+
+    layers = unflatten(params)
+    acts = [np.asarray(xs, dtype=float).reshape(-1, sizes[0])]
+    for i, (w, b) in enumerate(layers):
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if i < len(layers) - 1 else z)
+    dh = np.zeros_like(acts[0])
+    for i, ((w, _), (dw, db)) in enumerate(zip(layers, unflatten(y))):
+        dh = dh @ w + acts[i] @ dw + db
+        if i < len(layers) - 1:
+            dh = dh * (1 - acts[i + 1] ** 2)
+    g, grads = np.reshape(v, (-1, 1)), []
+    for i in range(len(layers) - 1, -1, -1):
+        if i < len(layers) - 1:
+            g = g * (1 - acts[i + 1] ** 2)
+        grads[:0] = [(acts[i].T @ g).ravel(), g.sum(axis=0)]
+        g = g @ layers[i][0].T
+    return dh.reshape(np.shape(xs)[:-1] + (1,)), np.concatenate(grads)
+
+
+@pytest.mark.parametrize("sizes", [[2, 8, 1], [2, 8, 5, 1], [2, 32, 32, 1],
+                                   [2, 8, 5, 7, 1]])
+@pytest.mark.parametrize("rows", [1, 50, policies.BLOCK_ROWS,
+                                  2 * policies.BLOCK_ROWS + 17])
+def test_jacobian_products_match_propagation_reference(sizes, rows):
+    pol = MlpPolicy(sizes, noise_var=2.0, rng=np.random.default_rng(rows))
+    rng = np.random.default_rng(len(sizes) + rows)
+    xs = frozen(rng.normal(size=(rows, 2)))
+    y = rng.normal(size=pol.num_params)
+    v = rng.normal(size=(rows, 1))
+    jy, jtv = reference_products(sizes, pol.params, xs, y, v)
+    # Both forms sum the same products in another order.  An entry that
+    # cancels far below the largest one keeps the largest one's round-off,
+    # so the tolerance is relative to the largest entry.
+    for got, want in [(pol.jac_y_steps(xs, y), jy),
+                      (pol.jac_t_v_steps(xs, v), jtv),
+                      (pol.jac_y_steps(np.array(xs), y), jy)]:
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 def frozen(a):
@@ -364,13 +420,15 @@ class TestMlpActivationCache:
                 np.testing.assert_array_equal(a, b)
 
     def big_case(self):
-        """A (50, 60) batch through 32-wide layers: one (3000, 32) hidden
-        array is 768,000 bytes, more than the calls below may allocate."""
+        """A (50, 100) batch, more than two row blocks, through 32-wide
+        layers: one (5000, 32) hidden array is 1,280,000 bytes, more than
+        the calls below may allocate."""
         pol = MlpPolicy([2, 32, 32, 1], noise_var=2.0,
                         rng=np.random.default_rng(0))
         rng = np.random.default_rng(33)
-        xs = frozen(rng.normal(size=(50, 60, 2)))
-        return pol, xs, rng.normal(size=pol.params.size), 50 * 60 * 32 * 8
+        xs = frozen(rng.normal(size=(50, 100, 2)))
+        assert xs.size // 2 > 2 * policies.BLOCK_ROWS
+        return pol, xs, rng.normal(size=pol.params.size), 50 * 100 * 32 * 8
 
     def test_fisher_vector_product_allocates_no_hidden_layer(self):
         pol, xs, y, limit = self.big_case()
@@ -383,6 +441,12 @@ class TestMlpActivationCache:
         params = pol.params + 1e-2 * y
         assert peak_bytes(lambda: pol.with_params(params).log_prob_steps(
             xs, actions)) < limit
+
+    def test_cache_build_allocates_activations_and_sensitivities_only(self):
+        pol, xs, y, hidden = self.big_case()
+        cached = 2 * (len(pol.layer_sizes) - 2)  # h_l and d_l per hidden layer
+        assert peak_bytes(lambda: pol.with_params(pol.params).jac_y_steps(
+            xs, y)) < (cached + 1) * hidden
 
 
 @pytest.mark.parametrize("family", ["linear", "mlp"])

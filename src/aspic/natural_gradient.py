@@ -10,7 +10,9 @@ policy mean.  Two solvers turn the raw ascent direction g into F^-1 g: damped
 truncated conjugate gradient, or an exact per-timestep pseudo-inverse for
 policies whose parameters block-decompose by grid time.  The step size is then
 adjusted so the sampled KL between consecutive policies hits the trust-region
-target (the constraint is an equality, enforced to 10% by bisection).
+target (the constraint is an equality): in closed form for a linear mean,
+whose sampled KL is an exact quadratic in the step size, and to 10% by a
+safeguarded model root for any other.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ __all__ = ["TrustRegionUpdate", "sample_policy_kl", "fisher_vector_product",
            "trust_region_step", "LineSearchError"]
 
 KL_REL_TOL = 0.1  # line-search exit: |achieved_kl - epsilon| <= 0.1 * epsilon
-MAX_BRACKET = 50  # doublings (or halvings) of eta before the bracket fails
+MAX_BRACKET = 50  # trials without a bracket before the line search fails
+MAX_TRIALS = 200  # KL evaluations before the line search fails
+GROWTH = 4.0  # largest step-size growth of a trial before any overshoots
+EDGE = 0.05  # share of the bracket a model trial keeps from either end
 
 
 class LineSearchError(RuntimeError):
@@ -40,6 +45,7 @@ class TrustRegionUpdate:
     eta: float
     achieved_kl: float
     cg_iterations: int | None
+    kl_evaluations: int  # sampled-KL evaluations of the line search
 
 
 def sample_policy_kl(batch: RolloutBatch, policy_old, policy_new) -> float:
@@ -117,17 +123,6 @@ def per_timestep_natural_direction(batch: RolloutBatch,
     return np.einsum("tkl,tl->tk", inv, g_blocks).ravel()
 
 
-def _damping(fvp, dim: int, scale: float) -> float:
-    """scale * trace(F)/dim, trace estimated with fixed Rademacher probes."""
-    rng = np.random.default_rng(0)
-    est = 0.0
-    probes = 2
-    for _ in range(probes):
-        z = rng.integers(0, 2, size=dim) * 2.0 - 1.0
-        est += float(z @ fvp(z)) / dim
-    return scale * est / probes
-
-
 def trust_region_step(batch: RolloutBatch, policy, g: np.ndarray,
                       epsilon: float, solver: str = "cg", *,
                       iters: int = 10, rcond: float = 1e-4,
@@ -136,74 +131,126 @@ def trust_region_step(batch: RolloutBatch, policy, g: np.ndarray,
 
     ``solver`` is "cg" (damped truncated conjugate gradient) or
     "per_timestep_pinv"; ``iters`` caps the CG iterations.  ``damping``
-    scales the ridge added to the Fisher operator (relative to its mean
-    eigenvalue); small values give the near-exact natural direction, large
-    values shrink it toward the raw whitened gradient, which is more robust
-    with small batches.  A vanishing natural direction returns the
-    parameters unchanged with eta = 0, signalling convergence.
+    scales the ridge added to the Fisher operator, relative to its mean
+    eigenvalue ``policy.fisher_trace(batch) / dim``; small values give the
+    near-exact natural direction, large values shrink it toward the raw
+    whitened gradient, which is more robust with small batches.  A
+    vanishing natural direction returns the parameters unchanged with
+    eta = 0, signalling convergence.  A non-finite or non-positive
+    ``epsilon``, or a ``g`` that is non-finite or not shaped like the
+    parameters, is a ``ValueError``.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    g = np.asarray(g, dtype=float)
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     theta = policy.params
+    g = np.asarray(g, dtype=float)
+    if g.shape != theta.shape:
+        raise ValueError(f"g has shape {g.shape}, the parameters "
+                         f"{theta.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("g has a non-finite entry")
 
     cg_used = None
     if solver == "cg":
-        fvp = lambda y: fisher_vector_product(batch, policy, y)
-        lam = _damping(fvp, g.size, damping)
-        g_f, cg_used = conjugate_gradient(lambda y: fvp(y) + lam * y,
-                                          g, max_iters=iters)
+        lam = damping * policy.fisher_trace(batch) / g.size
+        g_f, cg_used = conjugate_gradient(
+            lambda y: fisher_vector_product(batch, policy, y) + lam * y,
+            g, max_iters=iters)
     elif solver == "per_timestep_pinv":
         g_f = per_timestep_natural_direction(batch, policy, g, rcond=rcond)
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
     if np.linalg.norm(g_f) < 1e-12:
-        return TrustRegionUpdate(theta, 0.0, 0.0, cg_used)
+        return TrustRegionUpdate(theta, 0.0, 0.0, cg_used, 0)
 
     if isinstance(policy, TimeVaryingLinearPolicy):
-        # The mean is linear in the parameters, so the sampled KL along the
-        # ray theta + eta * g_f is an exact quadratic in eta.
-        resid = batch.actions - policy.mean_steps(batch)
-        du = policy.jac_y_steps(batch, g_f)
-        a2 = float(np.sum(du * du))
-        rb = float(np.sum(resid * du))
-        denom = 2.0 * policy.noise_var * batch.n
-
-        def kl_at(eta: float) -> float:
-            return (eta * eta * a2 - 2.0 * eta * rb) / denom
+        (eta, kl), evaluations = _linear_root(batch, policy, g_f, epsilon), 0
     else:
-        def kl_at(eta: float) -> float:
-            return sample_policy_kl(batch, policy,
-                                    policy.with_params(theta + eta * g_f))
+        # A quadratic KL model seeds the step size.
+        seed = float(np.sqrt(2.0 * epsilon / (abs(float(g @ g_f)) + 1e-300)))
+        eta, kl, evaluations = _kl_root(
+            lambda eta: sample_policy_kl(
+                batch, policy, policy.with_params(theta + eta * g_f)),
+            seed, epsilon)
+    return TrustRegionUpdate(theta + eta * g_f, eta, kl, cg_used, evaluations)
 
-    # Quadratic KL model seeds the step size; bisection pins the equality.
-    eta = float(np.sqrt(2.0 * epsilon / (abs(float(g @ g_f)) + 1e-300)))
-    kl = kl_at(eta)
-    if abs(kl - epsilon) > KL_REL_TOL * epsilon:
-        # Double eta while the KL is short of epsilon, else halve it.
-        grow = kl < epsilon
-        edge = eta
-        for _ in range(MAX_BRACKET):
-            edge *= 2.0 if grow else 0.5
-            edge_kl = kl_at(edge)
-            if edge_kl >= epsilon if grow else edge_kl <= epsilon:
-                break
+
+def _linear_root(batch: RolloutBatch, policy: TimeVaryingLinearPolicy,
+                 g_f: np.ndarray, epsilon: float) -> tuple[float, float]:
+    """(eta, KL) at the positive root of KL(eta) = epsilon.
+
+    The mean is linear in the parameters, so the sampled KL along the ray
+    theta + eta g_f is the exact quadratic (a2 eta^2 - 2 rb eta) / denom.
+    """
+    resid = batch.actions - policy.mean_steps(batch)
+    du = policy.jac_y_steps(batch, g_f)
+    a2 = float(np.sum(du * du))
+    rb = float(np.sum(resid * du))
+    denom = 2.0 * policy.noise_var * batch.n
+    if a2 == 0.0:
+        raise LineSearchError("failed to bracket the trust-region step size "
+                              "from above: the natural direction leaves the "
+                              "mean unchanged on the batch")
+    c = epsilon * denom
+    root = np.sqrt(rb * rb + a2 * c)
+    # Both forms are (rb + root) / a2; the first cancels no digits at rb < 0.
+    eta = float(c / (root - rb) if rb < 0 else (rb + root) / a2)
+    return eta, (eta * eta * a2 - 2.0 * eta * rb) / denom
+
+
+def _kl_root(kl_at, eta: float, epsilon: float) -> tuple[float, float, int]:
+    """(eta, KL, evaluations) with |kl_at(eta) - epsilon| <= KL_REL_TOL eps.
+
+    Starts at ``eta``; KL(0) = 0 is a free lower end of the bracket.  Each
+    further trial is the root of a model through the bracket ends:
+    A eta^2 through the origin and the one end a trial has set (growing at
+    most ``GROWTH``-fold while no trial has overshot), or A eta^2 + B eta
+    through both ends once trials have set both.  There a proposal outside
+    the bracket, or within ``EDGE`` of its width from an end, is replaced by
+    the geometric mean of the ends.
+    """
+    lo, kl_lo, hi, kl_hi = 0.0, 0.0, None, None
+    for k in range(1, MAX_TRIALS + 1):
+        kl = kl_at(eta)
+        if not np.isfinite(kl):
+            raise LineSearchError(f"sampled KL {kl} at step size {eta}")
+        if abs(kl - epsilon) <= KL_REL_TOL * epsilon:
+            return float(eta), kl, k
+        if kl < epsilon:
+            lo, kl_lo = eta, kl
         else:
-            raise LineSearchError("failed to bracket the trust-region step "
-                                  f"size from {'above' if grow else 'below'}")
-        lo, hi = sorted((eta, edge))
-        for _ in range(200):
-            eta = 0.5 * (lo + hi)
-            kl = kl_at(eta)
-            if abs(kl - epsilon) <= KL_REL_TOL * epsilon:
-                break
-            if kl < epsilon:
-                lo = eta
+            hi, kl_hi = eta, kl
+        if hi is None or lo == 0.0:
+            if k == MAX_BRACKET:
+                raise LineSearchError(
+                    "failed to bracket the trust-region step size from "
+                    f"{'above' if hi is None else 'below'}")
+            if hi is not None:
+                eta = hi * np.sqrt(epsilon / kl_hi)
             else:
-                hi = eta
-        else:
-            raise LineSearchError("step-size bisection failed to meet the "
-                                  "trust-region tolerance")
+                eta = lo * (min(GROWTH, np.sqrt(epsilon / kl_lo))
+                            if kl_lo > 0 else GROWTH)
+            continue
+        eta = _two_point_root(lo, kl_lo, hi, kl_hi, epsilon)
+        edge = EDGE * (hi - lo)
+        if not lo + edge <= eta <= hi - edge:
+            eta = np.sqrt(lo * hi)
+        if not lo < eta < hi:
+            break  # the bracket is down to adjacent floats
+    raise LineSearchError("step-size bisection failed to meet the "
+                          "trust-region tolerance")
 
-    return TrustRegionUpdate(theta + eta * g_f, eta, kl, cg_used)
+
+def _two_point_root(lo, kl_lo, hi, kl_hi, epsilon) -> float:
+    """Positive root of A eta^2 + B eta = epsilon through (lo, kl_lo) and
+    (hi, kl_hi), 0 < lo < hi; NaN when the model has none."""
+    a = (kl_hi / hi - kl_lo / lo) / (hi - lo)
+    b = kl_lo / lo - a * lo
+    disc = b * b + 4.0 * a * epsilon
+    if disc < 0:
+        return float("nan")
+    root = np.sqrt(disc)
+    if b > 0:  # the form that cancels no digits
+        return float(2.0 * epsilon / (b + root))
+    return float((root - b) / (2.0 * a)) if a > 0 else float("nan")

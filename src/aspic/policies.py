@@ -84,6 +84,11 @@ class GaussianPolicy:
         """sum over all rollouts and steps of J_u^T v; returns a flat vector."""
         raise NotImplementedError
 
+    def fisher_trace(self, batch: RolloutBatch) -> float:
+        """trace F of the sampled Fisher over ``batch``: the squared norms of
+        the Jacobian rows, summed, over (N noise_var)."""
+        raise NotImplementedError
+
     def log_prob_steps(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Per-step log-probabilities; shape of xs minus the state axis."""
         resid = np.asarray(actions, dtype=float) - self.mean_steps(xs)
@@ -200,6 +205,11 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
         v = np.asarray(v, dtype=float)[..., 0].reshape(-1, self.num_steps)
         return np.einsum("ntk,nt->tk", feats, v).ravel()
 
+    def fisher_trace(self, batch: RolloutBatch) -> float:
+        """sum phi^2 / (N noise_var): a Jacobian row is the step's features."""
+        feats = self.step_inputs(batch)
+        return float(np.vdot(feats, feats)) / (batch.n * self.noise_var)
+
 
 # ---------------------------------------------------------------------------
 # MLP mean
@@ -225,8 +235,10 @@ class MlpPolicy(GaussianPolicy):
     ``jac_t_v_steps`` reuse them, and a product is one matrix product per
     layer; since the parameters and the array are both immutable, the
     results are the same floats.  Any other ``xs``, a writable array or a
-    view, is evaluated afresh on every call; a mean over a batch that is not
-    cached caches nothing.  Every temporary as wide as a hidden layer lives
+    view, is evaluated afresh on every call.  ``mean_steps`` builds the cache
+    when handed a ``RolloutBatch``, so an estimator's mean and its product
+    share one forward; a mean over a bare array that is not cached caches
+    nothing.  Every temporary as wide as a hidden layer lives
     in two per-thread buffers of ``BLOCK_ROWS`` x width, kept for the
     thread's life.
     """
@@ -330,8 +342,12 @@ class MlpPolicy(GaussianPolicy):
         return self.mean_steps(x)
 
     def mean_steps(self, xs: np.ndarray) -> np.ndarray:
+        """A batch, or an ``xs`` already cached, goes through the cache (a
+        batch builds it, for the products that follow); any other ``xs`` is
+        one uncached forward."""
+        cache = isinstance(xs, RolloutBatch)
         xs = self.step_inputs(xs)
-        out = (self._cached[1][0] if self._is_cached(xs)
+        out = (self._activations(xs)[0] if cache or self._is_cached(xs)
                else self._forward(xs, keep=False))[-1]
         return out.reshape(np.shape(xs)[:-1] + (1,)).copy()
 
@@ -350,6 +366,17 @@ class MlpPolicy(GaussianPolicy):
                 gb += v[r, 0] @ d[r]
             grads += [(gw.T if swap else gw).ravel(), gb]
         return np.concatenate(grads)
+
+    def fisher_trace(self, batch: RolloutBatch) -> float:
+        """sum over rows and layers of (|a_{l-1}|^2 + 1) |d_l|^2, the squared
+        norm of the row's Jacobian block (a_{l-1} (x) d_l, d_l), over
+        (N noise_var)."""
+        acts, sens = self._activations(batch.xs)
+        total = 0.0
+        for a, d in zip(acts, sens):
+            total += float((np.einsum("ij,ij->i", a, a) + 1.0)
+                           @ np.einsum("ij,ij->i", d, d))
+        return total / (batch.n * self.noise_var)
 
     def jac_y_steps(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
         """sum_l rowsum((a_{l-1} dW_l) d_l) + d_l db_l; the first term is

@@ -22,6 +22,9 @@ __all__ = ["SmoothingResult", "normalized_weights", "weight_entropy",
 ALPHA_REL_TOL = 1e-3
 # Bisection levels one pass of the search evaluates: 2**levels - 1 alphas.
 BISECT_LEVELS = 4
+# Ladder rungs the first pass evaluates, start * 2**0 .. 2**15 after the
+# floor; the rest of the ladder only when none of them meets delta.
+FIRST_RUNGS = 16
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,10 @@ def find_alpha(costs, gamma: float, delta: float) -> SmoothingResult:
     bisected to relative tolerance ``ALPHA_REL_TOL``.
 
     The costs are validated and shifted once.  One vectorized pass
-    evaluates the floor and the whole doubling ladder, and each further
-    pass every midpoint of the next ``BISECT_LEVELS`` levels.  Each
-    evaluation has the float operations of
+    evaluates the floor and the first ``FIRST_RUNGS`` rungs of the doubling
+    ladder, a second the rest of the ladder if none of them meets delta,
+    and each further pass every midpoint of the next ``BISECT_LEVELS``
+    levels.  Each evaluation has the float operations of
     ``kl_estimate(normalized_weights(...))``, so alpha is the one the
     step-by-step search finds, bit for bit.
     """
@@ -118,7 +122,10 @@ def find_alpha(costs, gamma: float, delta: float) -> SmoothingResult:
     with np.errstate(over="ignore"):
         ladder = np.ldexp(start, np.arange(int(np.log2(ceiling / start)) + 2))
     alphas = np.concatenate([[floor], ladder[ladder <= ceiling]])
-    ok = _kl_estimates(neg, gamma, alphas) <= delta
+    ok = _kl_estimates(neg, gamma, alphas[:FIRST_RUNGS + 1]) <= delta
+    if not ok.any():
+        ok = np.concatenate([ok, _kl_estimates(
+            neg, gamma, alphas[FIRST_RUNGS + 1:]) <= delta])
     if not ok.any():
         raise ValueError("smoothing constraint unsatisfiable below the "
                          "alpha ceiling; check the costs for outliers")

@@ -40,15 +40,15 @@ CASES = {
 
 GOLDEN = {
     "acrobot_smoothed_pinv":
-        "011c1cbb30f7ae9a017dd60614f2c661f992163dc2c31f54ec8d19017f780f59",
+        "d6118f81c462b7956d23a8774b32d1fbbe36875115bcab36f9ea765aff4d7faa",
     "lq_direct_pinv":
-        "ce8a45288c08cd18a639eaab06a8479846711f81fffa52d37958f91c33d6b354",
+        "0c41523f07d52f237af68dcaa0aae33fdb659c1d796f5a610d808a6a8e7bfcc0",
     "lq_smoothed_cg":
-        "c242ea877df584cd2664eb1a082f3a8f91a0e466eaf131320aed6330e38451f2",
+        "fdefd0a1b71210d777d9f0fd4b0fabc051d77d73aea5617ef64a63804bd56b83",
     "pendulum_mlp_cg":
-        "79731e359002869a81f07f0d3f4d75347bc70eb6d7ed111c751ea77a0214bda2",
+        "28468be9d6bdfe82d7d2bdae7032646f65491f5abcb0303924dfa41b109190b2",
     "pendulum_pice_pinv":
-        "79203696611cf42e74a77bc281f865b93fdf383b2dea281cd7794742e4a7d880",
+        "3fe333adf03de9f4aed20869a7af1197a6d6401e2607c390a4a4416e7e1f3389",
 }
 
 

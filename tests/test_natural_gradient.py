@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from aspic import (LineSearchError, MlpPolicy, RolloutBatch,
-                   TimeVaryingLinearPolicy, conjugate_gradient,
-                   fisher_vector_product, lq_features, make_env,
-                   per_timestep_natural_direction, sample_batch,
-                   sample_policy_kl, trust_region_step)
+                   TimeVaryingLinearPolicy, acrobot_features,
+                   conjugate_gradient, fisher_vector_product, lq_features,
+                   make_env, pendulum_features, per_timestep_natural_direction,
+                   policies, sample_batch, sample_policy_kl, smoothed_gradient,
+                   trust_region_step)
 from aspic.natural_gradient import KL_REL_TOL
 
 LQ_SMALL = dict(horizon=0.4, dt=0.1, viapoints=((0.2, 1.0),), sigma=0.5)
@@ -141,6 +142,44 @@ class TestFisherVectorProduct:
         batch, policy = make_fixture()
         with pytest.raises(ValueError):
             fisher_vector_product(batch, policy, np.zeros(3))
+
+
+def fisher_diagonal(batch, policy):
+    """(F e_i)_i for every unit vector e_i."""
+    return np.array([fisher_vector_product(batch, policy, e)[i]
+                     for i, e in enumerate(np.eye(policy.params.size))])
+
+
+class TestFisherTrace:
+    @pytest.mark.parametrize("task, overrides, feature_fn, k", [
+        ("lq_viapoints", LQ_SMALL, lq_features, 2),
+        ("pendulum", {"horizon": 0.05}, pendulum_features, 4),
+        ("acrobot", {"horizon": 0.05}, acrobot_features, 9)])
+    def test_linear_trace_is_the_diagonal_sum(self, task, overrides,
+                                              feature_fn, k):
+        env = make_env(task, overrides)
+        rng = np.random.default_rng(40)
+        policy = TimeVaryingLinearPolicy(
+            feature_fn, k, env.num_steps, env.noise_var,
+            params=rng.normal(scale=0.3, size=k * env.num_steps))
+        batch = sample_batch(env, policy, 7, 41, gamma=1.0)
+        assert policy.fisher_trace(batch) == pytest.approx(
+            fisher_diagonal(batch, policy).sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("sizes, n, steps", [
+        ([2, 8, 1], 5, 6), ([2, 8, 5, 1], 5, 6), ([2, 32, 32, 1], 4, 5),
+        ([2, 8, 5, 1], 30, 70), ([2, 32, 32, 1], 30, 70)])
+    def test_mlp_trace_is_the_diagonal_sum(self, sizes, n, steps):
+        rng = np.random.default_rng(42)
+        policy = MlpPolicy(sizes, noise_var=2.0, rng=rng)
+        policy = policy.with_params(policy.params + rng.normal(
+            scale=0.1, size=policy.params.size))  # nonzero biases
+        batch = array_batch(rng.normal(size=(n, steps + 1, 2)),
+                            rng.normal(size=(n, steps, 1)))
+        if n == 30:
+            assert n * steps > policies.BLOCK_ROWS
+        assert policy.fisher_trace(batch) == pytest.approx(
+            fisher_diagonal(batch, policy).sum(), rel=1e-12)
 
 
 class TestConjugateGradient:
@@ -287,6 +326,66 @@ class TestTrustRegionStep:
             trust_region_step(batch, policy, np.ones(policy.params.size),
                               epsilon=0.0)
 
+    @pytest.mark.parametrize("solver", ["cg", "per_timestep_pinv"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_linear_root_meets_epsilon_in_closed_form(self, solver, seed):
+        batch, policy = make_fixture(seed=30 + seed, n=12)
+        g = np.random.default_rng(seed).normal(size=policy.params.size)
+        for sign in (1.0, -1.0):  # the residual term changes sign with g
+            up = trust_region_step(batch, policy, sign * g, epsilon=0.05,
+                                   solver=solver)
+            assert up.kl_evaluations == 0
+            assert up.achieved_kl == pytest.approx(0.05, rel=1e-12)
+            new = policy.with_params(up.new_params)
+            assert sample_policy_kl(batch, policy, new) == pytest.approx(
+                0.05, rel=1e-9)
+
+    def test_linear_direction_that_leaves_the_mean_fixed_fails(self):
+        # Every state is 0, so the x-coefficients have zero features: the
+        # ridge alone gives them a natural direction, which moves no mean.
+        pol = TimeVaryingLinearPolicy(lq_features, 2, 2, 1.0,
+                                      params=np.zeros(4))
+        batch = array_batch(np.zeros((3, 3, 1)), np.ones((3, 2, 1)))
+        with pytest.raises(LineSearchError, match="from above"):
+            trust_region_step(batch, pol, np.array([1.0, 0.0, -1.0, 0.0]),
+                              epsilon=0.1)
+
+    def test_mlp_step_counts_its_kl_evaluations(self):
+        env = make_env("pendulum", {"horizon": 0.5})
+        policy = MlpPolicy([2, 8, 1], env.noise_var,
+                           rng=np.random.default_rng(43))
+        batch = sample_batch(env, policy, 8, 44, gamma=1.0)
+        g = smoothed_gradient(batch, policy, alpha=1.0)
+        up = trust_region_step(batch, policy, g, epsilon=0.1)
+        assert up.kl_evaluations >= 1
+        assert type(up.eta) is float  # as it enters the record stream
+        assert abs(up.achieved_kl - 0.1) <= KL_REL_TOL * 0.1
+        assert up.achieved_kl == sample_policy_kl(
+            batch, policy, policy.with_params(up.new_params))
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        batch, policy = make_fixture()
+        with pytest.raises(ValueError, match="epsilon"):
+            trust_region_step(batch, policy, np.ones(policy.params.size),
+                              epsilon=epsilon)
+
+    @pytest.mark.parametrize("solver", ["cg", "per_timestep_pinv"])
+    def test_non_finite_gradient_rejected(self, solver):
+        batch, policy = make_fixture()
+        g = np.ones(policy.params.size)
+        g[3] = np.nan
+        with pytest.raises(ValueError, match="g has a non-finite"):
+            trust_region_step(batch, policy, g, epsilon=0.1, solver=solver)
+
+    @pytest.mark.parametrize("size", [3, 9])
+    def test_wrong_size_gradient_rejected(self, size):
+        batch, policy = make_fixture()
+        assert policy.params.size == 8
+        with pytest.raises(ValueError, match="g has shape"):
+            trust_region_step(batch, policy, np.ones(size), epsilon=0.1,
+                              solver="per_timestep_pinv")
+
     def test_heavier_damping_shrinks_toward_gradient(self):
         batch, policy = make_fixture(seed=17, n=12)
         g = np.random.default_rng(18).normal(size=policy.params.size)
@@ -311,8 +410,9 @@ def _zero_residual_batch(batch, policy):
 class KlStubPolicy:
     """Policy stub whose sampled KL from ``params = 0`` is ``kl(params)``.
 
-    Its Jacobians are the identity, so the Fisher operator is I / N and the
-    natural direction is the raw gradient scaled by about N.  ``log`` collects
+    Its Jacobians are the identity, so the Fisher operator is I / N, its
+    trace dim / N, and the natural direction is the raw gradient scaled by
+    about N.  ``log`` collects
     the parameter norm of every policy the line search builds, in order.
     """
 
@@ -333,6 +433,9 @@ class KlStubPolicy:
     def jac_t_v_steps(self, xs, v):
         return np.asarray(v, dtype=float)
 
+    def fisher_trace(self, batch):
+        return self.params.size / batch.n
+
     def log_prob_steps(self, xs, acts):
         return np.full(len(xs), -self.kl(self.params))
 
@@ -349,18 +452,41 @@ class TestLineSearch:
                                epsilon=self.EPS)
         return up, log
 
-    @pytest.mark.parametrize("scale, grows", [(0.01, True), (100.0, False)])
-    def test_bracket_then_bisection(self, scale, grows):
-        # The quadratic seed step lands at a KL of about scale * epsilon, so
-        # the bracket doubles eta (scale < 1) or halves it (scale > 1).
+    @pytest.mark.parametrize("scale", [0.1, 100.0])
+    def test_exact_quadratic_is_solved_in_two_evaluations(self, scale):
+        # The quadratic seed step lands at a KL of about scale * epsilon
+        # (within the 4x growth cap, or above epsilon); the model through
+        # the origin then puts the second trial on the root.
         c = scale / (2 * self.N)
         up, log = self.step(lambda th: c * float(th @ th))
-        assert abs(up.achieved_kl - self.EPS) <= KL_REL_TOL * self.EPS
-        seed_norm, bracket_norm = log[0], log[1]
-        assert bracket_norm == pytest.approx(
-            seed_norm * (2.0 if grows else 0.5), rel=1e-12)
+        assert up.kl_evaluations == len(log) == 2
+        assert up.achieved_kl == pytest.approx(self.EPS, rel=1e-12)
         assert np.linalg.norm(up.new_params) == pytest.approx(
-            seed_norm / np.sqrt(scale), rel=0.1)
+            np.sqrt(self.EPS / c), rel=1e-12)
+
+    def test_growth_is_capped_until_a_trial_overshoots(self):
+        # The seed lands at 1e-3 epsilon: the model asks for about 32x, and
+        # the trials grow 4x, 4x, then the rest of the way.
+        c = 1e-3 / (2 * self.N)
+        up, log = self.step(lambda th: c * float(th @ th))
+        np.testing.assert_allclose(np.array(log[1:3]) / log[:2], 4.0,
+                                   rtol=1e-12)
+        assert up.kl_evaluations == len(log) == 4
+        assert up.achieved_kl == pytest.approx(self.EPS, rel=1e-12)
+
+    @pytest.mark.parametrize("quartic, linear, most", [(1.0, 0.5, 4),
+                                                       (100.0, 0.1, 6)])
+    def test_steep_kl_with_a_negative_linear_term(self, quartic, linear,
+                                                  most):
+        # KL = quartic |th|^4 - linear |th| dips below 0 before it rises
+        # steeply through epsilon; no model through two ends is exact.
+        def kl(th):
+            return quartic * float(th @ th) ** 2 - linear * np.linalg.norm(th)
+
+        up, log = self.step(kl)
+        assert abs(up.achieved_kl - self.EPS) <= KL_REL_TOL * self.EPS
+        assert up.achieved_kl == kl(up.new_params)
+        assert up.kl_evaluations == len(log) <= most
 
     def test_bracket_from_above_fails(self):
         with pytest.raises(LineSearchError, match="from above"):
@@ -369,6 +495,10 @@ class TestLineSearch:
     def test_bracket_from_below_fails(self):
         with pytest.raises(LineSearchError, match="from below"):
             self.step(lambda th: float(np.any(th != 0.0)))
+
+    def test_non_finite_kl_fails(self):
+        with pytest.raises(LineSearchError, match="sampled KL nan"):
+            self.step(lambda th: np.nan)
 
     def test_bisection_fails_on_a_kl_jump(self):
         # The KL jumps from 0 to 10 epsilon, so no step meets the tolerance.

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from aspic import (MlpPolicy, TimeVaryingLinearPolicy, acrobot_features,
-                   lq_features, pendulum_features, policies)
+                   lq_features, make_env, pendulum_features, policies,
+                   sample_batch, smoothed_gradient)
 
 
 def make_linear(num_steps=3, noise_var=1.0, seed=None):
@@ -441,6 +442,22 @@ class TestMlpActivationCache:
         params = pol.params + 1e-2 * y
         assert peak_bytes(lambda: pol.with_params(params).log_prob_steps(
             xs, actions)) < limit
+
+    def test_smoothed_gradient_runs_the_network_once(self, monkeypatch):
+        env = make_env("pendulum", {"horizon": 0.5})
+        pol = MlpPolicy([2, 8, 1], env.noise_var,
+                        rng=np.random.default_rng(3))
+        batch = sample_batch(env, pol, 6, 34, gamma=1.0)
+        passes = []
+        forward = MlpPolicy._forward
+        monkeypatch.setattr(MlpPolicy, "_forward", lambda self, *args, **kw:
+                            passes.append(1) or forward(self, *args, **kw))
+        smoothed_gradient(batch, pol, alpha=1.0)
+        assert len(passes) == 1
+        # The cached mean is the uncached forward's, bit for bit.
+        np.testing.assert_array_equal(
+            pol.mean_steps(batch),
+            pol.with_params(pol.params).mean_steps(np.array(batch.xs)))
 
     def test_cache_build_allocates_activations_and_sensitivities_only(self):
         pol, xs, y, hidden = self.big_case()

@@ -267,3 +267,18 @@ def test_find_alpha_is_the_step_by_step_search(n, spread, seed, outliers,
     assert res.alpha == alpha
     np.testing.assert_array_equal(res.weights, weights)
     assert res.kl_estimate == kl_estimate(weights)
+
+
+@pytest.mark.parametrize("gamma, delta", [(0.0, 0.1), (1.0, 1.0)])
+def test_find_alpha_is_the_step_by_step_search_past_the_first_rungs(gamma,
+                                                                    delta):
+    # A 1e9 cost spread puts the answer far above start * 2**15, so the
+    # search reads the rest of the ladder in its second pass.
+    costs = _spread_costs(100, 1e9, 0)
+    alpha = reference_alpha(costs, gamma, delta)
+    start = max(1.0, 2e-8 * (1e9 + 1.0)) if gamma == 0 else 1.0
+    assert alpha > start * 2.0 ** (smoothing.FIRST_RUNGS - 1)
+    res = find_alpha(costs, gamma, delta)
+    assert res.alpha == alpha
+    np.testing.assert_array_equal(res.weights,
+                                  normalized_weights(costs, gamma, alpha))

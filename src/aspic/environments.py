@@ -12,7 +12,8 @@ zero-mean Gaussian with the same variance, so the per-step log-prob ratio is
 the discretized Girsanov quadratic control cost.
 
 ``sample_batch`` simulates N rollouts in lockstep straight into the arrays
-of a ``RolloutBatch``, with the feature matrix of a linear policy;
+of a ``RolloutBatch``, with the feature matrix of a linear policy, stored
+step-major (T, N, K) as the sampler fills it one step at a time;
 ``rollout`` returns one rollout as a ``Trajectory``.
 Both draw a batch's noise row-major from one generator seeded by the seed, so
 ``rollout`` replays rollout 0 of ``sample_batch`` with the same seed, with the
@@ -262,24 +263,24 @@ def _simulate(env: Environment, policy, noises: np.ndarray) -> dict:
     """Run n rollouts in lockstep; noises is (n, T, adim).
 
     Returns the ``RolloutBatch`` sequences as a dict of stacked arrays, with
-    the features of a linear policy (else None).  States and actions fill
-    step-major buffers, one contiguous slice per step.  Rows are independent,
-    so the blow-up check after the loop names the step and row a check
-    after every step would.
+    the (T, n, K) features of a linear policy (else None).  States, actions
+    and features fill step-major buffers, one contiguous slice per step.
+    Rows are independent, so the blow-up check after the loop names the
+    step and row a check after every step would.
     """
     n, t_steps, _ = noises.shape
     step_noises = np.ascontiguousarray(noises.swapaxes(0, 1))
     states = np.empty((t_steps + 1, n, env.state_dim))
     actions = np.empty((t_steps, n, env.action_dim))
     costs = np.zeros((n, t_steps))
-    phi = (np.empty((n, t_steps, policy.num_features))
+    phi = (np.empty((t_steps, n, policy.num_features))
            if isinstance(policy, TimeVaryingLinearPolicy) else None)
     is_event = [k in env.event_indices for k in range(t_steps + 1)]
     states[0] = env.x0
     with np.errstate(all="ignore"):  # non-finite states raise below
         for k in range(t_steps):
             mean = (policy.mean(states[k], k) if phi is None
-                    else policy.mean(states[k], k, features=phi[:, k]))
+                    else policy.mean(states[k], k, features=phi[k]))
             a = np.add(mean, step_noises[k], out=actions[k])
             x = env._euler(states[k], a, out=states[k + 1])
             if is_event[k + 1]:
@@ -296,7 +297,8 @@ def _simulate(env: Environment, policy, noises: np.ndarray) -> dict:
 
 def _noises(env: Environment, n: int, rng_seed,
             noise_scale: float) -> np.ndarray:
-    """(n, T, adim) action noise: one draw from ``default_rng(rng_seed)``."""
+    """(n, T, adim) action noise: one draw from ``default_rng(rng_seed)``,
+    scaled unless the scale is 1."""
     noises = np.random.default_rng(rng_seed).normal(
         0.0, np.sqrt(env.noise_var), size=(n, env.num_steps, env.action_dim))
     noises *= noise_scale

@@ -111,16 +111,26 @@ def per_timestep_natural_direction(batch: RolloutBatch,
     """pinv(F_t, rcond) g_t per time block, concatenated.
 
     Exact for time-varying linear policies, whose Fisher matrix is
-    block-diagonal with blocks (dt/nu) (1/N) sum_i phi_it phi_it^T.
+    block-diagonal with blocks F_t = (dt/nu) (1/N) Phi_t^T Phi_t, one
+    batched matmul over the step-major features.  Each symmetric block is
+    solved by its eigendecomposition V diag(w) V^T as V diag(1/w) V^T g_t,
+    without forming the inverse.  Its singular values are |w|, so pinv's
+    cutoff keeps the eigenvalues with |w| > rcond max |w|; the others, and
+    every eigenvalue of an all-zero block, contribute 0.
     """
     if not isinstance(policy, TimeVaryingLinearPolicy):
         raise TypeError("per-timestep inversion needs a policy with "
                         "per-timestep parameter blocks")
-    feats = policy.step_inputs(batch)  # (N, T, K)
-    blocks = np.einsum("ntk,ntl->tkl", feats, feats) / (batch.n * policy.noise_var)
-    g_blocks = np.asarray(g, dtype=float).reshape(policy.num_steps, -1)
-    inv = np.linalg.pinv(blocks, rcond=rcond)
-    return np.einsum("tkl,tl->tk", inv, g_blocks).ravel()
+    feats = policy.step_inputs(batch)  # (T, N, K)
+    blocks = (np.matmul(feats.transpose(0, 2, 1), feats)
+              / (batch.n * policy.noise_var))
+    w, vecs = np.linalg.eigh(blocks)
+    mag = np.abs(w)
+    keep = mag > rcond * mag.max(axis=-1, keepdims=True)
+    inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    g_rows = np.asarray(g, dtype=float).reshape(policy.num_steps, 1, -1)
+    coef = np.matmul(g_rows, vecs) * inv_w[:, None, :]  # (V^T g_t / w)^T
+    return np.matmul(coef, vecs.transpose(0, 2, 1)).ravel()
 
 
 def trust_region_step(batch: RolloutBatch, policy, g: np.ndarray,

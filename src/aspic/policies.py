@@ -15,8 +15,9 @@ the estimators form the gradient as ``jac_t_v_steps`` of the scaled residual.
 The methods take stacked arrays: ``xs`` of shape (..., T, state_dim) with
 matching actions, where T is the number of control steps and the leading
 dimensions enumerate rollouts.  In place of ``xs`` they also take a
-``RolloutBatch``: an MLP reads its ``xs``, a linear policy the feature matrix
-the sampler stored.  The parameter count is fixed when a policy is built.
+``RolloutBatch``: an MLP reads its ``xs``, a linear policy the step-major
+(T, N, K) feature matrix the sampler stored.  The parameter count is fixed
+when a policy is built.
 """
 
 from __future__ import annotations
@@ -153,6 +154,11 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
     block for time t only influences step t, which makes the Fisher matrix
     exactly block-diagonal across time.  Scalar actions only, matching the
     tasks.
+
+    The stacked-array methods work on the features step-major, (T, M, K)
+    over all M leading rows, as a batch stores them: each product is one
+    batched matmul with a (K,) vector per step.  Their results come back in
+    the (..., T, 1) layout of ``xs``.
     """
 
     action_dim = 1
@@ -176,10 +182,11 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
         return self.feature_fn(xs) if out is None else self.feature_fn(xs, out)
 
     def step_inputs(self, xs) -> np.ndarray:
-        """A batch's stored feature matrix, else the features of the states."""
+        """Features step-major, (T, ..., K): a batch's stored feature matrix,
+        else the features of the states (..., T, state_dim)."""
         if isinstance(xs, RolloutBatch) and xs.features is not None:
             return xs.features
-        return self.features(super().step_inputs(xs))
+        return self.features(np.moveaxis(super().step_inputs(xs), -2, 0))
 
     def with_params(self, params: np.ndarray) -> "TimeVaryingLinearPolicy":
         return TimeVaryingLinearPolicy(self.feature_fn, self.num_features,
@@ -191,19 +198,26 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
         return (feats @ self._theta[t])[..., None]
 
     def mean_steps(self, xs: np.ndarray) -> np.ndarray:
-        feats = self.step_inputs(xs)
-        return np.einsum("...tk,tk->...t", feats, self._theta)[..., None]
+        return self._step_products(xs, self._theta)
 
     def jac_y_steps(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._step_products(xs, np.asarray(y, dtype=float).reshape(
+            self.num_steps, self.num_features))
+
+    def _step_products(self, xs, coef: np.ndarray) -> np.ndarray:
+        """phi(x_t) . coef_t at every step, one (M, K) @ (K, 1) per step
+        over the M rows; returns (..., T, 1)."""
         feats = self.step_inputs(xs)
-        yb = np.asarray(y, dtype=float).reshape(self.num_steps, -1)
-        return np.einsum("...tk,tk->...t", feats, yb)[..., None]
+        out = np.matmul(feats.reshape(self.num_steps, -1, self.num_features),
+                        coef[:, :, None])
+        return np.moveaxis(out.reshape(feats.shape[:-1] + (1,)), 0, -2)
 
     def jac_t_v_steps(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        feats = self.step_inputs(xs).reshape(-1, self.num_steps,
-                                             self.num_features)
-        v = np.asarray(v, dtype=float)[..., 0].reshape(-1, self.num_steps)
-        return np.einsum("ntk,nt->tk", feats, v).ravel()
+        """v_t^T Phi_t per step, with v (..., T, 1) taken step-major."""
+        feats = self.step_inputs(xs)
+        v = np.moveaxis(np.asarray(v, dtype=float)[..., 0], -1, 0)
+        return np.matmul(v.reshape(self.num_steps, 1, -1), feats.reshape(
+            self.num_steps, -1, self.num_features)).ravel()
 
     def fisher_trace(self, batch: RolloutBatch) -> float:
         """sum phi^2 / (N noise_var): a Jacobian row is the step's features."""

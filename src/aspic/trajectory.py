@@ -79,9 +79,10 @@ class RolloutBatch(Trajectory):
     (N, T, adim); ``state_costs``, ``logp_policy``, ``logp_base`` (N, T).
     ``xs`` is a contiguous copy of ``states[:, :-1]``.  Stochastic costs
     default to ``stochastic_cost(batch, gamma)``.  ``features`` is the
-    (N, T, K) feature matrix of the linear policy that sampled the batch,
-    equal to ``policy.features(xs)`` (None for other policies); a
-    ``replace`` with new ``states`` must pass new features or None.
+    feature matrix of the linear policy that sampled the batch, stored
+    step-major as (T, N, K): equal to ``policy.features(xs).swapaxes(0, 1)``
+    (None for other policies).  A ``replace`` with new ``states`` must pass
+    new features or None.
     """
 
     gamma: float
@@ -106,8 +107,10 @@ class RolloutBatch(Trajectory):
                              "the batch size")
         if self.features is not None:
             object.__setattr__(self, "features", _frozen(self.features))
-            if self.features.shape[:2] != self.actions.shape[:2]:
-                raise ValueError("features do not match the batch's steps")
+            if self.features.shape[:2] != (self.num_steps, self.n):
+                raise ValueError(
+                    f"features lead with {self.features.shape[:2]}, "
+                    f"expected (T, N) = {(self.num_steps, self.n)}")
 
     def __getitem__(self, i: int) -> Trajectory:
         return Trajectory(*(getattr(self, name)[i] for name in _SEQUENCES))

@@ -299,21 +299,34 @@ class TestSampleBatch:
             0.0, np.sqrt(env.noise_var), (6, env.num_steps, 1))
         np.testing.assert_array_equal(batch.noises, expected)
 
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 2.5])
+    def test_noise_is_the_draw_times_the_scale(self, scale):
+        env = LqViapoints()
+        batch = sample_batch(env, ZeroPolicy(env.noise_var), 4, 9, gamma=1.0,
+                             noise_scale=scale)
+        draw = np.random.default_rng(9).normal(
+            0.0, np.sqrt(env.noise_var), (4, env.num_steps, 1))
+        np.testing.assert_array_equal(batch.noises, scale * draw)
+
     @pytest.mark.parametrize("name, feature_fn, k", [
         ("lq_viapoints", lq_features, 2),
         ("pendulum", pendulum_features, 4),
         ("acrobot", acrobot_features, 9)])
     def test_batch_features_are_the_policy_features(self, name, feature_fn,
                                                     k):
-        env = make_env(name, {} if name == "lq_viapoints"
-                       else {"horizon": 0.5})
+        # N = 7 rollouts of T = 5 or 50 steps: a (N, T, K) matrix in place
+        # of the step-major (T, N, K) one cannot pass for it.
+        env = make_env(name, {"horizon": 0.5, "viapoints": ((0.2, 1.0),)}
+                       if name == "lq_viapoints" else {"horizon": 0.5})
         pol = TimeVaryingLinearPolicy(feature_fn, k, env.num_steps,
                                       env.noise_var)
         pol = pol.with_params(np.random.default_rng(0).normal(
             scale=0.3, size=pol.params.size))
         batch = sample_batch(env, pol, 7, 3, gamma=1.0)
+        assert env.num_steps != 7
         assert not batch.features.flags.writeable
-        np.testing.assert_array_equal(batch.features, pol.features(batch.xs))
+        np.testing.assert_array_equal(batch.features,
+                                      pol.features(batch.xs).swapaxes(0, 1))
         # Read from the batch or evaluated from its states, the same floats.
         y = np.random.default_rng(1).normal(size=pol.params.size)
         np.testing.assert_array_equal(pol.mean_steps(batch),

@@ -40,15 +40,15 @@ CASES = {
 
 GOLDEN = {
     "acrobot_smoothed_pinv":
-        "d6118f81c462b7956d23a8774b32d1fbbe36875115bcab36f9ea765aff4d7faa",
+        "be633c8f307d089803b3c201339a56e053a5de26e87bed0e68d757de345b7820",
     "lq_direct_pinv":
-        "0c41523f07d52f237af68dcaa0aae33fdb659c1d796f5a610d808a6a8e7bfcc0",
+        "eacdc12139d511e2bd6071b72b995335db5f660ecbb6dfa6ec239e8fb9895de6",
     "lq_smoothed_cg":
-        "fdefd0a1b71210d777d9f0fd4b0fabc051d77d73aea5617ef64a63804bd56b83",
+        "bf7bc95a8bb1b82c4e1fdf964c451f7d91f2632c71a20ea918c90d04da046a71",
     "pendulum_mlp_cg":
         "28468be9d6bdfe82d7d2bdae7032646f65491f5abcb0303924dfa41b109190b2",
     "pendulum_pice_pinv":
-        "3fe333adf03de9f4aed20869a7af1197a6d6401e2607c390a4a4416e7e1f3389",
+        "2cfc65d373ef5824994972d68b3c8cd45d079b8194475bf805cb2870ad630871",
 }
 
 

@@ -272,6 +272,83 @@ class TestPerTimestepDirection:
             per_timestep_natural_direction(batch, mlp, np.zeros(mlp.params.size))
 
 
+def pinv_direction(batch, policy, g, rcond):
+    """pinv(F_t, rcond) g_t block by block, each F_t formed from the
+    features of the batch's states."""
+    phi = policy.features(batch.xs)  # (N, T, K)
+    g_blocks = g.reshape(policy.num_steps, -1)
+    return np.concatenate([
+        np.linalg.pinv(p.T @ p / (batch.n * policy.noise_var), rcond=rcond)
+        @ g_t for p, g_t in zip(phi.swapaxes(0, 1), g_blocks)])
+
+
+def state_features(x, out=None):
+    """The state itself: its Fisher block is zero where every state is."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape) if out is None else out
+    out[...] = x
+    return out
+
+
+class TestPerTimestepPinvOracle:
+    """The eigen-solve against a per-block np.linalg.pinv, at N = 7."""
+
+    @pytest.mark.parametrize("task, feature_fn, k", [
+        ("lq_viapoints", lq_features, 2),
+        ("pendulum", pendulum_features, 4),
+        ("acrobot", acrobot_features, 9)])
+    def test_sampled_batches(self, task, feature_fn, k):
+        # Every rollout starts at x0, so the first block has rank one; the
+        # acrobot basis lists sin x2 twice, so all its blocks are singular.
+        env = make_env(task, LQ_SMALL if task == "lq_viapoints"
+                       else {"horizon": 0.1})
+        rng = np.random.default_rng(50)
+        policy = TimeVaryingLinearPolicy(
+            feature_fn, k, env.num_steps, env.noise_var,
+            params=rng.normal(scale=0.3, size=k * env.num_steps))
+        batch = sample_batch(env, policy, 7, 51, gamma=1.0)
+        g = rng.normal(size=policy.params.size)
+        got = per_timestep_natural_direction(batch, policy, g, rcond=1e-4)
+        want = pinv_direction(batch, policy, g, 1e-4)
+        np.testing.assert_allclose(got, want, rtol=1e-10,
+                                   atol=1e-12 * np.abs(want).max())
+        if task == "acrobot":
+            # F_t (e_1 - e_3) = 0, so the direction has no part along it.
+            blocks = got.reshape(env.num_steps, k)
+            np.testing.assert_allclose(blocks[:, 1], blocks[:, 3],
+                                       atol=1e-10 * np.abs(got).max())
+
+    @pytest.mark.parametrize("rcond", [1e-4, 0.0])
+    @pytest.mark.parametrize("feature_fn, state_dim, k", [
+        (lq_features, 1, 2), (pendulum_features, 2, 4),
+        (state_features, 3, 3)])
+    def test_full_rank_batches_and_rcond_zero(self, feature_fn, state_dim,
+                                              k, rcond):
+        rng = np.random.default_rng(52)
+        policy = TimeVaryingLinearPolicy(feature_fn, k, 4, 1.3,
+                                         params=np.zeros(4 * k))
+        batch = array_batch(rng.normal(size=(7, 5, state_dim)),
+                            np.zeros((7, 4, 1)))
+        g = rng.normal(size=policy.params.size)
+        np.testing.assert_allclose(
+            per_timestep_natural_direction(batch, policy, g, rcond=rcond),
+            pinv_direction(batch, policy, g, rcond), rtol=1e-10)
+
+    @pytest.mark.parametrize("rcond", [1e-4, 0.0])
+    def test_all_zero_block_gives_zero(self, rcond):
+        rng = np.random.default_rng(53)
+        states = rng.normal(size=(7, 4, 3))
+        states[:, 1] = 0.0  # block 1 is all zero
+        policy = TimeVaryingLinearPolicy(state_features, 3, 3, 1.0,
+                                         params=np.zeros(9))
+        batch = array_batch(states, np.zeros((7, 3, 1)))
+        g = rng.normal(size=9)
+        got = per_timestep_natural_direction(batch, policy, g, rcond=rcond)
+        np.testing.assert_array_equal(got[3:6], 0.0)
+        np.testing.assert_allclose(got, pinv_direction(batch, policy, g,
+                                                       rcond), rtol=1e-10)
+
+
 class TestTrustRegionStep:
     def test_zero_gradient_is_noop(self):
         batch, policy = make_fixture()

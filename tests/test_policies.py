@@ -9,9 +9,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from aspic import (MlpPolicy, TimeVaryingLinearPolicy, acrobot_features,
-                   lq_features, make_env, pendulum_features, policies,
-                   sample_batch, smoothed_gradient)
+from aspic import (MlpPolicy, RolloutBatch, TimeVaryingLinearPolicy,
+                   acrobot_features, lq_features, make_env, pendulum_features,
+                   policies, sample_batch, smoothed_gradient)
 
 
 def make_linear(num_steps=3, noise_var=1.0, seed=None):
@@ -148,6 +148,80 @@ class TestLinearPolicy:
         total = sum(step_score(pol, acts[t], xs[t], t) for t in range(3))
         np.testing.assert_allclose(score_sum(pol, xs, acts), total,
                                    rtol=1e-12)
+
+
+# (feature map, state_dim, K) of each task's linear controller
+LINEAR_MAPS = [(lq_features, 1, 2), (pendulum_features, 2, 4),
+               (acrobot_features, 4, 9)]
+
+
+class TestLinearProductsOracle:
+    """The step-major products against explicit per-step loops over
+    ``feature_fn(x_t)``, at T = 5 steps with 0, 1 (N = 7) and 2 leading
+    axes."""
+
+    T = 5
+
+    def case(self, feature_fn, state_dim, k, lead):
+        rng = np.random.default_rng(k * 10 + len(lead))
+        pol = TimeVaryingLinearPolicy(feature_fn, k, self.T, 1.7,
+                                      params=rng.normal(size=k * self.T))
+        xs = rng.normal(size=lead + (self.T, state_dim))
+        return pol, xs, rng
+
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 2)])
+    @pytest.mark.parametrize("feature_fn, state_dim, k", LINEAR_MAPS)
+    def test_means_are_the_per_step_dot_products(self, feature_fn,
+                                                 state_dim, k, lead):
+        pol, xs, rng = self.case(feature_fn, state_dim, k, lead)
+        y = rng.normal(size=pol.params.size)
+        for coef, got in ((pol.params, pol.mean_steps(xs)),
+                          (y, pol.jac_y_steps(xs, y))):
+            assert got.shape == lead + (self.T, 1)
+            for t, c in enumerate(coef.reshape(self.T, k)):
+                phi = feature_fn(xs[..., t, :])
+                # rtol 1e-13 of the sum of the terms' magnitudes
+                bound = 1e-13 * (np.abs(phi) @ np.abs(c))
+                assert np.all(np.abs(got[..., t, 0] - phi @ c) <= bound)
+
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 2)])
+    @pytest.mark.parametrize("feature_fn, state_dim, k", LINEAR_MAPS)
+    def test_transpose_product_is_the_adjoint(self, feature_fn, state_dim,
+                                              k, lead):
+        pol, xs, rng = self.case(feature_fn, state_dim, k, lead)
+        y = rng.normal(size=pol.params.size)
+        v = rng.normal(size=lead + (self.T, 1))
+        jtv = pol.jac_t_v_steps(xs, v)
+        want = [np.sum(feature_fn(xs[..., t, :]) * v[..., t, :],
+                       axis=tuple(range(len(lead)))) for t in range(self.T)]
+        np.testing.assert_allclose(jtv, np.concatenate(want), rtol=1e-13,
+                                   atol=1e-13 * np.abs(jtv).max())
+        # <J y, v> = <y, J^T v>
+        assert float(np.sum(pol.jac_y_steps(xs, y) * v)) == pytest.approx(
+            float(y @ jtv), rel=1e-12)
+
+    @pytest.mark.parametrize("feature_fn, state_dim, k", LINEAR_MAPS)
+    def test_fisher_trace_is_the_dense_trace(self, feature_fn, state_dim,
+                                             k):
+        pol, xs, rng = self.case(feature_fn, state_dim, k, (7,))
+        batch = array_batch(rng.normal(size=(7, self.T + 1, state_dim)))
+        phi = feature_fn(batch.xs)  # (N, T, K)
+        jac = np.zeros((7, self.T, self.T, k))  # row (i, t), block t
+        for t in range(self.T):
+            jac[:, t, t] = phi[:, t]
+        jac = jac.reshape(7 * self.T, self.T * k)
+        dense = jac.T @ jac / (7 * pol.noise_var)
+        assert pol.fisher_trace(batch) == pytest.approx(np.trace(dense),
+                                                        rel=1e-13)
+
+
+def array_batch(states):
+    """A batch over ``states`` (N, T+1, state_dim), zero everywhere else."""
+    n, steps = states.shape[0], states.shape[1] - 1
+    zeros = np.zeros((n, steps))
+    return RolloutBatch(states=states, actions=zeros[..., None],
+                        noises=zeros[..., None], state_costs=zeros,
+                        logp_policy=zeros, logp_base=zeros, gamma=1.0)
 
 
 class TestMlpPolicy:

@@ -133,6 +133,16 @@ class TestRolloutBatch:
         with pytest.raises(ValueError):
             replace(batch, state_costs=np.zeros((3, 1)))
 
+    def test_features_must_be_step_major(self):
+        # N = 3 rollouts of T = 2 steps: (T, N, K) passes, (N, T, K) fails.
+        batch = stack([make_traj([1.0, 2.0], [0.0] * 2, [0.0] * 2)
+                       for _ in range(3)], gamma=0.0)
+        feats = np.arange(24.0).reshape(2, 3, 4)
+        np.testing.assert_array_equal(
+            replace(batch, features=feats).features, feats)
+        with pytest.raises(ValueError, match=r"expected \(T, N\)"):
+            replace(batch, features=feats.swapaxes(0, 1))
+
     def test_rows_are_frozen_views(self):
         trajs = [make_traj([1.0, 2.0], [-0.5, -0.5], [-1.0, -1.0], state_dim=2)
                  for _ in range(3)]

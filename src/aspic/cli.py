@@ -1,8 +1,9 @@
 """Command-line entry points: run, sweep, export.
 
 Output directory resolution: --out flag, else the ASPIC_OUTDIR environment
-variable, else ./aspic_results.  Exit code is 1 if any run failed, 2 if the
-config or the sweep values are invalid.
+variable when it is not empty, else ./aspic_results; it is created before any
+run starts.  Exit code is 1 if any run failed, 2 if the config or the sweep
+values are invalid or the output directory cannot be created.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from .runner import ExperimentConfig, RunError, export, run_aspic, sweep
 
 
 def _outdir(args) -> str:
-    return args.out or os.environ.get("ASPIC_OUTDIR", "aspic_results")
+    """The output directory, created; a ``ValueError`` naming it if it
+    cannot be."""
+    out = args.out or os.environ.get("ASPIC_OUTDIR") or "aspic_results"
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {out}: {exc}")
+    return out
 
 
 def _write(cells: dict, base: str) -> int:
@@ -41,19 +49,22 @@ def _write(cells: dict, base: str) -> int:
 
 def cmd_run(args) -> int:
     config = ExperimentConfig.from_json(args.config)
+    out = _outdir(args)
     try:
         result = run_aspic(config)
     except RunError as exc:
         result = exc
-    return _write({"": result}, _outdir(args))
+    return _write({"": result}, out)
 
 
 def cmd_sweep(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     values = json.loads(args.values or "[]")
-    if not isinstance(values, list):
-        raise ValueError(f"sweep values must be a JSON list, got {values!r}")
-    return _write(sweep(config, args.axis, values), _outdir(args))
+    if not isinstance(values, list) or not values:
+        raise ValueError("sweep values must be a non-empty JSON list, "
+                         f"got {values!r}")
+    out = _outdir(args)
+    return _write(sweep(config, args.axis, values), out)
 
 
 def cmd_export(args) -> int:
@@ -107,7 +118,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # an invalid config or values list
+    except ValueError as exc:  # invalid config, values or output directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

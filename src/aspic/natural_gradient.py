@@ -52,13 +52,15 @@ def sample_policy_kl(batch: RolloutBatch, policy_old, policy_new) -> float:
     """(1/N) sum_i sum_t [log pi_old - log pi_new] on the stored actions.
 
     Evaluated on samples drawn under ``policy_old``; may come out slightly
-    negative under sampling and is reported raw.
+    negative under sampling and is reported raw.  The sampling policy gets
+    the batch, so it reuses its evaluation; a trial policy gets ``xs``, so
+    it keeps none.
     """
     if policy_old.params.shape != policy_new.params.shape:
         raise ValueError("policies have mismatched parameter shapes")
-    xs, acts = batch.xs, batch.actions
-    return (float(np.sum(policy_old.log_prob_steps(xs, acts)))
-            - float(np.sum(policy_new.log_prob_steps(xs, acts)))) / batch.n
+    old = float(np.sum(policy_old.log_prob_steps(batch, batch.actions)))
+    new = float(np.sum(policy_new.log_prob_steps(batch.xs, batch.actions)))
+    return (old - new) / batch.n
 
 
 def fisher_vector_product(batch: RolloutBatch, policy, y: np.ndarray) -> np.ndarray:

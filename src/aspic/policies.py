@@ -15,9 +15,10 @@ the estimators form the gradient as ``jac_t_v_steps`` of the scaled residual.
 The methods take stacked arrays: ``xs`` of shape (..., T, state_dim) with
 matching actions, where T is the number of control steps and the leading
 dimensions enumerate rollouts.  In place of ``xs`` they also take a
-``RolloutBatch``: an MLP reads its ``xs``, a linear policy the step-major
-(T, N, K) feature matrix the sampler stored.  The parameter count is fixed
-when a policy is built.
+``RolloutBatch``, evaluated once: a linear policy reads the step-major
+(T, N, K) features the sampler stored, an MLP keeps the last batch's
+activations.  A bare array is evaluated afresh on every call and kept
+nowhere.  The parameter count is fixed when a policy is built.
 """
 
 from __future__ import annotations
@@ -242,19 +243,14 @@ class MlpPolicy(GaussianPolicy):
     each sample's Jacobian row factors per layer into ``a_{l-1} (x) d_l``:
     the layer's input times its sensitivity ``d_l = du/dz_l``.
 
-    A Jacobian product keeps the hidden activations and sensitivities of an
-    ``xs`` that owns its memory and is read-only (such as
-    ``RolloutBatch.xs``): ``2 (L-1)`` arrays of rows x width.  While it is
-    handed that same array object, ``mean_steps``, ``jac_y_steps`` and
-    ``jac_t_v_steps`` reuse them, and a product is one matrix product per
-    layer; since the parameters and the array are both immutable, the
-    results are the same floats.  Any other ``xs``, a writable array or a
-    view, is evaluated afresh on every call.  ``mean_steps`` builds the cache
-    when handed a ``RolloutBatch``, so an estimator's mean and its product
-    share one forward; a mean over a bare array that is not cached caches
-    nothing.  Every temporary as wide as a hidden layer lives
-    in two per-thread buffers of ``BLOCK_ROWS`` x width, kept for the
-    thread's life.
+    The first call handed a ``RolloutBatch`` evaluates it once: the policy
+    keeps the last batch's hidden activations and sensitivities, ``2 (L-1)``
+    arrays of rows x width, keyed on the batch, and a product on it is then
+    one matrix product per layer.  A batch is frozen and its arrays are
+    read-only, so a kept evaluation cannot go stale.  A bare array is
+    evaluated afresh on every call and kept nowhere.  Every temporary as wide
+    as a hidden layer lives in two per-thread buffers of ``BLOCK_ROWS`` x
+    width, kept for the thread's life.
     """
 
     def __init__(self, layer_sizes, noise_var: float,
@@ -274,7 +270,7 @@ class MlpPolicy(GaussianPolicy):
             raise ValueError(f"expected {self.num_params} parameters, "
                              f"got {self._params.size}")
         self._wb = list(self._layers(self._params))
-        self._cached = (None, None)  # (read-only xs, (activations, sens.))
+        self._kept = (None, None)  # (last batch, (activations, sens.))
 
     @property
     def num_params(self) -> int:
@@ -304,22 +300,15 @@ class MlpPolicy(GaussianPolicy):
     def with_params(self, params: np.ndarray) -> "MlpPolicy":
         return MlpPolicy(self.layer_sizes, self.noise_var, params)
 
-    def _is_cached(self, xs) -> bool:
-        return xs is self._cached[0] and not xs.flags.writeable
-
     def _activations(self, xs) -> tuple:
         """([x, h_1, ..., h_{L-1}, u], [d_1, ..., d_L]) over the flattened
-        batch of ``xs``."""
-        if self._is_cached(xs):
-            return self._cached[1]
+        rows of ``xs``: kept for a batch, computed afresh for an array."""
+        if isinstance(xs, RolloutBatch):
+            if self._kept[0] is not xs:
+                self._kept = (xs, self._activations(xs.xs))
+            return self._kept[1]
         acts = self._forward(xs, keep=True)
-        sens = self._sensitivities(acts)
-        if (isinstance(xs, np.ndarray) and xs.base is None
-                and not xs.flags.writeable):
-            for a in acts + sens:
-                a.flags.writeable = False
-            self._cached = (xs, (acts, sens))
-        return acts, sens
+        return acts, self._sensitivities(acts)
 
     def _forward(self, xs, keep: bool) -> list:
         """[x, h_1, ..., u] over xs by row blocks; without ``keep`` the
@@ -356,18 +345,15 @@ class MlpPolicy(GaussianPolicy):
         return self.mean_steps(x)
 
     def mean_steps(self, xs: np.ndarray) -> np.ndarray:
-        """A batch, or an ``xs`` already cached, goes through the cache (a
-        batch builds it, for the products that follow); any other ``xs`` is
-        one uncached forward."""
-        cache = isinstance(xs, RolloutBatch)
-        xs = self.step_inputs(xs)
-        out = (self._activations(xs)[0] if cache or self._is_cached(xs)
+        """A batch's kept output layer, evaluated by the first call on it;
+        over an array, one forward that keeps no hidden layer."""
+        out = (self._activations(xs)[0] if isinstance(xs, RolloutBatch)
                else self._forward(xs, keep=False))[-1]
-        return out.reshape(np.shape(xs)[:-1] + (1,)).copy()
+        return out.reshape(np.shape(self.step_inputs(xs))[:-1] + (1,)).copy()
 
     def jac_t_v_steps(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(v a_{l-1})^T d_l = a_{l-1}^T (v d_l) and v^T d_l per layer."""
-        acts, sens = self._activations(self.step_inputs(xs))
+        acts, sens = self._activations(xs)
         v = np.asarray(v, dtype=float).reshape(-1, 1)
         grads = []
         for a, d in zip(acts, sens):
@@ -385,7 +371,7 @@ class MlpPolicy(GaussianPolicy):
         """sum over rows and layers of (|a_{l-1}|^2 + 1) |d_l|^2, the squared
         norm of the row's Jacobian block (a_{l-1} (x) d_l, d_l), over
         (N noise_var)."""
-        acts, sens = self._activations(batch.xs)
+        acts, sens = self._activations(batch)
         total = 0.0
         for a, d in zip(acts, sens):
             total += float((np.einsum("ij,ij->i", a, a) + 1.0)
@@ -395,7 +381,6 @@ class MlpPolicy(GaussianPolicy):
     def jac_y_steps(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
         """sum_l rowsum((a_{l-1} dW_l) d_l) + d_l db_l; the first term is
         also rowsum(a_{l-1} (d_l dW_l^T)), formed on the narrower side."""
-        xs = self.step_inputs(xs)
         acts, sens = self._activations(xs)
         out = np.zeros(len(acts[0]))
         for a, d, (dw, db) in zip(acts, sens, self._layers(
@@ -404,7 +389,7 @@ class MlpPolicy(GaussianPolicy):
             for r in _blocks(len(out)):
                 t = np.matmul(q[r], m, out=_scratch(0, *p[r].shape))
                 out[r] += np.einsum("ij,ij->i", t, p[r]) + d[r] @ db
-        return out.reshape(np.shape(xs)[:-1] + (1,))
+        return out.reshape(np.shape(self.step_inputs(xs))[:-1] + (1,))
 
 
 _SCRATCH = threading.local()
@@ -417,7 +402,7 @@ def _blocks(rows: int) -> list:
 def _scratch(slot: int, rows: int, cols: int) -> np.ndarray:
     """A (rows, cols) view of this thread's flat buffer ``slot`` (0 or 1),
     grown when a request is larger.  Only temporaries that never leave their
-    call may live here: never a returned or cached array."""
+    call may live here: never a returned or kept array."""
     bufs = getattr(_SCRATCH, "bufs", None)
     if bufs is None:
         bufs = _SCRATCH.bufs = [np.empty(0), np.empty(0)]

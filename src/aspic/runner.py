@@ -368,10 +368,10 @@ def export(result: RunResult, outdir, error: str | None = None) -> list:
 
     ``error`` is the message of the failure that cut a partial result short.
     """
-    os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "records.csv")
     json_path = os.path.join(outdir, "summary.json")
     try:
+        os.makedirs(outdir, exist_ok=True)
         _write_csv(csv_path, result.records)
         with open(json_path, "w") as fh:
             json.dump(_summary(result, error), fh, indent=2)

@@ -7,8 +7,6 @@ log-probabilities under the sampling policy and the uncontrolled base policy.
 The sampler fills them in lockstep; ``xs`` and the stochastic costs are
 computed once when the batch is built.  State costs are already the per-step
 contribution to the path cost (delta events added once at their grid index).
-``batch[i]``, like ``rollout()``, gives one rollout as a ``Trajectory`` of
-views.
 """
 
 from __future__ import annotations
@@ -111,9 +109,6 @@ class RolloutBatch(Trajectory):
                 raise ValueError(
                     f"features lead with {self.features.shape[:2]}, "
                     f"expected (T, N) = {(self.num_steps, self.n)}")
-
-    def __getitem__(self, i: int) -> Trajectory:
-        return Trajectory(*(getattr(self, name)[i] for name in _SEQUENCES))
 
     @property
     def n(self) -> int:

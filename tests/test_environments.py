@@ -228,22 +228,21 @@ class TestRollout:
         large = sample_batch(env, zero, 5, (3, 1), gamma=1.0)
         for seq in SEQUENCES:
             np.testing.assert_array_equal(getattr(single, seq),
-                                          getattr(small[0], seq))
+                                          getattr(small, seq)[0])
             # The first rows of a larger batch are the smaller batch, which
             # gives an n-axis sweep its common random numbers.
-            for i in range(2):
-                np.testing.assert_array_equal(getattr(small[i], seq),
-                                              getattr(large[i], seq))
+            np.testing.assert_array_equal(getattr(small, seq),
+                                          getattr(large, seq)[:2])
         # A matmul over a different row count may take another BLAS kernel,
         # so with a network mean only the noise is equal bit for bit.
         mlp = MlpPolicy([env.state_dim, 8, 1], env.noise_var,
                         rng=np.random.default_rng(0))
         single = rollout(env, mlp, 4)
-        first = sample_batch(env, mlp, 5, 4, gamma=1.0)[0]
-        np.testing.assert_array_equal(single.noises, first.noises)
+        batch = sample_batch(env, mlp, 5, 4, gamma=1.0)
+        np.testing.assert_array_equal(single.noises, batch.noises[0])
         for seq in SEQUENCES:
             np.testing.assert_allclose(getattr(single, seq),
-                                       getattr(first, seq),
+                                       getattr(batch, seq)[0],
                                        rtol=1e-12, atol=1e-12)
 
     def test_noise_variance_scaling(self):

@@ -514,7 +514,7 @@ class KlStubPolicy:
         return self.params.size / batch.n
 
     def log_prob_steps(self, xs, acts):
-        return np.full(len(xs), -self.kl(self.params))
+        return np.full(len(acts), -self.kl(self.params))
 
 
 class TestLineSearch:

@@ -349,6 +349,11 @@ def frozen(a):
     return a
 
 
+def batch_of(xs):
+    """A batch whose ``xs`` equals ``xs`` (N, T, state_dim)."""
+    return array_batch(np.concatenate([xs, xs[:, -1:]], axis=1))
+
+
 def mlp_calls(pol, xs, y, v):
     """The three batched network calls, by name."""
     return {"mean": lambda: pol.mean_steps(xs),
@@ -368,13 +373,14 @@ def peak_bytes(call):
 
 
 class TestMlpActivationCache:
-    """A read-only xs is evaluated once per policy; results never change."""
+    """A batch is evaluated once per policy and kept; a bare array is
+    evaluated afresh on every call.  Results never change."""
 
     def setup_method(self):
         self.pol = MlpPolicy([2, 8, 5, 1], noise_var=2.0,
                              rng=np.random.default_rng(0))
         rng = np.random.default_rng(30)
-        self.xs = frozen(rng.normal(size=(6, 4, 2)))
+        self.batch = batch_of(rng.normal(size=(6, 4, 2)))
         self.y = rng.normal(size=self.pol.params.size)
         self.v = rng.normal(size=(6, 4, 1))
 
@@ -390,65 +396,60 @@ class TestMlpActivationCache:
     @pytest.mark.parametrize("order", list(itertools.permutations(
         ["mean", "jac_y", "jac_t_v"])))
     def test_frozen_batch_matches_fresh_policy_in_any_order(self, order):
-        want = self.expected(self.xs)
+        want = self.expected(self.batch.xs)
         pol = self.pol.with_params(self.pol.params)
-        calls = mlp_calls(pol, self.xs, self.y, self.v)
+        calls = mlp_calls(pol, self.batch, self.y, self.v)
         for name in order + order:
             np.testing.assert_array_equal(calls[name](), want[name])
-        assert pol._cached[0] is self.xs
+        assert pol._kept[0] is self.batch
 
     def test_inputs_and_returned_mean_do_not_touch_the_cache(self):
         v = self.v.copy()
-        out = self.pol.mean_steps(self.xs)
+        out = self.pol.mean_steps(self.batch)
         out += 1.0
-        self.pol.jac_t_v_steps(self.xs, v)
+        self.pol.jac_t_v_steps(self.batch, v)
         np.testing.assert_array_equal(v, self.v)
-        np.testing.assert_array_equal(self.pol.mean_steps(self.xs),
-                                      self.expected(self.xs)["mean"])
+        np.testing.assert_array_equal(self.pol.mean_steps(self.batch),
+                                      self.expected(self.batch.xs)["mean"])
 
-    def test_writable_array_changed_between_calls(self):
-        xs = np.array(self.xs)
-        calls = mlp_calls(self.pol, xs, self.y, self.v)
-        before = {name: call() for name, call in calls.items()}
-        xs += 0.5
-        want = self.expected(xs)
-        for name, call in calls.items():
-            got = call()
-            np.testing.assert_array_equal(got, want[name])
-            assert not np.array_equal(got, before[name])
-        assert self.pol._cached[0] is None
+    def test_second_batch_gets_its_own_activations(self):
+        other = batch_of(self.batch.xs + 0.5)
+        for batch in (self.batch, other, self.batch, other):
+            want = self.expected(batch.xs)
+            for name, call in mlp_calls(self.pol, batch, self.y,
+                                        self.v).items():
+                np.testing.assert_array_equal(call(), want[name])
+            assert self.pol._kept[0] is batch
 
-    def test_read_only_view_of_writable_base_is_not_cached(self):
-        base = np.array(self.xs)
-        view = base[:]
-        view.flags.writeable = False
-        first = self.pol.mean_steps(view)
-        base += 0.5
-        np.testing.assert_array_equal(self.pol.mean_steps(view),
-                                      self.expected(base)["mean"])
-        assert not np.array_equal(first, self.pol.mean_steps(view))
-
-    def test_second_read_only_array_gets_its_own_activations(self):
-        other = frozen(self.xs + 0.5)
-        for xs in (self.xs, other, self.xs, other):
+    def test_bare_array_calls_leave_the_kept_batch_alone(self):
+        self.pol.mean_steps(self.batch)
+        kept = self.pol._kept
+        # The batch's own xs is a bare array too: evaluated, not kept.
+        for xs in (self.batch.xs, frozen(self.batch.xs + 0.5)):
             want = self.expected(xs)
             for name, call in mlp_calls(self.pol, xs, self.y,
                                         self.v).items():
                 np.testing.assert_array_equal(call(), want[name])
+            assert self.pol._kept is kept
+        want = self.expected(self.batch.xs)
+        for name, call in mlp_calls(self.pol, self.batch, self.y,
+                                    self.v).items():
+            np.testing.assert_array_equal(call(), want[name])
 
     def test_scratch_growing_between_calls_leaves_results_alone(self):
         wide = MlpPolicy([2, 16, 12, 1], noise_var=1.0,
                          rng=np.random.default_rng(1))
         rng = np.random.default_rng(31)
-        big = frozen(rng.normal(size=(20, 7, 2)))
+        big = batch_of(rng.normal(size=(20, 7, 2)))
 
         def run():  # in a new thread, whose scratch starts empty
             kept, sizes = [], []
-            for pol, xs in [(self.pol, self.xs), (wide, big), (self.pol, big),
-                            (wide, self.xs), (self.pol, np.array(big))]:
+            for pol, xs in [(self.pol, self.batch), (wide, big),
+                            (self.pol, big), (wide, self.batch),
+                            (self.pol, np.array(big.xs))]:
                 y = rng.normal(size=pol.params.size)
-                v = rng.normal(size=xs.shape[:-1] + (1,))
-                want = self.expected(xs, pol, y, v)
+                v = rng.normal(size=pol.step_inputs(xs).shape[:-1] + (1,))
+                want = self.expected(pol.step_inputs(xs), pol, y, v)
                 for name, call in mlp_calls(pol, xs, y, v).items():
                     got = call()
                     np.testing.assert_array_equal(got, want[name])
@@ -463,13 +464,13 @@ class TestMlpActivationCache:
         assert sizes[1][0] > sizes[0][0]  # the second case grew slot 0
 
     def test_threads_get_their_own_scratch(self):
-        def work(pol, xs, y, start=lambda: None):
+        def work(pol, batch, y, start=lambda: None):
             start()
             out = []
             for k in range(30):
-                out.append(pol.jac_t_v_steps(xs, pol.jac_y_steps(xs, y)))
+                out.append(pol.jac_t_v_steps(batch, pol.jac_y_steps(batch, y)))
                 step = pol.with_params(pol.params + 1e-3 * k * y)
-                out.append(step.mean_steps(xs))
+                out.append(step.mean_steps(batch))
             return out
 
         rng = np.random.default_rng(32)
@@ -478,7 +479,7 @@ class TestMlpActivationCache:
         for sizes, shape in [([2, 8, 5, 1], (30, 30, 2)),
                              ([2, 16, 12, 1], (40, 30, 2))]:
             pol = MlpPolicy(sizes, noise_var=1.0, rng=rng)
-            jobs.append((pol, frozen(rng.normal(size=shape)),
+            jobs.append((pol, batch_of(rng.normal(size=shape)),
                          rng.normal(size=pol.params.size)))
         serial = [work(*job) for job in jobs]
         start = threading.Barrier(2, timeout=60).wait
@@ -495,27 +496,28 @@ class TestMlpActivationCache:
                 np.testing.assert_array_equal(a, b)
 
     def big_case(self):
-        """A (50, 100) batch, more than two row blocks, through 32-wide
-        layers: one (5000, 32) hidden array is 1,280,000 bytes, more than
-        the calls below may allocate."""
+        """A batch of (50, 100) states, more than two row blocks, through
+        32-wide layers: one (5000, 32) hidden array is 1,280,000 bytes, more
+        than the calls below may allocate."""
         pol = MlpPolicy([2, 32, 32, 1], noise_var=2.0,
                         rng=np.random.default_rng(0))
         rng = np.random.default_rng(33)
-        xs = frozen(rng.normal(size=(50, 100, 2)))
-        assert xs.size // 2 > 2 * policies.BLOCK_ROWS
-        return pol, xs, rng.normal(size=pol.params.size), 50 * 100 * 32 * 8
+        batch = batch_of(rng.normal(size=(50, 100, 2)))
+        assert batch.xs.size // 2 > 2 * policies.BLOCK_ROWS
+        return pol, batch, rng.normal(size=pol.params.size), 50 * 100 * 32 * 8
 
     def test_fisher_vector_product_allocates_no_hidden_layer(self):
-        pol, xs, y, limit = self.big_case()
-        assert peak_bytes(
-            lambda: pol.jac_t_v_steps(xs, pol.jac_y_steps(xs, y))) < limit
+        pol, batch, y, limit = self.big_case()
+        assert peak_bytes(lambda: pol.jac_t_v_steps(
+            batch, pol.jac_y_steps(batch, y))) < limit
 
     def test_line_search_log_prob_allocates_no_hidden_layer(self):
-        pol, xs, y, limit = self.big_case()
-        actions = pol.mean_steps(xs) + 0.1
+        # A trial policy is handed the batch's bare xs.
+        pol, batch, y, limit = self.big_case()
+        actions = pol.mean_steps(batch) + 0.1
         params = pol.params + 1e-2 * y
         assert peak_bytes(lambda: pol.with_params(params).log_prob_steps(
-            xs, actions)) < limit
+            batch.xs, actions)) < limit
 
     def test_smoothed_gradient_runs_the_network_once(self, monkeypatch):
         env = make_env("pendulum", {"horizon": 0.5})
@@ -528,16 +530,16 @@ class TestMlpActivationCache:
                             passes.append(1) or forward(self, *args, **kw))
         smoothed_gradient(batch, pol, alpha=1.0)
         assert len(passes) == 1
-        # The cached mean is the uncached forward's, bit for bit.
+        # The kept mean is a bare-array forward's, bit for bit.
         np.testing.assert_array_equal(
             pol.mean_steps(batch),
             pol.with_params(pol.params).mean_steps(np.array(batch.xs)))
 
     def test_cache_build_allocates_activations_and_sensitivities_only(self):
-        pol, xs, y, hidden = self.big_case()
-        cached = 2 * (len(pol.layer_sizes) - 2)  # h_l and d_l per hidden layer
+        pol, batch, y, hidden = self.big_case()
+        kept = 2 * (len(pol.layer_sizes) - 2)  # h_l and d_l per hidden layer
         assert peak_bytes(lambda: pol.with_params(pol.params).jac_y_steps(
-            xs, y)) < (cached + 1) * hidden
+            batch, y)) < (kept + 1) * hidden
 
 
 @pytest.mark.parametrize("family", ["linear", "mlp"])

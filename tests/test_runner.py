@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aspic.cli
 import aspic.runner
-from aspic import (ExperimentConfig, RolloutBlowupError, RunError,
-                   config_hash, export, resolve_delta, run_aspic, sweep)
+from aspic import (ExperimentConfig, MlpPolicy, RolloutBlowupError,
+                   RunError, config_hash, export, make_env, resolve_delta,
+                   run_aspic, sample_batch, sweep, trust_region_step)
 from aspic.cli import main as cli_main
 from aspic.runner import CSV_COLUMNS
 
@@ -274,6 +276,40 @@ class TestRun:
                                      solver={"kind": "cg", "iters": 10}))
         assert len(res.records[0]) == 3
 
+    def test_mlp_evaluates_each_batch_once(self, monkeypatch):
+        # Per iteration: one forward over all batch rows that keeps its
+        # hidden layers, and one that keeps none per line-search trial.  A
+        # caller handing an MLP product, or the sampling policy's
+        # log-probabilities, ``batch.xs`` would add forwards over the batch.
+        cfg = ExperimentConfig.from_json(CONFIGS / "pendulum.json").replace(
+            policy="mlp", solver={"kind": "cg", "iters": 10}, n_rollouts=4,
+            iterations=3, env_overrides={"horizon": 1.0}, cost_threshold=None)
+        env = make_env(cfg.env, cfg.env_overrides)
+        log, forward = [], MlpPolicy._forward
+
+        def counted_forward(self, xs, keep):
+            if np.size(xs) == cfg.n_rollouts * env.num_steps * env.state_dim:
+                log[-1][keep] += 1
+            return forward(self, xs, keep)
+
+        def counted_sample(*args, **kwargs):
+            log.append({True: 0, False: 0})
+            return sample_batch(*args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            update = trust_region_step(*args, **kwargs)
+            log[-1]["trials"] = update.kl_evaluations
+            return update
+
+        monkeypatch.setattr(MlpPolicy, "_forward", counted_forward)
+        monkeypatch.setattr(aspic.runner, "sample_batch", counted_sample)
+        monkeypatch.setattr(aspic.runner, "trust_region_step", counted_step)
+        run_aspic(cfg)
+        assert len(log) == 3
+        for counts in log:
+            assert counts[True] == 1
+            assert counts[False] == counts["trials"] > 0
+
     def test_iterations_to_threshold(self):
         res = run_aspic(small_config(iterations=5))
         costs = [rec.mean_cost for rec in res.records[0]]
@@ -381,6 +417,12 @@ class TestExport:
             row = dict(zip(CSV_COLUMNS, list(csv.reader(fh))[1]))
         assert (row["alpha"], row["kl_est"]) == ("", "")
         assert float(row["eta"]) == res.records[0][0].eta
+
+    def test_outdir_that_cannot_be_made_is_an_os_error(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(OSError, match="failed writing results under"):
+            export(run_aspic(small_config(iterations=1)),
+                   tmp_path / "file" / "sub")
 
 
 class TestCli:
@@ -584,6 +626,31 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert cli_main(["run", cfg]) == 0
         assert (tmp_path / "from_env" / "summary.json").exists()
+
+    def test_empty_outdir_env_var_means_the_default(self, tmp_path,
+                                                    monkeypatch):
+        cfg = self.write_config(tmp_path)
+        monkeypatch.setenv("ASPIC_OUTDIR", "")
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["run", cfg]) == 0
+        assert (tmp_path / "aspic_results" / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", [["run"],
+                                         ["sweep", "--axis", "delta",
+                                          "--values", "[0]"]])
+    def test_outdir_under_a_file_exits_2_before_running(
+            self, tmp_path, capsys, monkeypatch, command):
+        def never(*args):
+            raise AssertionError("ran despite a bad output directory")
+
+        monkeypatch.setattr(aspic.cli, "run_aspic", never)
+        monkeypatch.setattr(aspic.cli, "sweep", never)
+        cfg = self.write_config(tmp_path)
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "sub")
+        assert cli_main([command[0], cfg, *command[1:], "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot create output directory {out}" in err
 
 
 @pytest.mark.slow

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aspic import RolloutBatch, Trajectory, stochastic_cost
+from aspic import (RolloutBatch, TimeVaryingLinearPolicy, Trajectory,
+                   lq_features, make_env, rollout, sample_batch,
+                   stochastic_cost)
 
 
 def make_traj(state_costs, logp_policy, logp_base, state_dim=1):
@@ -83,7 +85,7 @@ class TestRolloutBatch:
         trajs = [make_traj(rng.normal(size=4), rng.normal(size=4),
                            rng.normal(size=4)) for _ in range(6)]
         batch = stack(trajs, gamma=1.5)
-        recomputed = [stochastic_cost(tr, 1.5) for tr in batch]
+        recomputed = [stochastic_cost(tr, 1.5) for tr in trajs]
         np.testing.assert_allclose(batch.stochastic_costs, recomputed,
                                    rtol=0, atol=0)
 
@@ -95,7 +97,16 @@ class TestRolloutBatch:
         assert isinstance(batch, Trajectory)
         np.testing.assert_array_equal(stochastic_cost(batch, 0.5),
                                       batch.stochastic_costs)
-        assert isinstance(stochastic_cost(batch[0], 0.5), float)
+
+    def test_rollout_cost_is_a_float_and_row_zero_of_the_batch(self):
+        env = make_env("lq_viapoints")
+        pol = TimeVaryingLinearPolicy(lq_features, 2, env.num_steps,
+                                      env.noise_var)
+        cost = stochastic_cost(rollout(env, pol, 5), 0.5)
+        assert isinstance(cost, float)
+        assert cost == pytest.approx(
+            sample_batch(env, pol, 3, 5, gamma=0.5).stochastic_costs[0],
+            rel=1e-12)
 
     def test_mean_cost(self):
         trajs = [make_traj([c], [0.0], [0.0]) for c in (1.0, 2.0, 3.0)]
@@ -147,14 +158,14 @@ class TestRolloutBatch:
         trajs = [make_traj([1.0, 2.0], [-0.5, -0.5], [-1.0, -1.0], state_dim=2)
                  for _ in range(3)]
         batch = stack(trajs, gamma=1.0)
-        row = batch[1]
-        assert isinstance(row, Trajectory)
-        assert np.shares_memory(row.states, batch.states)
-        np.testing.assert_array_equal(row.state_costs, [1.0, 2.0])
+        row = batch.states[1]
+        assert np.shares_memory(row, batch.states)
+        assert not row.flags.writeable
+        np.testing.assert_array_equal(batch.state_costs[1], [1.0, 2.0])
         with pytest.raises(ValueError):
             batch.actions[0, 0, 0] = 1.0
         with pytest.raises(IndexError):
-            batch[3]
+            batch.state_costs[3]
 
     def test_xs_is_contiguous_states_without_the_last(self):
         rng = np.random.default_rng(4)

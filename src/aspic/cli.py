@@ -2,8 +2,8 @@
 
 Output directory resolution: --out flag, else the ASPIC_OUTDIR environment
 variable when it is not empty, else ./aspic_results; it is created before any
-run starts.  Exit code is 1 if any run failed, 2 if the config or the sweep
-values are invalid or the output directory cannot be created.
+run starts.  Exit 1 if any run failed; exit 2 if an input cannot be read, the
+config or sweep values are invalid, or the output directory cannot be made.
 """
 
 from __future__ import annotations
@@ -14,6 +14,15 @@ import os
 import sys
 
 from .runner import ExperimentConfig, RunError, export, run_aspic, sweep
+
+
+def _read_json(path):
+    """The JSON in ``path``; a ``ValueError`` if it cannot be read."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
 
 
 def _outdir(args) -> str:
@@ -48,7 +57,7 @@ def _write(cells: dict, base: str) -> int:
 
 
 def cmd_run(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
+    config = ExperimentConfig.from_dict(_read_json(args.config))
     out = _outdir(args)
     try:
         result = run_aspic(config)
@@ -58,7 +67,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
+    config = ExperimentConfig.from_dict(_read_json(args.config))
     values = json.loads(args.values or "[]")
     if not isinstance(values, list) or not values:
         raise ValueError("sweep values must be a non-empty JSON list, "
@@ -69,8 +78,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_export(args) -> int:
     # Re-print a summary written by a previous run, its config validated.
-    with open(args.summary) as fh:
-        payload = json.load(fh)
+    payload = _read_json(args.summary)
     if not isinstance(payload, dict):
         raise ValueError(f"summary must be a JSON object, got {payload!r}")
     missing = sorted({"config", "config_hash", "final_costs"} - set(payload))
@@ -118,7 +126,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # invalid config, values or output directory
+    except ValueError as exc:  # unreadable or invalid input, bad outdir
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

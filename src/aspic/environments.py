@@ -5,7 +5,7 @@ action channel and Euler-discretized dynamics:
 
     x_{k+1} = x_k + dt * (f(x_k) + g(x_k) * a_k),   a_k = u(x_k, k) + xi_k
 
-with xi_k ~ N(0, nu/dt) per action dimension.  State costs are delta events
+with scalar a_k and xi_k ~ N(0, nu/dt).  State costs are delta events
 at the grid indices an environment lists in ``event_indices`` (added once,
 without a dt factor); there are no running costs.  The base policy is the
 zero-mean Gaussian with the same variance, so the per-step log-prob ratio is
@@ -66,7 +66,6 @@ class Environment:
     """
 
     state_dim: ClassVar[int]
-    action_dim: ClassVar[int] = 1
     dt: float
     horizon: float
     nu: float = 1.0
@@ -85,7 +84,7 @@ class Environment:
         self.x0 = np.zeros(self.state_dim)
 
     def xdot(self, x: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
-        """The rate f(x) + g(x) a, in state space."""
+        """The rate f(x) + g(x) a, for one scalar action a per state."""
         raise NotImplementedError
 
     def step(self, x: np.ndarray, a: np.ndarray, t: int) -> np.ndarray:
@@ -138,7 +137,7 @@ class LqViapoints(Environment):
 
     def xdot(self, x, a, out=None):
         out = np.empty(x.shape) if out is None else out
-        out[...] = a
+        out[..., 0] = a
         return out
 
     def _event_cost(self, index, x):
@@ -164,7 +163,7 @@ class Pendulum(Environment):
         out = np.empty(x.shape) if out is None else out
         ang, vel = x[..., 0], x[..., 1]
         acc = -self.c_omega0 * vel - self.omega0_sq * np.sin(ang)
-        np.add(acc, self.lam * a[..., 0], out=out[..., 1])
+        np.add(acc, self.lam * a, out=out[..., 1])
         out[..., 0] = vel
         return out
 
@@ -235,7 +234,7 @@ class Acrobot(Environment):
 
     def xdot(self, x, a, out=None):
         out = np.empty(x.shape) if out is None else out
-        out[..., 2], out[..., 3] = self.accelerations(x, self.lam * a[..., 0])
+        out[..., 2], out[..., 3] = self.accelerations(x, self.lam * a)
         out[..., :2] = x[..., 2:]
         return out
 
@@ -260,7 +259,7 @@ def _raise_on_blowup(states: np.ndarray, first_step: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _simulate(env: Environment, policy, noises: np.ndarray) -> dict:
-    """Run n rollouts in lockstep; noises is (n, T, adim).
+    """Run n rollouts in lockstep; noises is (n, T).
 
     Returns the ``RolloutBatch`` sequences as a dict of stacked arrays, with
     the (T, n, K) features of a linear policy (else None).  States, actions
@@ -268,10 +267,10 @@ def _simulate(env: Environment, policy, noises: np.ndarray) -> dict:
     Rows are independent, so the blow-up check after the loop names the
     step and row a check after every step would.
     """
-    n, t_steps, _ = noises.shape
+    n, t_steps = noises.shape
     step_noises = np.ascontiguousarray(noises.swapaxes(0, 1))
     states = np.empty((t_steps + 1, n, env.state_dim))
-    actions = np.empty((t_steps, n, env.action_dim))
+    actions = np.empty((t_steps, n))
     costs = np.zeros((n, t_steps))
     phi = (np.empty((t_steps, n, policy.num_features))
            if isinstance(policy, TimeVaryingLinearPolicy) else None)
@@ -297,12 +296,10 @@ def _simulate(env: Environment, policy, noises: np.ndarray) -> dict:
 
 def _noises(env: Environment, n: int, rng_seed,
             noise_scale: float) -> np.ndarray:
-    """(n, T, adim) action noise: one draw from ``default_rng(rng_seed)``,
-    scaled unless the scale is 1."""
-    noises = np.random.default_rng(rng_seed).normal(
-        0.0, np.sqrt(env.noise_var), size=(n, env.num_steps, env.action_dim))
-    noises *= noise_scale
-    return noises
+    """(n, T) action noise: one draw from ``default_rng(rng_seed)``, times
+    ``noise_scale``."""
+    return noise_scale * np.random.default_rng(rng_seed).normal(
+        0.0, np.sqrt(env.noise_var), size=(n, env.num_steps))
 
 
 def rollout(env: Environment, policy, rng_seed, *,

@@ -43,7 +43,7 @@ def _weighted_score_sum(batch: RolloutBatch, policy,
     if coeffs is None:
         return np.zeros(policy.params.size)
     resid = (batch.actions - policy.mean_steps(batch)) / policy.noise_var
-    return policy.jac_t_v_steps(batch, coeffs[:, None, None] * resid)
+    return policy.jac_t_v_steps(batch, coeffs[:, None] * resid)
 
 
 def smoothed_gradient(batch: RolloutBatch, policy, alpha: float,
@@ -69,7 +69,7 @@ def direct_gradient(batch: RolloutBatch, policy,
 
 def pice_gradient(batch: RolloutBatch, policy) -> np.ndarray:
     """Strong-smoothing limit: normalized exp(-S/gamma) weighted scores."""
-    if batch.gamma <= 0:
+    if not batch.gamma > 0:
         raise ValueError("the alpha -> 0 limit needs gamma > 0")
     w = normalized_weights(batch.stochastic_costs, batch.gamma, 0.0)
     return _weighted_score_sum(batch, policy, w)
@@ -79,7 +79,7 @@ def smoothed_cost_value(batch: RolloutBatch, alpha: float) -> float:
     """-(gamma+alpha) log mean exp(-S/(gamma+alpha)), max-shift stabilized."""
     s = np.asarray(batch.stochastic_costs, dtype=float)
     scale = batch.gamma + alpha
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError(f"gamma + alpha must be positive, got {scale}")
     if not np.all(np.isfinite(s)):
         raise ValueError("non-finite stochastic cost")

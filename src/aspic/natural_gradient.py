@@ -85,8 +85,6 @@ def conjugate_gradient(apply_a, b: np.ndarray, max_iters: int,
     p = b.copy()
     rs = float(r @ r)
     b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return x, 0
     for k in range(max_iters):
         if np.sqrt(rs) <= tol * b_norm:
             return x, k

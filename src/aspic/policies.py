@@ -1,24 +1,24 @@
 """Gaussian policies with fixed variance nu/dt.
 
-Both mean families expose the same batched surface: the action mean, its
-Jacobian-vector products in the flat parameter vector, and per-step
+Both mean families expose the same batched surface: the scalar action mean,
+its Jacobian-vector products in the flat parameter vector, and per-step
 log-probabilities, which is all the gradient estimators and the Fisher
 machinery need.  The variance is static and not part of the parameter
 vector, so every formula reduces to operations on the mean:
 
-    log pi(a|x,t) = -|a - u(x,t)|^2 / (2 sigma^2) - (d/2) log(2 pi sigma^2)
+    log pi(a|x,t) = -(a - u(x,t))^2 / (2 sigma^2) - (1/2) log(2 pi sigma^2)
     grad log pi   = J_u(x,t)^T (a - u(x,t)) / sigma^2
 
 with sigma^2 = nu/dt and J_u the Jacobian of the mean w.r.t. the parameters;
 the estimators form the gradient as ``jac_t_v_steps`` of the scaled residual.
 
-The methods take stacked arrays: ``xs`` of shape (..., T, state_dim) with
-matching actions, where T is the number of control steps and the leading
-dimensions enumerate rollouts.  In place of ``xs`` they also take a
-``RolloutBatch``, evaluated once: a linear policy reads the step-major
-(T, N, K) features the sampler stored, an MLP keeps the last batch's
-activations.  A bare array is evaluated afresh on every call and kept
-nowhere.  The parameter count is fixed when a policy is built.
+The methods take stacked arrays: ``xs`` of shape (..., T, state_dim), where
+T is the number of control steps and the leading dimensions enumerate
+rollouts; actions and per-step results are (..., T).  In place of ``xs``
+they also take a ``RolloutBatch``, evaluated once: a linear policy reads the
+step-major (T, N, K) features the sampler stored, an MLP keeps the last
+batch's activations.  A bare array is evaluated afresh on every call and
+kept nowhere.  The parameter count is fixed when a policy is built.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ __all__ = ["GaussianPolicy", "TimeVaryingLinearPolicy", "MlpPolicy",
 
 
 def gaussian_log_prob(resid: np.ndarray, noise_var: float) -> np.ndarray:
-    """log N(resid; 0, noise_var I) over the last axis."""
-    d = resid.shape[-1]
-    return (-np.sum(resid ** 2, axis=-1) / (2.0 * noise_var)
-            - 0.5 * d * np.log(2.0 * np.pi * noise_var))
+    """log N(resid; 0, noise_var), elementwise."""
+    return (-resid ** 2 / (2.0 * noise_var)
+            - 0.5 * np.log(2.0 * np.pi * noise_var))
 
 
 def _positive(noise_var: float) -> float:
@@ -55,8 +54,7 @@ class GaussianPolicy:
     ``with_params`` and return a new policy.
     """
 
-    noise_var: float  # nu/dt, per action dimension
-    action_dim: int
+    noise_var: float  # nu/dt
     _params: np.ndarray  # flat, sized when the policy is built
 
     @property
@@ -71,19 +69,19 @@ class GaussianPolicy:
         return xs.xs if isinstance(xs, RolloutBatch) else xs
 
     def mean(self, x: np.ndarray, t: int) -> np.ndarray:
-        """Action mean u(x, t); x may carry leading batch dimensions."""
+        """Action mean u(x, t), shaped like x without its state axis."""
         raise NotImplementedError
 
     def mean_steps(self, xs: np.ndarray) -> np.ndarray:
-        """Means along full trajectories: (..., T, state_dim) -> (..., T, adim)."""
+        """Means along full trajectories: (..., T, state_dim) -> (..., T)."""
         raise NotImplementedError
 
     def jac_y_steps(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """J_u(x_t, t) y at every step: returns (..., T, adim)."""
+        """J_u(x_t, t) y at every step: returns (..., T)."""
         raise NotImplementedError
 
     def jac_t_v_steps(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """sum over all rollouts and steps of J_u^T v; returns a flat vector."""
+        """Sum of J_u^T v over rollouts and steps, v (..., T): a flat vector."""
         raise NotImplementedError
 
     def fisher_trace(self, batch: RolloutBatch) -> float:
@@ -92,7 +90,7 @@ class GaussianPolicy:
         raise NotImplementedError
 
     def log_prob_steps(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Per-step log-probabilities; shape of xs minus the state axis."""
+        """Per-step log-probabilities, (..., T) like the actions."""
         resid = np.asarray(actions, dtype=float) - self.mean_steps(xs)
         return gaussian_log_prob(resid, self.noise_var)
 
@@ -153,16 +151,13 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
     into ``out`` when the sampler passes one.  Parameters
     flatten to shape (num_steps * num_features,) and default to zeros; the
     block for time t only influences step t, which makes the Fisher matrix
-    exactly block-diagonal across time.  Scalar actions only, matching the
-    tasks.
+    exactly block-diagonal across time.
 
     The stacked-array methods work on the features step-major, (T, M, K)
     over all M leading rows, as a batch stores them: each product is one
     batched matmul with a (K,) vector per step.  Their results come back in
-    the (..., T, 1) layout of ``xs``.
+    the (..., T) layout of ``xs`` without its state axis.
     """
-
-    action_dim = 1
 
     def __init__(self, feature_fn, num_features: int, num_steps: int,
                  noise_var: float, params: np.ndarray | None = None):
@@ -195,8 +190,7 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
 
     def mean(self, x: np.ndarray, t: int, features=None) -> np.ndarray:
         """u(x, t); the features of x go into ``features`` when given."""
-        feats = self.features(x, features)
-        return (feats @ self._theta[t])[..., None]
+        return self.features(x, features) @ self._theta[t]
 
     def mean_steps(self, xs: np.ndarray) -> np.ndarray:
         return self._step_products(xs, self._theta)
@@ -207,16 +201,16 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
 
     def _step_products(self, xs, coef: np.ndarray) -> np.ndarray:
         """phi(x_t) . coef_t at every step, one (M, K) @ (K, 1) per step
-        over the M rows; returns (..., T, 1)."""
+        over the M rows; returns (..., T)."""
         feats = self.step_inputs(xs)
         out = np.matmul(feats.reshape(self.num_steps, -1, self.num_features),
                         coef[:, :, None])
-        return np.moveaxis(out.reshape(feats.shape[:-1] + (1,)), 0, -2)
+        return np.moveaxis(out.reshape(feats.shape[:-1]), 0, -1)
 
     def jac_t_v_steps(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """v_t^T Phi_t per step, with v (..., T, 1) taken step-major."""
+        """v_t^T Phi_t per step, with v (..., T) taken step-major."""
         feats = self.step_inputs(xs)
-        v = np.moveaxis(np.asarray(v, dtype=float)[..., 0], -1, 0)
+        v = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
         return np.matmul(v.reshape(self.num_steps, 1, -1), feats.reshape(
             self.num_steps, -1, self.num_features)).ravel()
 
@@ -260,7 +254,6 @@ class MlpPolicy(GaussianPolicy):
             raise ValueError("layer_sizes must end in 1 (scalar actions "
                              f"only), got {list(self.layer_sizes)}")
         self.noise_var = _positive(noise_var)
-        self.action_dim = self.layer_sizes[-1]
         if params is None:
             if rng is None:
                 raise ValueError("MlpPolicy needs params or a seeded rng")
@@ -349,7 +342,7 @@ class MlpPolicy(GaussianPolicy):
         over an array, one forward that keeps no hidden layer."""
         out = (self._activations(xs)[0] if isinstance(xs, RolloutBatch)
                else self._forward(xs, keep=False))[-1]
-        return out.reshape(np.shape(self.step_inputs(xs))[:-1] + (1,)).copy()
+        return out.reshape(np.shape(self.step_inputs(xs))[:-1]).copy()
 
     def jac_t_v_steps(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(v a_{l-1})^T d_l = a_{l-1}^T (v d_l) and v^T d_l per layer."""
@@ -389,7 +382,7 @@ class MlpPolicy(GaussianPolicy):
             for r in _blocks(len(out)):
                 t = np.matmul(q[r], m, out=_scratch(0, *p[r].shape))
                 out[r] += np.einsum("ij,ij->i", t, p[r]) + d[r] @ db
-        return out.reshape(np.shape(self.step_inputs(xs))[:-1] + (1,))
+        return out.reshape(np.shape(self.step_inputs(xs))[:-1])
 
 
 _SCRATCH = threading.local()

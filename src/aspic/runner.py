@@ -213,7 +213,7 @@ def _make_policy(config: ExperimentConfig, env, run_rng) -> object:
         feature_fn, num_features = _FEATURES[config.env]
         return TimeVaryingLinearPolicy(feature_fn, num_features,
                                        env.num_steps, env.noise_var)
-    return MlpPolicy([env.state_dim, 32, 32, env.action_dim],
+    return MlpPolicy([env.state_dim, 32, 32, 1],
                      env.noise_var, rng=run_rng)
 
 

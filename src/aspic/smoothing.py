@@ -42,7 +42,7 @@ def normalized_weights(costs, gamma: float, alpha: float) -> np.ndarray:
     the weights unchanged (shift invariance of the softmax).
     """
     costs = np.asarray(costs, dtype=float)
-    if gamma + alpha <= 0:
+    if not gamma + alpha > 0:
         raise ValueError(f"gamma + alpha must be positive, got {gamma + alpha}")
     if not np.all(np.isfinite(costs)):
         raise ValueError("non-finite cost in weight computation")
@@ -103,8 +103,10 @@ def find_alpha(costs, gamma: float, delta: float) -> SmoothingResult:
     step-by-step search finds, bit for bit.
     """
     costs = np.asarray(costs, dtype=float)
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
     if costs.size < 2:
         raise ValueError("need at least 2 costs to adapt alpha")
     with np.errstate(over="ignore"):

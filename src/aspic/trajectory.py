@@ -2,7 +2,7 @@
 
 A ``RolloutBatch`` is a ``Trajectory`` with a leading batch axis: it holds
 everything the estimators need as stacked read-only arrays over N rollouts:
-visited states, noisy actions, injected noise, state costs, and per-step
+visited states, and scalar per-step actions, noise, state costs and
 log-probabilities under the sampling policy and the uncontrolled base policy.
 The sampler fills them in lockstep; ``xs`` and the stochastic costs are
 computed once when the batch is built.  State costs are already the per-step
@@ -33,8 +33,8 @@ class Trajectory:
     """One rollout of a controlled system.
 
     Shapes: ``states`` is (T+1, state_dim) including the initial state,
-    all other sequences have length T (the number of control steps).
-    By construction ``actions[k] - mean(states[k], k) == noises[k]``.
+    every other sequence is (T,), one scalar per control step.  The sampler
+    sets ``actions[k] = mean(states[k], k) + noises[k]``, rounded.
     """
 
     states: np.ndarray
@@ -46,23 +46,23 @@ class Trajectory:
     _batch_axes: ClassVar[int] = 0  # leading axes before the time axis
 
     def __post_init__(self):
-        """Freeze the sequences; after the batch axes, T+1 states, T steps."""
+        """Freeze and fully check the sequences: T+1 states, T scalars."""
         for name in _SEQUENCES:
             object.__setattr__(self, name, _frozen(getattr(self, name)))
-        *batch, t = self.actions.shape[:self._batch_axes + 1]
+        *batch, t_states = self.states.shape[:self._batch_axes + 1]
         for name in _SEQUENCES:
-            want = (*batch, t + 1 if name == "states" else t)
-            got = getattr(self, name).shape[:self._batch_axes + 1]
+            want = ((*batch, t_states, self.states.shape[-1])
+                    if name == "states" else (*batch, t_states - 1))
+            got = getattr(self, name).shape
             if got != want:
-                raise ValueError(f"{name} has shape {got} in its leading "
-                                 f"axes, expected {want}")
+                raise ValueError(f"{name} has shape {got}, expected {want}")
 
 
 def stochastic_cost(traj: Trajectory, gamma: float):
     """Path cost plus gamma times the policy/base log-likelihood ratio,
     summed over time: a float for a ``Trajectory``, the row costs for a
     ``RolloutBatch``."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     cost = (np.sum(traj.state_costs, axis=-1)
             + gamma * np.sum(traj.logp_policy - traj.logp_base, axis=-1))
@@ -73,8 +73,8 @@ def stochastic_cost(traj: Trajectory, gamma: float):
 class RolloutBatch(Trajectory):
     """N rollouts as stacked read-only arrays, with their stochastic costs.
 
-    Shapes: ``states`` (N, T+1, state_dim); ``actions`` and ``noises``
-    (N, T, adim); ``state_costs``, ``logp_policy``, ``logp_base`` (N, T).
+    Shapes: ``states`` (N, T+1, state_dim); ``actions``, ``noises``,
+    ``state_costs``, ``logp_policy`` and ``logp_base`` (N, T).
     ``xs`` is a contiguous copy of ``states[:, :-1]``.  Stochastic costs
     default to ``stochastic_cost(batch, gamma)``.  ``features`` is the
     feature matrix of the linear policy that sampled the batch, stored
@@ -90,7 +90,7 @@ class RolloutBatch(Trajectory):
     _batch_axes: ClassVar[int] = 1
 
     def __post_init__(self):
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         super().__post_init__()
         if self.n < 2:

@@ -110,11 +110,11 @@ def full_rank_fixture(seed=0, num_steps=4, n=16):
     policy = TimeVaryingLinearPolicy(lq_features, 2, num_steps, 1.0,
                                      params=rng.normal(size=2 * num_steps))
     draws = [(rng.normal(size=(num_steps + 1, 1)),
-              rng.normal(size=(num_steps, 1))) for _ in range(n)]
+              rng.normal(size=num_steps)) for _ in range(n)]
     zeros = np.zeros((n, num_steps))
     batch = RolloutBatch(states=np.stack([s for s, _ in draws]),
                          actions=np.stack([a for _, a in draws]),
-                         noises=np.zeros((n, num_steps, 1)), state_costs=zeros,
+                         noises=zeros, state_costs=zeros,
                          logp_policy=zeros, logp_base=zeros, gamma=1.0)
     return batch, policy
 
@@ -157,7 +157,7 @@ def test_criterion_4_gradient_oracles(capsys):
 
     mlp = MlpPolicy([2, 8, 1], noise_var=2.0, rng=np.random.default_rng(0))
     x = np.array([0.4, -1.1])
-    a = np.array([0.7])
+    a = 0.7
     score = mlp.jac_t_v_steps(x, (a - mlp.mean_steps(x)) / mlp.noise_var)
     tm = mlp.params
     worst_mlp = 0.0
@@ -291,7 +291,7 @@ def test_criterion_8_dynamics_suite(capsys):
         x = np.array([2.5, 0.0])
         e0 = float(env.energy(x))
         for t in range(env.num_steps):
-            x = env.step(x, np.zeros(1), t)
+            x = env.step(x, 0.0, t)
         drifts[dt] = abs(float(env.energy(x)) - e0)
     ratio = drifts[1e-2] / drifts[1e-3]
     drift_ok = 5.0 < ratio < 20.0
@@ -306,9 +306,9 @@ def test_criterion_8_dynamics_suite(capsys):
     det_ok = bool(np.all(d11 * d22 - d12 ** 2 > 0.0))
 
     pend = Pendulum()
-    eq_pend = np.array_equal(pend.step(np.zeros(2), np.zeros(1), 0),
+    eq_pend = np.array_equal(pend.step(np.zeros(2), 0.0, 0),
                              np.zeros(2))
-    eq_acro = np.allclose(acro.step(acro.x0, np.zeros(1), 0), acro.x0,
+    eq_acro = np.allclose(acro.step(acro.x0, 0.0, 0), acro.x0,
                           rtol=0, atol=1e-15)
 
     ok = drift_ok and det_ok and eq_pend and eq_acro

@@ -17,17 +17,16 @@ SEQUENCES = ("states", "actions", "noises", "state_costs", "logp_policy",
 class ZeroPolicy:
     """Uncontrolled stand-in: zero mean everywhere."""
 
-    def __init__(self, noise_var, action_dim=1):
+    def __init__(self, noise_var):
         self.noise_var = noise_var
-        self.action_dim = action_dim
 
     def mean(self, x, t):
         x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (self.action_dim,))
+        return np.zeros(x.shape[:-1])
 
     def mean_steps(self, xs):
         xs = np.asarray(xs, dtype=float)
-        return np.zeros(xs.shape[:-1] + (self.action_dim,))
+        return np.zeros(xs.shape[:-1])
 
 
 class InjectingPolicy(ZeroPolicy):
@@ -60,12 +59,12 @@ def reference_blowup(env, policy, n):
 class TestStep:
     def test_lq_euler_step(self):
         env = LqViapoints()
-        nxt = env.step(np.zeros(1), np.ones(1), 0)
+        nxt = env.step(np.zeros(1), 1.0, 0)
         np.testing.assert_allclose(nxt, [0.1])
 
     def test_pendulum_rest_is_equilibrium(self):
         env = Pendulum()
-        nxt = env.step(np.zeros(2), np.zeros(1), 0)
+        nxt = env.step(np.zeros(2), 0.0, 0)
         np.testing.assert_array_equal(nxt, np.zeros(2))
 
     def test_acrobot_hanging_is_equilibrium(self):
@@ -73,22 +72,22 @@ class TestStep:
         acc1, acc2 = env.accelerations(env.x0, 0.0)
         assert acc1 == pytest.approx(0.0, abs=1e-12)
         assert acc2 == pytest.approx(0.0, abs=1e-12)
-        nxt = env.step(env.x0, np.zeros(1), 0)
+        nxt = env.step(env.x0, 0.0, 0)
         np.testing.assert_allclose(nxt, env.x0, rtol=0, atol=1e-15)
 
     def test_blowup_detected(self):
         env = LqViapoints()
         with pytest.raises(RolloutBlowupError):
-            env.step(np.array([np.inf]), np.zeros(1), 3)
+            env.step(np.array([np.inf]), 0.0, 3)
 
     def test_blowup_names_the_first_bad_row(self):
         env = LqViapoints()
         x = np.array([[0.0], [np.nan], [2e8]])
         with pytest.raises(RolloutBlowupError) as err:
-            env.step(x, np.zeros((3, 1)), 4)
+            env.step(x, np.zeros(3), 4)
         assert (err.value.step, err.value.index) == (4, 1)
         with pytest.raises(RolloutBlowupError) as err:
-            env.step(x[[0, 2]], np.zeros((2, 1)), 4)
+            env.step(x[[0, 2]], np.zeros(2), 4)
         assert err.value.index == 1
 
 
@@ -105,7 +104,7 @@ class TestControlAffineRate:
         env = Acrobot()
         rng = np.random.default_rng(0)
         x = random_states(rng, 1000, 4)
-        a = rng.normal(0.0, 3.0, (1000, 1))
+        a = rng.normal(0.0, 3.0, 1000)
         free = env.xdot(x, np.zeros_like(a))
         effect = env.xdot(x, a) - free
         # The two-link arm's mass matrix, written out from the textbook
@@ -118,7 +117,7 @@ class TestControlAffineRate:
         d22 = np.full_like(c2, m2 * lc2 ** 2 + env.i2)
         mass = np.stack([np.stack([d11, d12], -1),
                          np.stack([d12, d22], -1)], -2)
-        torque = np.stack([np.zeros(1000), env.lam * a[:, 0]], -1)
+        torque = np.stack([np.zeros(1000), env.lam * a], -1)
         solved = np.linalg.solve(mass, torque[..., None])[..., 0]
         np.testing.assert_array_equal(effect[:, :2], 0.0)
         # effect differences two accelerations, so it carries their
@@ -130,18 +129,18 @@ class TestControlAffineRate:
         env = Pendulum(lam=0.7)
         rng = np.random.default_rng(1)
         x = random_states(rng, 1000, 2)
-        a = rng.normal(0.0, 3.0, (1000, 1))
+        a = rng.normal(0.0, 3.0, 1000)
         free = env.xdot(x, np.zeros_like(a))
         effect = env.xdot(x, a) - free
         np.testing.assert_array_equal(effect[:, 0], 0.0)
-        np.testing.assert_allclose(effect[:, 1], env.lam * a[:, 0],
+        np.testing.assert_allclose(effect[:, 1], env.lam * a,
                                    rtol=1e-12,
                                    atol=1e-12 * np.abs(free).max())
 
     def test_lq_rate_is_the_action(self):
         env = LqViapoints()
-        a = np.random.default_rng(2).normal(size=(5, 1))
-        np.testing.assert_array_equal(env.xdot(np.ones((5, 1)), a), a)
+        a = np.random.default_rng(2).normal(size=5)
+        np.testing.assert_array_equal(env.xdot(np.ones((5, 1)), a)[:, 0], a)
 
 
 class TestCosts:
@@ -212,8 +211,8 @@ class TestRollout:
         pol = pol.with_params(np.random.default_rng(1).normal(
             scale=0.5, size=pol.params.size))
         traj = rollout(env, pol, 11)
-        u = pol.mean_steps(traj.states[:-1])[..., 0]
-        xi = traj.noises[..., 0]
+        u = pol.mean_steps(traj.states[:-1])
+        xi = traj.noises
         girsanov = np.sum((0.5 * u ** 2 + u * xi) * env.dt / env.nu)
         log_ratio = np.sum(traj.logp_policy - traj.logp_base)
         assert log_ratio == pytest.approx(girsanov, rel=1e-10)
@@ -295,7 +294,7 @@ class TestSampleBatch:
         batch = sample_batch(env, ZeroPolicy(env.noise_var), 6, seed,
                              gamma=1.0)
         expected = np.random.default_rng(seed).normal(
-            0.0, np.sqrt(env.noise_var), (6, env.num_steps, 1))
+            0.0, np.sqrt(env.noise_var), (6, env.num_steps))
         np.testing.assert_array_equal(batch.noises, expected)
 
     @pytest.mark.parametrize("scale", [0.0, 1.0, 2.5])
@@ -304,7 +303,7 @@ class TestSampleBatch:
         batch = sample_batch(env, ZeroPolicy(env.noise_var), 4, 9, gamma=1.0,
                              noise_scale=scale)
         draw = np.random.default_rng(9).normal(
-            0.0, np.sqrt(env.noise_var), (4, env.num_steps, 1))
+            0.0, np.sqrt(env.noise_var), (4, env.num_steps))
         np.testing.assert_array_equal(batch.noises, scale * draw)
 
     @pytest.mark.parametrize("name, feature_fn, k", [
@@ -368,6 +367,53 @@ class TestSampleBatch:
         assert 0 <= info.value.step < env.num_steps
 
 
+class TestShapeContract:
+    """Actions are scalars: every per-step array of a batch and every
+    stacked policy output is (N, T), and a trailing action axis is
+    refused."""
+
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    @pytest.mark.parametrize("name, feature_fn, k", [
+        ("lq_viapoints", lq_features, 2),
+        ("pendulum", pendulum_features, 4),
+        ("acrobot", acrobot_features, 9)])
+    def test_per_step_arrays_are_n_by_t(self, name, feature_fn, k, family):
+        env = make_env(name, {"horizon": 0.5, "viapoints": ((0.2, 1.0),)}
+                       if name == "lq_viapoints" else {"horizon": 0.5})
+        if family == "linear":
+            pol = TimeVaryingLinearPolicy(feature_fn, k, env.num_steps,
+                                          env.noise_var)
+        else:
+            pol = MlpPolicy([env.state_dim, 8, 1], env.noise_var,
+                            rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        pol = pol.with_params(rng.normal(scale=0.3, size=pol.params.size))
+        n, t = 3, env.num_steps
+        batch = sample_batch(env, pol, n, 5, gamma=1.0)
+        assert batch.states.shape == (n, t + 1, env.state_dim)
+        for seq in SEQUENCES[1:]:
+            assert getattr(batch, seq).shape == (n, t), seq
+        traj = rollout(env, pol, 5)
+        for seq in SEQUENCES[1:]:
+            assert getattr(traj, seq).shape == (t,), seq
+        assert pol.mean(batch.xs[:, 0], 0).shape == (n,)
+        y = rng.normal(size=pol.params.size)
+        v = rng.normal(size=(n, t))
+        for xs in (batch, batch.xs):
+            assert pol.mean_steps(xs).shape == (n, t)
+            assert pol.log_prob_steps(xs, batch.actions).shape == (n, t)
+            jy = pol.jac_y_steps(xs, y)
+            assert jy.shape == (n, t)
+            jtv = pol.jac_t_v_steps(xs, v)
+            assert jtv.shape == pol.params.shape
+            assert float(np.sum(jy * v)) == pytest.approx(float(y @ jtv),
+                                                          rel=1e-10)
+        with pytest.raises(ValueError, match="actions"):
+            dataclasses.replace(batch, actions=batch.actions[..., None])
+        with pytest.raises(ValueError, match="actions"):
+            dataclasses.replace(traj, actions=traj.actions[..., None])
+
+
 class TestEnergyDrift:
     def test_undamped_pendulum_drift_linear_in_dt(self):
         drifts = {}
@@ -376,7 +422,7 @@ class TestEnergyDrift:
             x = np.array([2.5, 0.0])  # released from a large angle
             e0 = float(env.energy(x))
             for t in range(env.num_steps):
-                x = env.step(x, np.zeros(1), t)
+                x = env.step(x, 0.0, t)
             drifts[dt] = abs(float(env.energy(x)) - e0)
         assert drifts[1e-2] <= 100.0 * 1e-2 * 3.0
         ratio = drifts[1e-2] / drifts[1e-3]

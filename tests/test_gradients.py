@@ -9,13 +9,15 @@ sampling parameters is exactly the negated unwhitened estimator.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from aspic import (TimeVaryingLinearPolicy, direct_gradient,
-                   lq_features, make_env, pice_gradient, sample_batch,
-                   smoothed_cost_value, smoothed_gradient)
+from aspic import (TimeVaryingLinearPolicy, direct_gradient, find_alpha,
+                   lq_features, make_env, normalized_weights, pice_gradient,
+                   sample_batch, smoothed_cost_value, smoothed_gradient,
+                   stochastic_cost)
 
 LQ_SMALL = dict(horizon=0.5, dt=0.1, viapoints=((0.2, 1.0), (0.5, -1.0)),
                 sigma=0.5)
@@ -191,3 +193,25 @@ class TestSmoothedCostValue:
             [np.nan] + [0.0] * (batch.n - 1)))
         with pytest.raises(ValueError):
             smoothed_cost_value(frozen, 1.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda b: normalized_weights([1.0, 2.0], gamma=NAN, alpha=0.0), "gamma"),
+    (lambda b: normalized_weights([1.0, 2.0], gamma=1.0, alpha=NAN), "alpha"),
+    (lambda b: find_alpha([1.0, 2.0], gamma=1.0, delta=NAN), "delta"),
+    (lambda b: find_alpha([1.0, 2.0], gamma=NAN, delta=1.0), "gamma"),
+    (lambda b: stochastic_cost(b, NAN), "gamma"),
+    (lambda b: replace(b, gamma=NAN), "gamma"),
+    (lambda b: smoothed_cost_value(b, NAN), "alpha"),
+    (lambda b: pice_gradient(SimpleNamespace(gamma=NAN), None), "gamma"),
+], ids=["weights-gamma", "weights-alpha", "find_alpha-delta",
+        "find_alpha-gamma", "stochastic_cost", "batch", "value-alpha",
+        "pice-gamma"])
+def test_nan_fails_the_positivity_checks(call, name):
+    # NaN compares False with everything, so "x <= 0" lets it through.
+    batch, _ = make_fixture(n=3)
+    with pytest.raises(ValueError, match=name):
+        call(batch)

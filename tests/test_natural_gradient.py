@@ -47,7 +47,7 @@ def full_rank_fixture(seed=0, num_steps=4, n=16):
     policy = TimeVaryingLinearPolicy(lq_features, 2, num_steps, 1.0,
                                      params=rng.normal(size=2 * num_steps))
     draws = [(rng.normal(size=(num_steps + 1, 1)),
-              rng.normal(size=(num_steps, 1))) for _ in range(n)]
+              rng.normal(size=num_steps)) for _ in range(n)]
     batch = array_batch(np.stack([s for s, _ in draws]),
                         np.stack([a for _, a in draws]))
     return batch, policy
@@ -134,7 +134,7 @@ class TestFisherVectorProduct:
         pol = TimeVaryingLinearPolicy(lq_features, 2, 1, 1.0,
                                       params=np.zeros(2))
         batch = array_batch(np.array([[[2.0], [0.0]]] * 2),
-                            np.zeros((2, 1, 1)))
+                            np.zeros((2, 1)))
         out = fisher_vector_product(batch, pol, np.array([1.0, 0.0]))
         np.testing.assert_allclose(out, [4.0, 2.0])
 
@@ -175,7 +175,7 @@ class TestFisherTrace:
         policy = policy.with_params(policy.params + rng.normal(
             scale=0.1, size=policy.params.size))  # nonzero biases
         batch = array_batch(rng.normal(size=(n, steps + 1, 2)),
-                            rng.normal(size=(n, steps, 1)))
+                            rng.normal(size=(n, steps)))
         if n == 30:
             assert n * steps > policies.BLOCK_ROWS
         assert policy.fisher_trace(batch) == pytest.approx(
@@ -228,7 +228,7 @@ class TestPerTimestepDirection:
 
         # States +1 and -1: sum of [x,1][x,1]^T over the two samples is 2I.
         batch = array_batch(np.array([[[x], [x], [0.0]] for x in (1.0, -1.0)]),
-                            np.zeros((2, 2, 1)))
+                            np.zeros((2, 2)))
         g = np.array([1.0, 2.0, -3.0, 4.0])
         out = per_timestep_natural_direction(batch, pol, g, rcond=1e-12)
         np.testing.assert_allclose(out, g, rtol=1e-12)
@@ -239,7 +239,7 @@ class TestPerTimestepDirection:
         pol = TimeVaryingLinearPolicy(lq_features, 2, 1, 1.0,
                                       params=np.zeros(2))
         batch = array_batch(np.array([[[2.0], [0.0]]] * 3),
-                            np.zeros((3, 1, 1)))
+                            np.zeros((3, 1)))
         g_null = np.array([1.0, -2.0])  # orthogonal to phi = [2, 1]
         out = per_timestep_natural_direction(batch, pol, g_null, rcond=1e-4)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
@@ -251,7 +251,7 @@ class TestPerTimestepDirection:
 
         pol = TimeVaryingLinearPolicy(single_feature, 1, 1, 1.0,
                                       params=np.zeros(1))
-        batch = array_batch(np.zeros((2, 2, 1)), np.zeros((2, 1, 1)))
+        batch = array_batch(np.zeros((2, 2, 1)), np.zeros((2, 1)))
         out = per_timestep_natural_direction(batch, pol, np.array([8.0]))
         np.testing.assert_allclose(out, [2.0])
 
@@ -328,7 +328,7 @@ class TestPerTimestepPinvOracle:
         policy = TimeVaryingLinearPolicy(feature_fn, k, 4, 1.3,
                                          params=np.zeros(4 * k))
         batch = array_batch(rng.normal(size=(7, 5, state_dim)),
-                            np.zeros((7, 4, 1)))
+                            np.zeros((7, 4)))
         g = rng.normal(size=policy.params.size)
         np.testing.assert_allclose(
             per_timestep_natural_direction(batch, policy, g, rcond=rcond),
@@ -341,7 +341,7 @@ class TestPerTimestepPinvOracle:
         states[:, 1] = 0.0  # block 1 is all zero
         policy = TimeVaryingLinearPolicy(state_features, 3, 3, 1.0,
                                          params=np.zeros(9))
-        batch = array_batch(states, np.zeros((7, 3, 1)))
+        batch = array_batch(states, np.zeros((7, 3)))
         g = rng.normal(size=9)
         got = per_timestep_natural_direction(batch, policy, g, rcond=rcond)
         np.testing.assert_array_equal(got[3:6], 0.0)
@@ -422,7 +422,7 @@ class TestTrustRegionStep:
         # ridge alone gives them a natural direction, which moves no mean.
         pol = TimeVaryingLinearPolicy(lq_features, 2, 2, 1.0,
                                       params=np.zeros(4))
-        batch = array_batch(np.zeros((3, 3, 1)), np.ones((3, 2, 1)))
+        batch = array_batch(np.zeros((3, 3, 1)), np.ones((3, 2)))
         with pytest.raises(LineSearchError, match="from above"):
             trust_region_step(batch, pol, np.array([1.0, 0.0, -1.0, 0.0]),
                               epsilon=0.1)
@@ -522,7 +522,7 @@ class TestLineSearch:
     N = 4
 
     def step(self, kl):
-        batch = array_batch(np.zeros((self.N, 3, 1)), np.zeros((self.N, 2, 1)))
+        batch = array_batch(np.zeros((self.N, 3, 1)), np.zeros((self.N, 2)))
         log = []
         policy = KlStubPolicy(np.zeros(2), kl, log)
         up = trust_region_step(batch, policy, np.array([1.0, 0.0]),

@@ -63,23 +63,23 @@ class TestFeatureMaps:
 class TestLogProb:
     def test_at_mode_unit_variance(self):
         pol = make_linear(noise_var=1.0)
-        lp = pol.log_prob_steps(np.zeros((3, 1)), np.zeros((3, 1)))
+        lp = pol.log_prob_steps(np.zeros((3, 1)), np.zeros(3))
         assert lp[0] == pytest.approx(-0.5 * np.log(2 * np.pi))
 
     def test_unit_residual(self):
         pol = make_linear(noise_var=1.0)
-        lp = pol.log_prob_steps(np.zeros((3, 1)), np.ones((3, 1)))
+        lp = pol.log_prob_steps(np.zeros((3, 1)), np.ones(3))
         assert lp[1] == pytest.approx(-0.5 - 0.5 * np.log(2 * np.pi))
 
     def test_steps_match_single(self):
         pol = make_linear(num_steps=4, noise_var=2.5, seed=1)
         xs = np.random.default_rng(2).normal(size=(4, 1))
-        acts = np.random.default_rng(3).normal(size=(4, 1))
+        acts = np.random.default_rng(3).normal(size=4)
         lp = pol.log_prob_steps(xs, acts)
         theta = pol.params.reshape(4, 2)
         for t in range(4):
             u = theta[t] @ lq_features(xs[t])
-            single = (-(acts[t, 0] - u) ** 2 / (2 * 2.5)
+            single = (-(acts[t] - u) ** 2 / (2 * 2.5)
                       - 0.5 * np.log(2 * np.pi * 2.5))
             assert lp[t] == pytest.approx(single)
 
@@ -109,7 +109,7 @@ class TestLinearPolicy:
     def test_score_hand_value(self):
         # Features [2, 1], residual 3, unit variance: block [6, 3] at time t.
         pol = make_linear(num_steps=3, noise_var=1.0)
-        s = step_score(pol, np.array([3.0]), np.array([2.0]), 1)
+        s = step_score(pol, 3.0, np.array([2.0]), 1)
         np.testing.assert_allclose(s, [0, 0, 6, 3, 0, 0])
 
     def test_score_zero_at_mean(self):
@@ -121,7 +121,7 @@ class TestLinearPolicy:
     def test_time_block_sparsity(self):
         pol = make_linear(num_steps=5, seed=7)
         xs = np.random.default_rng(8).normal(size=(5, 1))
-        acts = np.random.default_rng(9).normal(size=(5, 1))
+        acts = np.random.default_rng(9).normal(size=5)
         base_lp = pol.log_prob_steps(xs, acts)
         theta = pol.params
         theta[2 * pol.num_features] += 0.5  # perturb the t=2 block
@@ -134,7 +134,7 @@ class TestLinearPolicy:
         rng = np.random.default_rng(11)
         xs = rng.normal(size=(6, 4, 1))
         y = rng.normal(size=pol.params.size)
-        v = rng.normal(size=(6, 4, 1))
+        v = rng.normal(size=(6, 4))
         # <J y, v> == <y, J^T v> (adjoint identity).
         lhs = float(np.sum(pol.jac_y_steps(xs, y) * v))
         rhs = float(y @ pol.jac_t_v_steps(xs, v))
@@ -144,7 +144,7 @@ class TestLinearPolicy:
         pol = make_linear(num_steps=3, seed=12)
         rng = np.random.default_rng(13)
         xs = rng.normal(size=(3, 1))
-        acts = rng.normal(size=(3, 1))
+        acts = rng.normal(size=3)
         total = sum(step_score(pol, acts[t], xs[t], t) for t in range(3))
         np.testing.assert_allclose(score_sum(pol, xs, acts), total,
                                    rtol=1e-12)
@@ -177,12 +177,12 @@ class TestLinearProductsOracle:
         y = rng.normal(size=pol.params.size)
         for coef, got in ((pol.params, pol.mean_steps(xs)),
                           (y, pol.jac_y_steps(xs, y))):
-            assert got.shape == lead + (self.T, 1)
+            assert got.shape == lead + (self.T,)
             for t, c in enumerate(coef.reshape(self.T, k)):
                 phi = feature_fn(xs[..., t, :])
                 # rtol 1e-13 of the sum of the terms' magnitudes
                 bound = 1e-13 * (np.abs(phi) @ np.abs(c))
-                assert np.all(np.abs(got[..., t, 0] - phi @ c) <= bound)
+                assert np.all(np.abs(got[..., t] - phi @ c) <= bound)
 
     @pytest.mark.parametrize("lead", [(), (7,), (3, 2)])
     @pytest.mark.parametrize("feature_fn, state_dim, k", LINEAR_MAPS)
@@ -190,9 +190,9 @@ class TestLinearProductsOracle:
                                               k, lead):
         pol, xs, rng = self.case(feature_fn, state_dim, k, lead)
         y = rng.normal(size=pol.params.size)
-        v = rng.normal(size=lead + (self.T, 1))
+        v = rng.normal(size=lead + (self.T,))
         jtv = pol.jac_t_v_steps(xs, v)
-        want = [np.sum(feature_fn(xs[..., t, :]) * v[..., t, :],
+        want = [np.sum(feature_fn(xs[..., t, :]) * v[..., t, None],
                        axis=tuple(range(len(lead)))) for t in range(self.T)]
         np.testing.assert_allclose(jtv, np.concatenate(want), rtol=1e-13,
                                    atol=1e-13 * np.abs(jtv).max())
@@ -219,8 +219,8 @@ def array_batch(states):
     """A batch over ``states`` (N, T+1, state_dim), zero everywhere else."""
     n, steps = states.shape[0], states.shape[1] - 1
     zeros = np.zeros((n, steps))
-    return RolloutBatch(states=states, actions=zeros[..., None],
-                        noises=zeros[..., None], state_costs=zeros,
+    return RolloutBatch(states=states, actions=zeros,
+                        noises=zeros, state_costs=zeros,
                         logp_policy=zeros, logp_base=zeros, gamma=1.0)
 
 
@@ -245,7 +245,7 @@ class TestMlpPolicy:
     def test_score_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=2)
-        a = rng.normal(size=1)
+        a = rng.normal()
         score = score_sum(self.pol, x, a)
         theta = self.pol.params
         h = 1e-6
@@ -273,7 +273,7 @@ class TestMlpPolicy:
         rng = np.random.default_rng(3)
         xs = rng.normal(size=(5, 2))
         y = rng.normal(size=self.pol.params.size)
-        v = rng.normal(size=(5, 1))
+        v = rng.normal(size=5)
         lhs = float(np.sum(self.pol.jac_y_steps(xs, y) * v))
         rhs = float(y @ self.pol.jac_t_v_steps(xs, v))
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -319,7 +319,7 @@ def reference_products(sizes, params, xs, y, v):
             g = g * (1 - acts[i + 1] ** 2)
         grads[:0] = [(acts[i].T @ g).ravel(), g.sum(axis=0)]
         g = g @ layers[i][0].T
-    return dh.reshape(np.shape(xs)[:-1] + (1,)), np.concatenate(grads)
+    return dh.reshape(np.shape(xs)[:-1]), np.concatenate(grads)
 
 
 @pytest.mark.parametrize("sizes", [[2, 8, 1], [2, 8, 5, 1], [2, 32, 32, 1],
@@ -331,7 +331,7 @@ def test_jacobian_products_match_propagation_reference(sizes, rows):
     rng = np.random.default_rng(len(sizes) + rows)
     xs = frozen(rng.normal(size=(rows, 2)))
     y = rng.normal(size=pol.num_params)
-    v = rng.normal(size=(rows, 1))
+    v = rng.normal(size=rows)
     jy, jtv = reference_products(sizes, pol.params, xs, y, v)
     # Both forms sum the same products in another order.  An entry that
     # cancels far below the largest one keeps the largest one's round-off,
@@ -382,7 +382,7 @@ class TestMlpActivationCache:
         rng = np.random.default_rng(30)
         self.batch = batch_of(rng.normal(size=(6, 4, 2)))
         self.y = rng.normal(size=self.pol.params.size)
-        self.v = rng.normal(size=(6, 4, 1))
+        self.v = rng.normal(size=(6, 4))
 
     def expected(self, xs, pol=None, y=None, v=None):
         """Each call on a fresh policy and a writable copy of xs, copied
@@ -448,7 +448,7 @@ class TestMlpActivationCache:
                             (self.pol, big), (wide, self.batch),
                             (self.pol, np.array(big.xs))]:
                 y = rng.normal(size=pol.params.size)
-                v = rng.normal(size=pol.step_inputs(xs).shape[:-1] + (1,))
+                v = rng.normal(size=pol.step_inputs(xs).shape[:-1])
                 want = self.expected(pol.step_inputs(xs), pol, y, v)
                 for name, call in mlp_calls(pol, xs, y, v).items():
                     got = call()
@@ -558,10 +558,10 @@ def test_score_identity(family):
     u = float(np.squeeze(pol.mean(x, t)))
     actions = u + rng.normal(0, 1.0, size=n)
     if family == "linear":
-        scores = np.stack([step_score(pol, np.array([a]), x, t)
+        scores = np.stack([step_score(pol, a, x, t)
                            for a in actions[:n]])
     else:
-        scores = np.stack([score_sum(pol, x, np.array([a]))
+        scores = np.stack([score_sum(pol, x, a)
                            for a in actions[:n]])
     mean = scores.mean(axis=0)
     se = scores.std(axis=0) / np.sqrt(n)

@@ -652,6 +652,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"cannot create output directory {out}" in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command", [["run"],
+                                         ["sweep", "--axis", "delta",
+                                          "--values", "[0]"],
+                                         ["export"]])
+    def test_unreadable_input_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, command, kind):
+        def never(*args):
+            raise AssertionError("ran despite an unreadable input")
+
+        monkeypatch.setattr(aspic.cli, "run_aspic", never)
+        monkeypatch.setattr(aspic.cli, "sweep", never)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        out = ["--out", str(tmp_path / "out")] if command != ["export"] else []
+        assert cli_main([command[0], str(path), *command[1:], *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["input.json"] if kind == "directory" else [])
+
 
 @pytest.mark.slow
 def test_shipped_lq_config_reaches_its_threshold():

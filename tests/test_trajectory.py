@@ -14,8 +14,8 @@ def make_traj(state_costs, logp_policy, logp_base, state_dim=1):
     t = len(state_costs)
     return Trajectory(
         states=np.zeros((t + 1, state_dim)),
-        actions=np.zeros((t, 1)),
-        noises=np.zeros((t, 1)),
+        actions=np.zeros(t),
+        noises=np.zeros(t),
         state_costs=np.asarray(state_costs, dtype=float),
         logp_policy=np.asarray(logp_policy, dtype=float),
         logp_base=np.asarray(logp_base, dtype=float),
@@ -63,14 +63,14 @@ class TestStochasticCost:
 class TestTrajectoryInvariants:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Trajectory(states=np.zeros((3, 1)), actions=np.zeros((2, 1)),
-                       noises=np.zeros((2, 1)), state_costs=np.zeros(2),
+            Trajectory(states=np.zeros((3, 1)), actions=np.zeros(2),
+                       noises=np.zeros(2), state_costs=np.zeros(2),
                        logp_policy=np.zeros(1), logp_base=np.zeros(2))
 
     def test_states_must_have_one_extra_entry(self):
         with pytest.raises(ValueError):
-            Trajectory(states=np.zeros((2, 1)), actions=np.zeros((2, 1)),
-                       noises=np.zeros((2, 1)), state_costs=np.zeros(2),
+            Trajectory(states=np.zeros((2, 1)), actions=np.zeros(2),
+                       noises=np.zeros(2), state_costs=np.zeros(2),
                        logp_policy=np.zeros(2), logp_base=np.zeros(2))
 
     def test_arrays_frozen(self):
@@ -163,14 +163,14 @@ class TestRolloutBatch:
         assert not row.flags.writeable
         np.testing.assert_array_equal(batch.state_costs[1], [1.0, 2.0])
         with pytest.raises(ValueError):
-            batch.actions[0, 0, 0] = 1.0
+            batch.actions[0, 0] = 1.0
         with pytest.raises(IndexError):
             batch.state_costs[3]
 
     def test_xs_is_contiguous_states_without_the_last(self):
         rng = np.random.default_rng(4)
         trajs = [Trajectory(states=rng.normal(size=(4, 2)),
-                            actions=np.zeros((3, 1)), noises=np.zeros((3, 1)),
+                            actions=np.zeros(3), noises=np.zeros(3),
                             state_costs=np.zeros(3), logp_policy=np.zeros(3),
                             logp_base=np.zeros(3)) for _ in range(2)]
         batch = stack(trajs, gamma=0.0)

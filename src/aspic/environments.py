@@ -83,10 +83,6 @@ class Environment:
         self.event_indices = (self.num_steps,)
         self.x0 = np.zeros(self.state_dim)
 
-    def xdot(self, x: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
-        """The rate f(x) + g(x) a, for one scalar action a per state."""
-        raise NotImplementedError
-
     def step(self, x: np.ndarray, a: np.ndarray, t: int) -> np.ndarray:
         """Euler step x + dt * xdot(x, a); raises ``RolloutBlowupError``
         naming the first row whose next state is non-finite or too large."""

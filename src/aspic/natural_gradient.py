@@ -121,7 +121,7 @@ def per_timestep_natural_direction(batch: RolloutBatch,
     if not isinstance(policy, TimeVaryingLinearPolicy):
         raise TypeError("per-timestep inversion needs a policy with "
                         "per-timestep parameter blocks")
-    feats = policy.step_inputs(batch)  # (T, N, K)
+    feats = policy.step_features(batch)  # (T, N, K)
     blocks = (np.matmul(feats.transpose(0, 2, 1), feats)
               / (batch.n * policy.noise_var))
     w, vecs = np.linalg.eigh(blocks)

@@ -1,7 +1,8 @@
 """Gaussian policies with fixed variance nu/dt.
 
-Both mean families expose the same batched surface: the scalar action mean,
-its Jacobian-vector products in the flat parameter vector, and per-step
+Both mean families expose the same batched surface, listed with its shapes
+in the ``GaussianPolicy`` docstring: the scalar action mean, its
+Jacobian-vector products in the flat parameter vector, and per-step
 log-probabilities, which is all the gradient estimators and the Fisher
 machinery need.  The variance is static and not part of the parameter
 vector, so every formula reduces to operations on the mean:
@@ -47,11 +48,37 @@ def _positive(noise_var: float) -> float:
     return noise_var
 
 
-class GaussianPolicy:
-    """Shared Gaussian machinery; subclasses implement the mean map.
+def _states(xs) -> np.ndarray:
+    """What the stacked-array methods read: ``xs``, or a batch's ``xs``."""
+    return xs.xs if isinstance(xs, RolloutBatch) else xs
 
-    Policies are immutable value objects: parameter updates go through
-    ``with_params`` and return a new policy.
+
+def _checked(name: str, a, want: tuple) -> np.ndarray:
+    """``a`` as a float array, or a ValueError naming it if its shape is not
+    ``want``."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != want:
+        raise ValueError(f"{name} has shape {a.shape}, expected {want}")
+    return a
+
+
+class GaussianPolicy:
+    """Shared Gaussian machinery; each family supplies the mean map.
+
+    Policies are immutable value objects.  Both families provide, over
+    ``xs`` (..., T, state_dim) or a ``RolloutBatch``, with P parameters:
+
+    - ``with_params(params)``: a new policy with params (P,);
+    - ``mean(x, t)``: u(x, t), shaped like x without its state axis;
+    - ``mean_steps(xs)``: the means at every step, (..., T);
+    - ``jac_y_steps(xs, y)``: J_u(x_t, t) y at every step for y (P,),
+      (..., T);
+    - ``jac_t_v_steps(xs, v)``: the sum of J_u^T v over rollouts and steps
+      for v (..., T), a (P,) vector;
+    - ``fisher_trace(batch)``: trace F of the sampled Fisher, the squared
+      norms of the Jacobian rows, summed, over (N noise_var).
+
+    A ``y``, ``v`` or ``actions`` of another shape is a ValueError naming it.
     """
 
     noise_var: float  # nu/dt
@@ -61,38 +88,11 @@ class GaussianPolicy:
     def params(self) -> np.ndarray:
         return self._params.copy()
 
-    def with_params(self, params: np.ndarray) -> "GaussianPolicy":
-        raise NotImplementedError
-
-    def step_inputs(self, xs):
-        """What the stacked-array methods read: ``xs``, or a batch's ``xs``."""
-        return xs.xs if isinstance(xs, RolloutBatch) else xs
-
-    def mean(self, x: np.ndarray, t: int) -> np.ndarray:
-        """Action mean u(x, t), shaped like x without its state axis."""
-        raise NotImplementedError
-
-    def mean_steps(self, xs: np.ndarray) -> np.ndarray:
-        """Means along full trajectories: (..., T, state_dim) -> (..., T)."""
-        raise NotImplementedError
-
-    def jac_y_steps(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """J_u(x_t, t) y at every step: returns (..., T)."""
-        raise NotImplementedError
-
-    def jac_t_v_steps(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Sum of J_u^T v over rollouts and steps, v (..., T): a flat vector."""
-        raise NotImplementedError
-
-    def fisher_trace(self, batch: RolloutBatch) -> float:
-        """trace F of the sampled Fisher over ``batch``: the squared norms of
-        the Jacobian rows, summed, over (N noise_var)."""
-        raise NotImplementedError
-
     def log_prob_steps(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Per-step log-probabilities, (..., T) like the actions."""
-        resid = np.asarray(actions, dtype=float) - self.mean_steps(xs)
-        return gaussian_log_prob(resid, self.noise_var)
+        actions = _checked("actions", actions, np.shape(_states(xs))[:-1])
+        return gaussian_log_prob(actions - self.mean_steps(xs),
+                                 self.noise_var)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +177,12 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
         xs = np.asarray(xs, dtype=float)
         return self.feature_fn(xs) if out is None else self.feature_fn(xs, out)
 
-    def step_inputs(self, xs) -> np.ndarray:
+    def step_features(self, xs) -> np.ndarray:
         """Features step-major, (T, ..., K): a batch's stored feature matrix,
         else the features of the states (..., T, state_dim)."""
         if isinstance(xs, RolloutBatch) and xs.features is not None:
             return xs.features
-        return self.features(np.moveaxis(super().step_inputs(xs), -2, 0))
+        return self.features(np.moveaxis(_states(xs), -2, 0))
 
     def with_params(self, params: np.ndarray) -> "TimeVaryingLinearPolicy":
         return TimeVaryingLinearPolicy(self.feature_fn, self.num_features,
@@ -196,27 +196,27 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
         return self._step_products(xs, self._theta)
 
     def jac_y_steps(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._step_products(xs, np.asarray(y, dtype=float).reshape(
-            self.num_steps, self.num_features))
+        return self._step_products(xs, _checked(
+            "y", y, self._params.shape).reshape(self._theta.shape))
 
     def _step_products(self, xs, coef: np.ndarray) -> np.ndarray:
         """phi(x_t) . coef_t at every step, one (M, K) @ (K, 1) per step
         over the M rows; returns (..., T)."""
-        feats = self.step_inputs(xs)
+        feats = self.step_features(xs)
         out = np.matmul(feats.reshape(self.num_steps, -1, self.num_features),
                         coef[:, :, None])
         return np.moveaxis(out.reshape(feats.shape[:-1]), 0, -1)
 
     def jac_t_v_steps(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
         """v_t^T Phi_t per step, with v (..., T) taken step-major."""
-        feats = self.step_inputs(xs)
-        v = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+        feats = self.step_features(xs)
+        v = np.moveaxis(_checked("v", v, np.shape(_states(xs))[:-1]), -1, 0)
         return np.matmul(v.reshape(self.num_steps, 1, -1), feats.reshape(
             self.num_steps, -1, self.num_features)).ravel()
 
     def fisher_trace(self, batch: RolloutBatch) -> float:
         """sum phi^2 / (N noise_var): a Jacobian row is the step's features."""
-        feats = self.step_inputs(batch)
+        feats = self.step_features(batch)
         return float(np.vdot(feats, feats)) / (batch.n * self.noise_var)
 
 
@@ -342,12 +342,12 @@ class MlpPolicy(GaussianPolicy):
         over an array, one forward that keeps no hidden layer."""
         out = (self._activations(xs)[0] if isinstance(xs, RolloutBatch)
                else self._forward(xs, keep=False))[-1]
-        return out.reshape(np.shape(self.step_inputs(xs))[:-1]).copy()
+        return out.reshape(np.shape(_states(xs))[:-1]).copy()
 
     def jac_t_v_steps(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(v a_{l-1})^T d_l = a_{l-1}^T (v d_l) and v^T d_l per layer."""
         acts, sens = self._activations(xs)
-        v = np.asarray(v, dtype=float).reshape(-1, 1)
+        v = _checked("v", v, np.shape(_states(xs))[:-1]).reshape(-1, 1)
         grads = []
         for a, d in zip(acts, sens):
             swap = a.shape[1] > d.shape[1]  # v scales the narrower side
@@ -377,12 +377,12 @@ class MlpPolicy(GaussianPolicy):
         acts, sens = self._activations(xs)
         out = np.zeros(len(acts[0]))
         for a, d, (dw, db) in zip(acts, sens, self._layers(
-                np.asarray(y, dtype=float))):
+                _checked("y", y, self._params.shape))):
             p, q, m = (a, d, dw.T) if a.shape[1] < d.shape[1] else (d, a, dw)
             for r in _blocks(len(out)):
                 t = np.matmul(q[r], m, out=_scratch(0, *p[r].shape))
                 out[r] += np.einsum("ij,ij->i", t, p[r]) + d[r] @ db
-        return out.reshape(np.shape(self.step_inputs(xs))[:-1])
+        return out.reshape(np.shape(_states(xs))[:-1])
 
 
 _SCRATCH = threading.local()

@@ -113,6 +113,7 @@ class ExperimentConfig:
                 ("n_rollouts", self.n_rollouts >= 2, ">= 2"),
                 ("iterations", self.iterations >= 1, ">= 1"),
                 ("repeats", self.repeats >= 1, ">= 1"),
+                ("seed", self.seed >= 0, ">= 0"),
                 ("epsilon", self.epsilon > 0, "> 0"),
                 ("gamma", self.gamma >= 0, ">= 0"),
                 ("gamma", self.gamma > 0 or self.estimator != "pice",

@@ -105,15 +105,12 @@ class RolloutBatch(Trajectory):
                              "the batch size")
         if self.features is not None:
             object.__setattr__(self, "features", _frozen(self.features))
-            if self.features.shape[:2] != (self.num_steps, self.n):
+            want = (self.actions.shape[1], self.n)
+            if self.features.shape[:2] != want:
                 raise ValueError(
                     f"features lead with {self.features.shape[:2]}, "
-                    f"expected (T, N) = {(self.num_steps, self.n)}")
+                    f"expected (T, N) = {want}")
 
     @property
     def n(self) -> int:
         return self.states.shape[0]
-
-    @property
-    def num_steps(self) -> int:
-        return self.actions.shape[1]

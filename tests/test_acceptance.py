@@ -2,8 +2,9 @@
 
 Each test prints a single PASS/FAIL line for its criterion (bypassing
 capture) in addition to the usual assertion.  The two LQ experiments share
-one 5-cell smoothing-strength sweep, so the file runs in roughly ten minutes.
-The three training experiments (criteria 1-3) carry the ``slow`` marker.
+one 5-cell smoothing-strength sweep; the three training experiments
+(criteria 1-3) carry the ``slow`` marker and take about two minutes on two
+cores.
 """
 
 from dataclasses import replace
@@ -11,13 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aspic import (ExperimentConfig, MlpPolicy, RolloutBatch,
-                   TimeVaryingLinearPolicy, conjugate_gradient,
+from aspic import (ExperimentConfig, MlpPolicy, conjugate_gradient,
                    direct_gradient, fisher_vector_product, kl_estimate,
-                   lq_features, make_env, normalized_weights,
-                   per_timestep_natural_direction, pice_gradient, run_aspic,
-                   sample_batch, smoothed_cost_value, smoothed_gradient,
-                   sweep, trust_region_step)
+                   normalized_weights, per_timestep_natural_direction,
+                   pice_gradient, run_aspic, smoothed_cost_value,
+                   smoothed_gradient, sweep, trust_region_step)
+from helpers import full_rank_fixture, lq_fixture
 
 
 def announce(capsys, number, ok, detail):
@@ -99,38 +99,8 @@ def test_criterion_3_pendulum_small_batch_budget(capsys):
 # Estimator and solver gates (seconds each)
 # ---------------------------------------------------------------------------
 
-LQ_SMALL = dict(horizon=0.5, dt=0.1, viapoints=((0.2, 1.0), (0.5, -1.0)),
-                sigma=0.5)
-
-
-def full_rank_fixture(seed=0, num_steps=4, n=16):
-    """Synthetic linear-policy batch with random states at every step, so
-    every per-timestep curvature block has full rank."""
-    rng = np.random.default_rng(seed)
-    policy = TimeVaryingLinearPolicy(lq_features, 2, num_steps, 1.0,
-                                     params=rng.normal(size=2 * num_steps))
-    draws = [(rng.normal(size=(num_steps + 1, 1)),
-              rng.normal(size=num_steps)) for _ in range(n)]
-    zeros = np.zeros((n, num_steps))
-    batch = RolloutBatch(states=np.stack([s for s, _ in draws]),
-                         actions=np.stack([a for _, a in draws]),
-                         noises=zeros, state_costs=zeros,
-                         logp_policy=zeros, logp_base=zeros, gamma=1.0)
-    return batch, policy
-
-
-def lq_fixture(seed=3, n=6, gamma=1.0):
-    env = make_env("lq_viapoints", LQ_SMALL)
-    policy = TimeVaryingLinearPolicy(lq_features, 2, env.num_steps,
-                                     env.noise_var)
-    rng = np.random.default_rng(seed)
-    policy = policy.with_params(rng.normal(scale=0.3,
-                                           size=policy.params.size))
-    return sample_batch(env, policy, n, seed, gamma), policy
-
-
 def test_criterion_4_gradient_oracles(capsys):
-    batch, policy = lq_fixture()
+    batch, policy = lq_fixture(3)
     alpha = 1.5
     xs, acts = batch.xs, batch.actions
     lp_old = np.sum(policy.log_prob_steps(xs, acts), axis=-1)
@@ -177,7 +147,7 @@ def test_criterion_4_gradient_oracles(capsys):
 
 
 def test_criterion_5_limit_cases(capsys):
-    batch, policy = lq_fixture(seed=2, n=10)
+    batch, policy = lq_fixture(2, n=10)
 
     g_strong = smoothed_gradient(batch, policy, 1e9)
     g_direct = direct_gradient(batch, policy)
@@ -244,7 +214,7 @@ def test_criterion_7_natural_gradient_suite(capsys):
     x, _ = conjugate_gradient(lambda v: a @ v, b, max_iters=8, tol=1e-12)
     cg_err = float(np.max(np.abs(x - np.linalg.solve(a, b))))
 
-    batch, policy = full_rank_fixture(seed=5, n=16)
+    batch, policy = full_rank_fixture(5, n=16)
     dim = policy.params.size
     sym_ok = psd_ok = True
     for _ in range(20):

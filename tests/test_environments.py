@@ -372,6 +372,20 @@ class TestShapeContract:
     stacked policy output is (N, T), and a trailing action axis is
     refused."""
 
+    @staticmethod
+    def policy(family, env, feature_fn, k):
+        """A policy of ``family`` with N(0, 0.3^2) parameters, and the
+        generator that drew them."""
+        if family == "linear":
+            pol = TimeVaryingLinearPolicy(feature_fn, k, env.num_steps,
+                                          env.noise_var)
+        else:
+            pol = MlpPolicy([env.state_dim, 8, 1], env.noise_var,
+                            rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        return pol.with_params(rng.normal(scale=0.3,
+                                          size=pol.params.size)), rng
+
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     @pytest.mark.parametrize("name, feature_fn, k", [
         ("lq_viapoints", lq_features, 2),
@@ -380,14 +394,7 @@ class TestShapeContract:
     def test_per_step_arrays_are_n_by_t(self, name, feature_fn, k, family):
         env = make_env(name, {"horizon": 0.5, "viapoints": ((0.2, 1.0),)}
                        if name == "lq_viapoints" else {"horizon": 0.5})
-        if family == "linear":
-            pol = TimeVaryingLinearPolicy(feature_fn, k, env.num_steps,
-                                          env.noise_var)
-        else:
-            pol = MlpPolicy([env.state_dim, 8, 1], env.noise_var,
-                            rng=np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        pol = pol.with_params(rng.normal(scale=0.3, size=pol.params.size))
+        pol, rng = self.policy(family, env, feature_fn, k)
         n, t = 3, env.num_steps
         batch = sample_batch(env, pol, n, 5, gamma=1.0)
         assert batch.states.shape == (n, t + 1, env.state_dim)
@@ -412,6 +419,27 @@ class TestShapeContract:
             dataclasses.replace(batch, actions=batch.actions[..., None])
         with pytest.raises(ValueError, match="actions"):
             dataclasses.replace(traj, actions=traj.actions[..., None])
+
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    @pytest.mark.parametrize("on_batch", [True, False],
+                             ids=["batch", "array"])
+    def test_misshaped_inputs_are_refused(self, family, on_batch):
+        """A ``v`` or ``actions`` off the means' (N, T), or a ``y`` off the
+        parameter count, is a ValueError naming it.  N = T = 4, so an
+        (N, T, 1) array would broadcast against (N, T)."""
+        env = make_env("pendulum", {"horizon": 0.04})
+        pol, rng = self.policy(family, env, pendulum_features, 4)
+        batch = sample_batch(env, pol, 4, 5, gamma=1.0)
+        xs = batch if on_batch else batch.xs
+        y = rng.normal(size=pol.params.size)
+        for name, call in [
+                ("v", lambda: pol.jac_t_v_steps(xs, np.ones((4, 4, 1)))),
+                ("actions", lambda: pol.log_prob_steps(
+                    xs, batch.actions[..., None])),
+                ("y", lambda: pol.jac_y_steps(xs, np.append(y, [0.0, 0.0]))),
+                ("y", lambda: pol.jac_y_steps(xs, y[:-1]))]:
+            with pytest.raises(ValueError, match=f"^{name} has shape"):
+                call()
 
 
 class TestEnergyDrift:

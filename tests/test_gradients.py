@@ -14,31 +14,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from aspic import (TimeVaryingLinearPolicy, direct_gradient, find_alpha,
-                   lq_features, make_env, normalized_weights, pice_gradient,
-                   sample_batch, smoothed_cost_value, smoothed_gradient,
+from aspic import (direct_gradient, find_alpha, normalized_weights,
+                   pice_gradient, smoothed_cost_value, smoothed_gradient,
                    stochastic_cost)
-
-LQ_SMALL = dict(horizon=0.5, dt=0.1, viapoints=((0.2, 1.0), (0.5, -1.0)),
-                sigma=0.5)
-
-
-def make_fixture(seed=0, n=6, gamma=1.0):
-    env = make_env("lq_viapoints", LQ_SMALL)
-    policy = TimeVaryingLinearPolicy(lq_features, 2, env.num_steps,
-                                     env.noise_var)
-    rng = np.random.default_rng(seed)
-    policy = policy.with_params(rng.normal(scale=0.3,
-                                           size=policy.params.size))
-    batch = sample_batch(env, policy, n, seed, gamma)
-    return batch, policy
-
-
-def score_sum(policy, xs, actions):
-    """sum_t grad log pi(a_t|x_t,t) of one rollout: J^T of the residual
-    scaled by 1/sigma^2."""
-    resid = (actions - policy.mean_steps(xs)) / policy.noise_var
-    return policy.jac_t_v_steps(xs, resid)
+from helpers import lq_fixture, score_sum
 
 
 def equal_cost_batch(batch, value=3.0):
@@ -47,12 +26,12 @@ def equal_cost_batch(batch, value=3.0):
 
 class TestSmoothedGradient:
     def test_equal_costs_whitened_is_zero(self):
-        batch, policy = make_fixture()
+        batch, policy = lq_fixture(0)
         grad = smoothed_gradient(equal_cost_batch(batch), policy, alpha=2.0)
         assert np.all(grad == 0.0)
 
     def test_equal_costs_unwhitened_is_mean_score(self):
-        batch, policy = make_fixture()
+        batch, policy = lq_fixture(0)
         alpha = 2.0
         grad = smoothed_gradient(equal_cost_batch(batch), policy, alpha,
                                  whiten=False)
@@ -63,7 +42,7 @@ class TestSmoothedGradient:
                                    rtol=1e-10)
 
     def test_finite_difference_oracle(self):
-        batch, policy = make_fixture(seed=3)
+        batch, policy = lq_fixture(3)
         alpha = 1.5
         xs, acts = batch.xs, batch.actions
         lp_old = np.sum(policy.log_prob_steps(xs, acts), axis=-1)
@@ -89,7 +68,7 @@ class TestSmoothedGradient:
             assert analytic == pytest.approx(fd, rel=1e-4)
 
     def test_whitened_direction_shift_invariant(self):
-        batch, policy = make_fixture(seed=5)
+        batch, policy = lq_fixture(5)
         shifted = replace(batch,
                           stochastic_costs=batch.stochastic_costs + 77.0)
         g1 = smoothed_gradient(batch, policy, alpha=1e6)
@@ -97,7 +76,7 @@ class TestSmoothedGradient:
         np.testing.assert_allclose(g1, g2, rtol=1e-9)
 
     def test_limit_chain_interpolates_continuously(self):
-        batch, policy = make_fixture(seed=8, n=12)
+        batch, policy = lq_fixture(8, n=12)
         alphas = np.geomspace(1e-3, 1e9, 13)
         dirs = [smoothed_gradient(batch, policy, a) for a in alphas]
         for d1, d2 in zip(dirs, dirs[1:]):
@@ -107,12 +86,12 @@ class TestSmoothedGradient:
 
 class TestDirectGradient:
     def test_constant_costs_whitened_zero(self):
-        batch, policy = make_fixture()
+        batch, policy = lq_fixture(0)
         grad = direct_gradient(equal_cost_batch(batch), policy)
         assert np.all(grad == 0.0)
 
     def test_dominant_cost_anti_aligned(self):
-        batch, policy = make_fixture(n=4)
+        batch, policy = lq_fixture(0, n=4)
         costs = np.zeros(4)
         costs[2] = 1e6
         loaded = replace(batch, stochastic_costs=costs)
@@ -123,7 +102,7 @@ class TestDirectGradient:
         assert cos < -0.999
 
     def test_strong_smoothing_matches_direct(self):
-        batch, policy = make_fixture(seed=2, n=10)
+        batch, policy = lq_fixture(2, n=10)
         g_smooth = smoothed_gradient(batch, policy, alpha=1e9)
         g_direct = direct_gradient(batch, policy)
         cos = g_smooth @ g_direct / (np.linalg.norm(g_smooth)
@@ -133,7 +112,7 @@ class TestDirectGradient:
 
 class TestPiceGradient:
     def test_limit_of_smoothed(self):
-        batch, policy = make_fixture(seed=4)
+        batch, policy = lq_fixture(4)
         alpha = 1e-8
         g_lim = smoothed_gradient(batch, policy, alpha,
                                   whiten=False) / alpha
@@ -141,7 +120,7 @@ class TestPiceGradient:
         np.testing.assert_allclose(g_lim, g_pice, rtol=1e-4)
 
     def test_equal_costs_is_mean_score(self):
-        batch, policy = make_fixture()
+        batch, policy = lq_fixture(0)
         grad = pice_gradient(equal_cost_batch(batch), policy)
         xs, acts = batch.xs, batch.actions
         scores = np.stack([score_sum(policy, xs[i], acts[i])
@@ -150,7 +129,7 @@ class TestPiceGradient:
                                    rtol=1e-10)
 
     def test_one_hot_limit(self):
-        batch, policy = make_fixture(n=4)
+        batch, policy = lq_fixture(0, n=4)
         costs = np.full(4, 1e4)
         costs[1] = 0.0  # gap >> gamma: weight collapses onto sample 1
         loaded = replace(batch, stochastic_costs=costs)
@@ -161,26 +140,26 @@ class TestPiceGradient:
                                    rtol=1e-8)
 
     def test_gamma_zero_rejected(self):
-        batch, policy = make_fixture(gamma=0.0)
+        batch, policy = lq_fixture(0, gamma=0.0)
         with pytest.raises(ValueError):
             pice_gradient(batch, policy)
 
 
 class TestSmoothedCostValue:
     def test_constant_costs(self):
-        batch, _ = make_fixture()
+        batch, _ = lq_fixture(0)
         frozen = equal_cost_batch(batch, value=-12.5)
         for alpha in (0.01, 1.0, 1e6):
             assert smoothed_cost_value(frozen, alpha) == pytest.approx(-12.5)
 
     def test_large_alpha_approaches_mean(self):
-        batch, _ = make_fixture(seed=6)
+        batch, _ = lq_fixture(6)
         mean = float(np.mean(batch.stochastic_costs))
         assert smoothed_cost_value(batch, 1e9) == pytest.approx(
             mean, rel=1e-6)
 
     def test_risk_sensitive_hand_value(self):
-        batch, _ = make_fixture(n=3, gamma=0.0)
+        batch, _ = lq_fixture(0, n=3, gamma=0.0)
         frozen = replace(batch, gamma=0.0,
                          stochastic_costs=np.array([0.0, 1.0, 2.0]))
         expected = -np.log((1 + np.exp(-1.0) + np.exp(-2.0)) / 3.0)
@@ -188,7 +167,7 @@ class TestSmoothedCostValue:
             expected, rel=1e-12)
 
     def test_non_finite_costs_rejected(self):
-        batch, _ = make_fixture()
+        batch, _ = lq_fixture(0)
         frozen = replace(batch, stochastic_costs=np.array(
             [np.nan] + [0.0] * (batch.n - 1)))
         with pytest.raises(ValueError):
@@ -212,6 +191,6 @@ NAN = float("nan")
         "pice-gamma"])
 def test_nan_fails_the_positivity_checks(call, name):
     # NaN compares False with everything, so "x <= 0" lets it through.
-    batch, _ = make_fixture(n=3)
+    batch, _ = lq_fixture(0, n=3)
     with pytest.raises(ValueError, match=name):
         call(batch)

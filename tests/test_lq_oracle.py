@@ -18,10 +18,7 @@ import pytest
 
 from aspic import (LqViapoints, TimeVaryingLinearPolicy, lq_features,
                    make_env, sample_batch)
-
-# The small LQ of tests/test_acceptance.py: T = 5.
-LQ_SMALL = dict(horizon=0.5, dt=0.1, viapoints=((0.2, 1.0), (0.5, -1.0)),
-                sigma=0.5)
+from helpers import LQ_SMALL
 
 # |z| bound of the z-tests: a two-sided false-failure rate of 1e-6.
 Z_MAX = 4.9

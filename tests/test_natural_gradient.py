@@ -5,51 +5,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aspic import (LineSearchError, MlpPolicy, RolloutBatch,
-                   TimeVaryingLinearPolicy, acrobot_features,
-                   conjugate_gradient, fisher_vector_product, lq_features,
-                   make_env, pendulum_features, per_timestep_natural_direction,
-                   policies, sample_batch, sample_policy_kl, smoothed_gradient,
-                   trust_region_step)
+from aspic import (LineSearchError, MlpPolicy, TimeVaryingLinearPolicy,
+                   acrobot_features, conjugate_gradient, fisher_vector_product,
+                   lq_features, make_env, pendulum_features,
+                   per_timestep_natural_direction, policies, sample_batch,
+                   sample_policy_kl, smoothed_gradient, trust_region_step)
 from aspic.natural_gradient import KL_REL_TOL
+from helpers import array_batch, full_rank_fixture
 
-LQ_SMALL = dict(horizon=0.4, dt=0.1, viapoints=((0.2, 1.0),), sigma=0.5)
+LQ_SHORT = dict(horizon=0.4, dt=0.1, viapoints=((0.2, 1.0),), sigma=0.5)
 
 
-def make_fixture(seed=0, n=8, noise_var=None, params_scale=0.3):
-    env = make_env("lq_viapoints", LQ_SMALL)
+def make_fixture(seed=0, n=8, params_scale=0.3):
+    env = make_env("lq_viapoints", LQ_SHORT)
     policy = TimeVaryingLinearPolicy(lq_features, 2, env.num_steps,
                                      env.noise_var)
     rng = np.random.default_rng(seed)
     policy = policy.with_params(
         rng.normal(scale=params_scale, size=policy.params.size))
     batch = sample_batch(env, policy, n, seed, gamma=1.0)
-    return batch, policy
-
-
-def array_batch(states, actions):
-    """Synthetic batch: given states and actions, zero noise, costs and
-    log-probabilities."""
-    actions = np.asarray(actions, dtype=float)
-    zeros = np.zeros(actions.shape[:2])
-    return RolloutBatch(states=states, actions=actions,
-                        noises=np.zeros_like(actions), state_costs=zeros,
-                        logp_policy=zeros, logp_base=zeros, gamma=1.0)
-
-
-def full_rank_fixture(seed=0, num_steps=4, n=16):
-    """Synthetic batch whose states vary at every step (all blocks full rank).
-
-    Simulated rollouts all share the initial state, which makes the first
-    Fisher block rank one; random states avoid that.
-    """
-    rng = np.random.default_rng(seed)
-    policy = TimeVaryingLinearPolicy(lq_features, 2, num_steps, 1.0,
-                                     params=rng.normal(size=2 * num_steps))
-    draws = [(rng.normal(size=(num_steps + 1, 1)),
-              rng.normal(size=num_steps)) for _ in range(n)]
-    batch = array_batch(np.stack([s for s, _ in draws]),
-                        np.stack([a for _, a in draws]))
     return batch, policy
 
 
@@ -144,15 +118,9 @@ class TestFisherVectorProduct:
             fisher_vector_product(batch, policy, np.zeros(3))
 
 
-def fisher_diagonal(batch, policy):
-    """(F e_i)_i for every unit vector e_i."""
-    return np.array([fisher_vector_product(batch, policy, e)[i]
-                     for i, e in enumerate(np.eye(policy.params.size))])
-
-
 class TestFisherTrace:
     @pytest.mark.parametrize("task, overrides, feature_fn, k", [
-        ("lq_viapoints", LQ_SMALL, lq_features, 2),
+        ("lq_viapoints", LQ_SHORT, lq_features, 2),
         ("pendulum", {"horizon": 0.05}, pendulum_features, 4),
         ("acrobot", {"horizon": 0.05}, acrobot_features, 9)])
     def test_linear_trace_is_the_diagonal_sum(self, task, overrides,
@@ -164,7 +132,7 @@ class TestFisherTrace:
             params=rng.normal(scale=0.3, size=k * env.num_steps))
         batch = sample_batch(env, policy, 7, 41, gamma=1.0)
         assert policy.fisher_trace(batch) == pytest.approx(
-            fisher_diagonal(batch, policy).sum(), rel=1e-12)
+            np.diag(dense_fisher(batch, policy)).sum(), rel=1e-12)
 
     @pytest.mark.parametrize("sizes, n, steps", [
         ([2, 8, 1], 5, 6), ([2, 8, 5, 1], 5, 6), ([2, 32, 32, 1], 4, 5),
@@ -179,7 +147,7 @@ class TestFisherTrace:
         if n == 30:
             assert n * steps > policies.BLOCK_ROWS
         assert policy.fisher_trace(batch) == pytest.approx(
-            fisher_diagonal(batch, policy).sum(), rel=1e-12)
+            np.diag(dense_fisher(batch, policy)).sum(), rel=1e-12)
 
 
 class TestConjugateGradient:
@@ -256,7 +224,7 @@ class TestPerTimestepDirection:
         np.testing.assert_allclose(out, [2.0])
 
     def test_agrees_with_converged_cg(self):
-        batch, policy = full_rank_fixture(seed=9, n=16)
+        batch, policy = full_rank_fixture(9, n=16)
         g = np.random.default_rng(10).normal(size=policy.params.size)
         via_pinv = per_timestep_natural_direction(batch, policy, g,
                                                   rcond=1e-12)
@@ -300,7 +268,7 @@ class TestPerTimestepPinvOracle:
     def test_sampled_batches(self, task, feature_fn, k):
         # Every rollout starts at x0, so the first block has rank one; the
         # acrobot basis lists sin x2 twice, so all its blocks are singular.
-        env = make_env(task, LQ_SMALL if task == "lq_viapoints"
+        env = make_env(task, LQ_SHORT if task == "lq_viapoints"
                        else {"horizon": 0.1})
         rng = np.random.default_rng(50)
         policy = TimeVaryingLinearPolicy(

@@ -9,9 +9,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from aspic import (MlpPolicy, RolloutBatch, TimeVaryingLinearPolicy,
-                   acrobot_features, lq_features, make_env, pendulum_features,
-                   policies, sample_batch, smoothed_gradient)
+from aspic import (MlpPolicy, TimeVaryingLinearPolicy, acrobot_features,
+                   lq_features, make_env, pendulum_features, policies,
+                   sample_batch, smoothed_gradient)
+from helpers import array_batch, batch_of, score_sum
 
 
 def make_linear(num_steps=3, noise_var=1.0, seed=None):
@@ -20,14 +21,6 @@ def make_linear(num_steps=3, noise_var=1.0, seed=None):
         rng = np.random.default_rng(seed)
         pol = pol.with_params(rng.normal(size=pol.params.size))
     return pol
-
-
-def score_sum(pol, xs, actions):
-    """sum_t grad log pi(a_t|x_t,t), formed as the estimators form it: J^T of
-    the residual scaled by 1/sigma^2."""
-    resid = (np.asarray(actions, dtype=float)
-             - pol.mean_steps(xs)) / pol.noise_var
-    return pol.jac_t_v_steps(xs, resid)
 
 
 def step_score(pol, a, x, t):
@@ -215,15 +208,6 @@ class TestLinearProductsOracle:
                                                         rel=1e-13)
 
 
-def array_batch(states):
-    """A batch over ``states`` (N, T+1, state_dim), zero everywhere else."""
-    n, steps = states.shape[0], states.shape[1] - 1
-    zeros = np.zeros((n, steps))
-    return RolloutBatch(states=states, actions=zeros,
-                        noises=zeros, state_costs=zeros,
-                        logp_policy=zeros, logp_base=zeros, gamma=1.0)
-
-
 class TestMlpPolicy:
     def setup_method(self):
         self.pol = MlpPolicy([2, 8, 5, 1], noise_var=2.0,
@@ -349,11 +333,6 @@ def frozen(a):
     return a
 
 
-def batch_of(xs):
-    """A batch whose ``xs`` equals ``xs`` (N, T, state_dim)."""
-    return array_batch(np.concatenate([xs, xs[:, -1:]], axis=1))
-
-
 def mlp_calls(pol, xs, y, v):
     """The three batched network calls, by name."""
     return {"mean": lambda: pol.mean_steps(xs),
@@ -448,8 +427,9 @@ class TestMlpActivationCache:
                             (self.pol, big), (wide, self.batch),
                             (self.pol, np.array(big.xs))]:
                 y = rng.normal(size=pol.params.size)
-                v = rng.normal(size=pol.step_inputs(xs).shape[:-1])
-                want = self.expected(pol.step_inputs(xs), pol, y, v)
+                states = policies._states(xs)
+                v = rng.normal(size=states.shape[:-1])
+                want = self.expected(states, pol, y, v)
                 for name, call in mlp_calls(pol, xs, y, v).items():
                     got = call()
                     np.testing.assert_array_equal(got, want[name])

@@ -115,6 +115,7 @@ class TestConfig:
          "env_overrides.*viapoints"),
         (dict(env_overrides={"viapoints": ((1e308, 1.0),)}), "env_overrides"),
         (dict(env_overrides={"dt": 1e-320}), "env_overrides"),
+        (dict(seed=-1), "seed"),
     ])
     def test_invalid_config_rejected_at_construction(self, overrides, key):
         with pytest.raises(ValueError, match=key):
@@ -587,6 +588,12 @@ class TestCli:
         cfg = self.write_config(tmp_path, {"n_rollouts": "8"})
         assert cli_main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "n_rollouts" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {"seed": -1})
+        assert cli_main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("extra, drop, key", [

@@ -177,4 +177,4 @@ class TestRolloutBatch:
         assert batch.xs.flags.c_contiguous
         assert not batch.xs.flags.writeable
         np.testing.assert_array_equal(batch.xs, batch.states[:, :-1])
-        assert (batch.n, batch.num_steps) == (2, 3)
+        assert (batch.n, batch.actions.shape[1]) == (2, 3)

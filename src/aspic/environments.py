@@ -8,17 +8,18 @@ action channel and Euler-discretized dynamics:
 with scalar a_k and xi_k ~ N(0, nu/dt).  State costs are delta events
 at the grid indices an environment lists in ``event_indices`` (added once,
 without a dt factor); there are no running costs.  The base policy is the
-zero-mean Gaussian with the same variance, so the per-step log-prob ratio is
-the discretized Girsanov quadratic control cost.
+zero-mean Gaussian with the same variance, so the log-likelihood ratio of a
+rollout, sum_t (a_t^2 - xi_t^2) / (2 nu/dt), is the discretized Girsanov
+quadratic control cost.
 
-``sample_batch`` simulates N rollouts in lockstep straight into the arrays
-of a ``RolloutBatch``, with the feature matrix of a linear policy, stored
-step-major (T, N, K) as the sampler fills it one step at a time;
-``rollout`` returns one rollout as a ``Trajectory``.
-Both draw a batch's noise row-major from one generator seeded by the seed, so
-``rollout`` replays rollout 0 of ``sample_batch`` with the same seed, with the
-same noise bit for bit (a policy mean computed by a BLAS matmul may round
-differently in the last bit at another row count).
+``sample_batch`` simulates N rollouts in lockstep straight into the
+step-major arrays of a ``RolloutBatch``, writing each step's states, actions
+and linear-policy features once; ``rollout`` returns one rollout as a
+``Trajectory``.  Both draw a batch's noise row-major, (N, T), from one
+generator seeded by the seed, so ``rollout`` replays rollout 0 of
+``sample_batch`` with the same seed, with the same noise bit for bit (a
+policy mean computed by a BLAS matmul may round differently in the last bit
+at another row count).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .policies import TimeVaryingLinearPolicy, gaussian_log_prob
+from .policies import TimeVaryingLinearPolicy
 from .trajectory import RolloutBatch, Trajectory
 
 __all__ = ["Environment", "LqViapoints", "Pendulum", "Acrobot",
@@ -49,6 +50,9 @@ class RolloutBlowupError(RuntimeError):
         self.step = step
         self.index = index
         super().__init__(f"state blow-up at rollout {index}, step {step}")
+
+    def __reduce__(self):
+        return type(self), (self.step, self.index)
 
 
 @dataclass(kw_only=True, eq=False)
@@ -244,7 +248,8 @@ def _raise_on_blowup(states: np.ndarray, first_step: int) -> None:
     """Raise ``RolloutBlowupError`` at the first step, then the first row,
     of ``states`` (steps, rows, state_dim) whose state is non-finite or
     beyond ``BLOWUP_THRESHOLD``; step 0 of ``states`` is ``first_step``."""
-    if not np.abs(states).max() <= BLOWUP_THRESHOLD:  # NaN fails too
+    if not (states.max() <= BLOWUP_THRESHOLD  # NaN fails both
+            and states.min() >= -BLOWUP_THRESHOLD):
         bad = ~(np.abs(states) <= BLOWUP_THRESHOLD).all(axis=-1)
         k = int(np.argmax(bad.any(axis=1)))
         raise RolloutBlowupError(first_step + k, int(np.argmax(bad[k])))
@@ -254,66 +259,58 @@ def _raise_on_blowup(states: np.ndarray, first_step: int) -> None:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _simulate(env: Environment, policy, noises: np.ndarray) -> dict:
-    """Run n rollouts in lockstep; noises is (n, T).
+def sample_batch(env: Environment, policy, n: int, rng_seed, gamma: float, *,
+                 noise_scale: float = 1.0) -> RolloutBatch:
+    """N rollouts in lockstep; rollout i takes row i of the (N, T) noise of
+    one ``default_rng(rng_seed)`` draw, times ``noise_scale``.
 
-    Returns the ``RolloutBatch`` sequences as a dict of stacked arrays, with
-    the (T, n, K) features of a linear policy (else None).  States, actions
-    and features fill step-major buffers, one contiguous slice per step.
-    Rows are independent, so the blow-up check after the loop names the
-    step and row a check after every step would.
+    Each step writes its states, actions and a linear policy's features
+    once, into contiguous slices: a linear mean goes straight into the
+    action buffer and the noise is added in place.  Rows are independent,
+    so the blow-up check after the loop names the step and row a check
+    after every step would.
     """
-    n, t_steps = noises.shape
-    step_noises = np.ascontiguousarray(noises.swapaxes(0, 1))
+    if n < 2:
+        raise ValueError("need at least 2 rollouts per batch")
+    t_steps = env.num_steps
+    noises = noise_scale * np.random.default_rng(rng_seed).normal(
+        0.0, np.sqrt(env.noise_var), size=(n, t_steps))
+    step_noises = noises.T
     states = np.empty((t_steps + 1, n, env.state_dim))
     actions = np.empty((t_steps, n))
-    costs = np.zeros((n, t_steps))
+    state_cost = np.zeros(n)
     phi = (np.empty((t_steps, n, policy.num_features))
            if isinstance(policy, TimeVaryingLinearPolicy) else None)
     is_event = [k in env.event_indices for k in range(t_steps + 1)]
     states[0] = env.x0
     with np.errstate(all="ignore"):  # non-finite states raise below
         for k in range(t_steps):
-            mean = (policy.mean(states[k], k) if phi is None
-                    else policy.mean(states[k], k, features=phi[k]))
-            a = np.add(mean, step_noises[k], out=actions[k])
+            a = actions[k]
+            if phi is None:
+                np.add(policy.mean(states[k], k), step_noises[k], out=a)
+            else:
+                policy.mean(states[k], k, features=phi[k], out=a)
+                a += step_noises[k]
             x = env._euler(states[k], a, out=states[k + 1])
             if is_event[k + 1]:
-                costs[:, k] += env.event_cost(k + 1, x)
+                state_cost += env.event_cost(k + 1, x)
     _raise_on_blowup(states[1:], 0)
-    states, actions = (np.ascontiguousarray(arr.swapaxes(0, 1))
-                       for arr in (states, actions))
-    return dict(states=states, actions=actions, noises=noises,
-                state_costs=costs,
-                logp_policy=gaussian_log_prob(noises, env.noise_var),
-                logp_base=gaussian_log_prob(actions, env.noise_var),
-                features=phi)
-
-
-def _noises(env: Environment, n: int, rng_seed,
-            noise_scale: float) -> np.ndarray:
-    """(n, T) action noise: one draw from ``default_rng(rng_seed)``, times
-    ``noise_scale``."""
-    return noise_scale * np.random.default_rng(rng_seed).normal(
-        0.0, np.sqrt(env.noise_var), size=(n, env.num_steps))
+    # sum_t (a^2 - xi^2) / (2 sigma^2), the sum of log pi - log p_base
+    log_ratio = (np.einsum("tn,tn->n", actions, actions) - np.einsum(
+        "nt,nt->n", noises, noises)) / (2.0 * env.noise_var)
+    return RolloutBatch(states=states, actions=actions, state_cost=state_cost,
+                        log_ratio=log_ratio, gamma=gamma, features=phi)
 
 
 def rollout(env: Environment, policy, rng_seed, *,
             noise_scale: float = 1.0) -> Trajectory:
     """One seeded rollout, rollout 0 of ``sample_batch`` with the same seed;
-    ``noise_scale=0`` gives the deterministic path."""
-    seqs = _simulate(env, policy, _noises(env, 1, rng_seed, noise_scale))
-    del seqs["features"]
-    return Trajectory(**{name: arr[0] for name, arr in seqs.items()})
-
-
-def sample_batch(env: Environment, policy, n: int, rng_seed, gamma: float, *,
-                 noise_scale: float = 1.0) -> RolloutBatch:
-    """N rollouts; rollout i takes row i of the noise of ``rng_seed``."""
-    if n < 2:
-        raise ValueError("need at least 2 rollouts per batch")
-    noises = _noises(env, n, rng_seed, noise_scale)
-    return RolloutBatch(**_simulate(env, policy, noises), gamma=gamma)
+    ``noise_scale=0`` gives the deterministic path.  It is rollout 0 of two,
+    whose row sums run as any batch's do (numpy sums one column in another
+    order)."""
+    b = sample_batch(env, policy, 2, rng_seed, 0.0, noise_scale=noise_scale)
+    return Trajectory(b.states[:, 0], b.actions[:, 0], b.state_cost[0],
+                      b.log_ratio[0])
 
 
 _ENVS = {"lq_viapoints": LqViapoints, "pendulum": Pendulum, "acrobot": Acrobot}

@@ -38,12 +38,14 @@ def _whiten(values: np.ndarray) -> np.ndarray | None:
 
 def _weighted_score_sum(batch: RolloutBatch, policy,
                         coeffs: np.ndarray | None) -> np.ndarray:
-    """sum_i c_i sum_t score(a_it, x_it, t), vectorized over the batch;
-    the zero vector for ``coeffs = None`` (degenerate whitening)."""
+    """sum_i c_i sum_t score(a_ti, x_ti, t), vectorized over the batch,
+    with the (N,) coefficients broadcast along the rollout axis of the
+    (T, N) residual; the zero vector for ``coeffs = None`` (degenerate
+    whitening)."""
     if coeffs is None:
         return np.zeros(policy.params.size)
     resid = (batch.actions - policy.mean_steps(batch)) / policy.noise_var
-    return policy.jac_t_v_steps(batch, coeffs[:, None] * resid)
+    return policy.jac_t_v_steps(batch, coeffs * resid)
 
 
 def smoothed_gradient(batch: RolloutBatch, policy, alpha: float,

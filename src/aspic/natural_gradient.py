@@ -64,10 +64,8 @@ def sample_policy_kl(batch: RolloutBatch, policy_old, policy_new) -> float:
 
 
 def fisher_vector_product(batch: RolloutBatch, policy, y: np.ndarray) -> np.ndarray:
-    """F y via Jacobian products, without materializing F."""
-    y = np.asarray(y, dtype=float)
-    if y.size != policy.params.size:
-        raise ValueError("vector length does not match the parameter count")
+    """F y via Jacobian products, without materializing F; a ``y`` not
+    shaped like the parameters is the policy's ValueError."""
     jy = policy.jac_y_steps(batch, y)
     return policy.jac_t_v_steps(batch, jy) / (batch.n * policy.noise_var)
 

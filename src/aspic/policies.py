@@ -13,13 +13,11 @@ vector, so every formula reduces to operations on the mean:
 with sigma^2 = nu/dt and J_u the Jacobian of the mean w.r.t. the parameters;
 the estimators form the gradient as ``jac_t_v_steps`` of the scaled residual.
 
-The methods take stacked arrays: ``xs`` of shape (..., T, state_dim), where
-T is the number of control steps and the leading dimensions enumerate
-rollouts; actions and per-step results are (..., T).  In place of ``xs``
-they also take a ``RolloutBatch``, evaluated once: a linear policy reads the
-step-major (T, N, K) features the sampler stored, an MLP keeps the last
-batch's activations.  A bare array is evaluated afresh on every call and
-kept nowhere.  The parameter count is fixed when a policy is built.
+The methods take step-major stacked arrays, ``xs`` (T, ..., state_dim), or
+a ``RolloutBatch``, evaluated once: a linear policy reads the (T, N, K)
+features the sampler stored and keeps its mean, an MLP keeps the batch's
+activations.  A bare array is evaluated afresh on every call and kept
+nowhere.  The parameter count is fixed when a policy is built.
 """
 
 from __future__ import annotations
@@ -31,14 +29,8 @@ import numpy as np
 from .trajectory import RolloutBatch
 
 __all__ = ["GaussianPolicy", "TimeVaryingLinearPolicy", "MlpPolicy",
-           "gaussian_log_prob", "lq_features", "pendulum_features",
+           "lq_features", "pendulum_features",
            "acrobot_features"]
-
-
-def gaussian_log_prob(resid: np.ndarray, noise_var: float) -> np.ndarray:
-    """log N(resid; 0, noise_var), elementwise."""
-    return (-resid ** 2 / (2.0 * noise_var)
-            - 0.5 * np.log(2.0 * np.pi * noise_var))
 
 
 def _positive(noise_var: float) -> float:
@@ -66,15 +58,15 @@ class GaussianPolicy:
     """Shared Gaussian machinery; each family supplies the mean map.
 
     Policies are immutable value objects.  Both families provide, over
-    ``xs`` (..., T, state_dim) or a ``RolloutBatch``, with P parameters:
+    ``xs`` (T, ..., state_dim) or a ``RolloutBatch``, with P parameters:
 
     - ``with_params(params)``: a new policy with params (P,);
     - ``mean(x, t)``: u(x, t), shaped like x without its state axis;
-    - ``mean_steps(xs)``: the means at every step, (..., T);
+    - ``mean_steps(xs)``: the means at every step, (T, ...);
     - ``jac_y_steps(xs, y)``: J_u(x_t, t) y at every step for y (P,),
-      (..., T);
+      (T, ...);
     - ``jac_t_v_steps(xs, v)``: the sum of J_u^T v over rollouts and steps
-      for v (..., T), a (P,) vector;
+      for v (T, ...), a (P,) vector;
     - ``fisher_trace(batch)``: trace F of the sampled Fisher, the squared
       norms of the Jacobian rows, summed, over (N noise_var).
 
@@ -83,16 +75,25 @@ class GaussianPolicy:
 
     noise_var: float  # nu/dt
     _params: np.ndarray  # flat, sized when the policy is built
+    _kept = (None, None)  # (last batch handed in, its evaluation)
 
     @property
     def params(self) -> np.ndarray:
         return self._params.copy()
 
     def log_prob_steps(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Per-step log-probabilities, (..., T) like the actions."""
+        """Per-step log-probabilities, (T, ...) like the actions."""
         actions = _checked("actions", actions, np.shape(_states(xs))[:-1])
-        return gaussian_log_prob(actions - self.mean_steps(xs),
-                                 self.noise_var)
+        resid = actions - self.mean_steps(xs)
+        return (-resid ** 2 / (2.0 * self.noise_var)
+                - 0.5 * np.log(2.0 * np.pi * self.noise_var))
+
+    def _kept_for(self, batch: RolloutBatch, evaluate):
+        """``evaluate(batch)``, formed by the first call on ``batch`` and
+        kept until the policy is handed another batch."""
+        if self._kept[0] is not batch:
+            self._kept = (batch, evaluate(batch))
+        return self._kept[1]
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +155,9 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
     exactly block-diagonal across time.
 
     The stacked-array methods work on the features step-major, (T, M, K)
-    over all M leading rows, as a batch stores them: each product is one
-    batched matmul with a (K,) vector per step.  Their results come back in
-    the (..., T) layout of ``xs`` without its state axis.
+    over the M rows after the time axis, as a batch stores them: each
+    product is one batched matmul with a (K,) vector per step, and comes
+    back in the (T, ...) layout of ``xs`` without its state axis.
     """
 
     def __init__(self, feature_fn, num_features: int, num_steps: int,
@@ -178,22 +179,29 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
         return self.feature_fn(xs) if out is None else self.feature_fn(xs, out)
 
     def step_features(self, xs) -> np.ndarray:
-        """Features step-major, (T, ..., K): a batch's stored feature matrix,
-        else the features of the states (..., T, state_dim)."""
+        """Features (T, ..., K): a batch's stored feature matrix, else the
+        features of the states (T, ..., state_dim)."""
         if isinstance(xs, RolloutBatch) and xs.features is not None:
             return xs.features
-        return self.features(np.moveaxis(_states(xs), -2, 0))
+        return self.features(_states(xs))
 
     def with_params(self, params: np.ndarray) -> "TimeVaryingLinearPolicy":
         return TimeVaryingLinearPolicy(self.feature_fn, self.num_features,
                                        self.num_steps, self.noise_var, params)
 
-    def mean(self, x: np.ndarray, t: int, features=None) -> np.ndarray:
-        """u(x, t); the features of x go into ``features`` when given."""
-        return self.features(x, features) @ self._theta[t]
+    def mean(self, x: np.ndarray, t: int, features=None,
+             out=None) -> np.ndarray:
+        """u(x, t); the features of x go into ``features`` and the mean
+        into ``out`` when given."""
+        return np.matmul(self.features(x, features), self._theta[t], out=out)
 
     def mean_steps(self, xs: np.ndarray) -> np.ndarray:
-        return self._step_products(xs, self._theta)
+        """A batch's kept mean, read-only; an array's, formed afresh."""
+        if not isinstance(xs, RolloutBatch):
+            return self._step_products(xs, self._theta)
+        mean = self._kept_for(xs, lambda b: self._step_products(b, self._theta))
+        mean.flags.writeable = False
+        return mean
 
     def jac_y_steps(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self._step_products(xs, _checked(
@@ -201,16 +209,16 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
 
     def _step_products(self, xs, coef: np.ndarray) -> np.ndarray:
         """phi(x_t) . coef_t at every step, one (M, K) @ (K, 1) per step
-        over the M rows; returns (..., T)."""
+        over the M rows; returns (T, ...)."""
         feats = self.step_features(xs)
         out = np.matmul(feats.reshape(self.num_steps, -1, self.num_features),
                         coef[:, :, None])
-        return np.moveaxis(out.reshape(feats.shape[:-1]), 0, -1)
+        return out.reshape(feats.shape[:-1])
 
     def jac_t_v_steps(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """v_t^T Phi_t per step, with v (..., T) taken step-major."""
+        """v_t^T Phi_t per step, for v (T, ...)."""
         feats = self.step_features(xs)
-        v = np.moveaxis(_checked("v", v, np.shape(_states(xs))[:-1]), -1, 0)
+        v = _checked("v", v, np.shape(_states(xs))[:-1])
         return np.matmul(v.reshape(self.num_steps, 1, -1), feats.reshape(
             self.num_steps, -1, self.num_features)).ravel()
 
@@ -263,7 +271,6 @@ class MlpPolicy(GaussianPolicy):
             raise ValueError(f"expected {self.num_params} parameters, "
                              f"got {self._params.size}")
         self._wb = list(self._layers(self._params))
-        self._kept = (None, None)  # (last batch, (activations, sens.))
 
     @property
     def num_params(self) -> int:
@@ -297,9 +304,7 @@ class MlpPolicy(GaussianPolicy):
         """([x, h_1, ..., h_{L-1}, u], [d_1, ..., d_L]) over the flattened
         rows of ``xs``: kept for a batch, computed afresh for an array."""
         if isinstance(xs, RolloutBatch):
-            if self._kept[0] is not xs:
-                self._kept = (xs, self._activations(xs.xs))
-            return self._kept[1]
+            return self._kept_for(xs, lambda b: self._activations(b.xs))
         acts = self._forward(xs, keep=True)
         return acts, self._sensitivities(acts)
 

@@ -275,6 +275,10 @@ class RunError(RuntimeError):
         self.run = run
         self.iteration = iteration
 
+    def __reduce__(self):
+        return type(self), (self.cause, self.partial, self.run,
+                            self.iteration)
+
 
 def run_aspic(config: ExperimentConfig) -> RunResult:
     """Execute all repeats; a failing repeat raises with partial records."""

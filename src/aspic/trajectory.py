@@ -1,12 +1,12 @@
 """Rollout containers and the stochastic path cost.
 
-A ``RolloutBatch`` is a ``Trajectory`` with a leading batch axis: it holds
-everything the estimators need as stacked read-only arrays over N rollouts:
-visited states, and scalar per-step actions, noise, state costs and
-log-probabilities under the sampling policy and the uncontrolled base policy.
-The sampler fills them in lockstep; ``xs`` and the stochastic costs are
-computed once when the batch is built.  State costs are already the per-step
-contribution to the path cost (delta events added once at their grid index).
+Arrays are step-major, time first.  A ``Trajectory`` is one rollout: its
+states, its scalar actions, its summed state cost (delta events added once
+at their grid index) and its Girsanov log-likelihood ratio against the
+uncontrolled base policy, log_ratio = sum_t (a_t^2 - xi_t^2) / (2 sigma^2)
+with a_t = u_t + xi_t: all the stochastic path cost needs.  A
+``RolloutBatch`` is the same schema with a rollout axis after the time
+axis, plus the stochastic costs and a linear policy's feature matrix.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from typing import ClassVar
 import numpy as np
 
 __all__ = ["Trajectory", "RolloutBatch", "stochastic_cost"]
-
-_SEQUENCES = ("states", "actions", "noises", "state_costs", "logp_policy",
-              "logp_base")
 
 
 def _frozen(a) -> np.ndarray:
@@ -33,54 +30,50 @@ class Trajectory:
     """One rollout of a controlled system.
 
     Shapes: ``states`` is (T+1, state_dim) including the initial state,
-    every other sequence is (T,), one scalar per control step.  The sampler
-    sets ``actions[k] = mean(states[k], k) + noises[k]``, rounded.
+    ``actions`` is (T,), one scalar per control step; ``state_cost`` and
+    ``log_ratio`` are scalars (0-d arrays).
     """
 
     states: np.ndarray
     actions: np.ndarray
-    noises: np.ndarray
-    state_costs: np.ndarray
-    logp_policy: np.ndarray
-    logp_base: np.ndarray
-    _batch_axes: ClassVar[int] = 0  # leading axes before the time axis
+    state_cost: np.ndarray
+    log_ratio: np.ndarray
+    _batch_axes: ClassVar[int] = 0  # rollout axes after the time axis
 
     def __post_init__(self):
-        """Freeze and fully check the sequences: T+1 states, T scalars."""
-        for name in _SEQUENCES:
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        *batch, t_states = self.states.shape[:self._batch_axes + 1]
-        for name in _SEQUENCES:
-            want = ((*batch, t_states, self.states.shape[-1])
-                    if name == "states" else (*batch, t_states - 1))
-            got = getattr(self, name).shape
-            if got != want:
-                raise ValueError(f"{name} has shape {got}, expected {want}")
+        """Freeze and fully check the arrays: T+1 states, T actions."""
+        t_states, *batch = np.shape(self.states)[:self._batch_axes + 1]
+        for name, want in (
+                ("states", (t_states, *batch, np.shape(self.states)[-1])),
+                ("actions", (t_states - 1, *batch)),
+                ("state_cost", tuple(batch)), ("log_ratio", tuple(batch))):
+            a = _frozen(getattr(self, name))
+            if a.shape != want:
+                raise ValueError(f"{name} has shape {a.shape}, expected {want}")
+            object.__setattr__(self, name, a)
 
 
 def stochastic_cost(traj: Trajectory, gamma: float):
-    """Path cost plus gamma times the policy/base log-likelihood ratio,
-    summed over time: a float for a ``Trajectory``, the row costs for a
+    """State cost plus gamma times the policy/base log-likelihood ratio: a
+    float for a ``Trajectory``, the per-rollout costs for a
     ``RolloutBatch``."""
     if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    cost = (np.sum(traj.state_costs, axis=-1)
-            + gamma * np.sum(traj.logp_policy - traj.logp_base, axis=-1))
+    cost = traj.state_cost + gamma * traj.log_ratio
     return cost if traj._batch_axes else float(cost)
 
 
 @dataclass(frozen=True)
 class RolloutBatch(Trajectory):
-    """N rollouts as stacked read-only arrays, with their stochastic costs.
+    """N rollouts as step-major read-only arrays.
 
-    Shapes: ``states`` (N, T+1, state_dim); ``actions``, ``noises``,
-    ``state_costs``, ``logp_policy`` and ``logp_base`` (N, T).
-    ``xs`` is a contiguous copy of ``states[:, :-1]``.  Stochastic costs
-    default to ``stochastic_cost(batch, gamma)``.  ``features`` is the
-    feature matrix of the linear policy that sampled the batch, stored
-    step-major as (T, N, K): equal to ``policy.features(xs).swapaxes(0, 1)``
-    (None for other policies).  A ``replace`` with new ``states`` must pass
-    new features or None.
+    Shapes: ``states`` (T+1, N, state_dim); ``actions`` (T, N);
+    ``state_cost``, ``log_ratio`` and ``stochastic_costs`` (N,).  ``xs`` is
+    the view ``states[:-1]``, (T, N, state_dim).  Stochastic costs default
+    to ``stochastic_cost(batch, gamma)``.  ``features`` is the (T, N, K)
+    feature matrix of the linear policy that sampled the batch, equal to
+    ``policy.features(xs)`` (None for other policies).  A ``replace`` with
+    new ``states`` must pass new features or None.
     """
 
     gamma: float
@@ -95,8 +88,7 @@ class RolloutBatch(Trajectory):
         super().__post_init__()
         if self.n < 2:
             raise ValueError("a rollout batch needs at least 2 trajectories")
-        object.__setattr__(self, "xs", _frozen(
-            np.ascontiguousarray(self.states[:, :-1])))
+        object.__setattr__(self, "xs", self.states[:-1])
         object.__setattr__(self, "stochastic_costs", _frozen(
             stochastic_cost(self, self.gamma) if self.stochastic_costs is None
             else self.stochastic_costs))
@@ -105,12 +97,11 @@ class RolloutBatch(Trajectory):
                              "the batch size")
         if self.features is not None:
             object.__setattr__(self, "features", _frozen(self.features))
-            want = (self.actions.shape[1], self.n)
-            if self.features.shape[:2] != want:
+            if self.features.shape[:2] != self.actions.shape:
                 raise ValueError(
                     f"features lead with {self.features.shape[:2]}, "
-                    f"expected (T, N) = {want}")
+                    f"expected (T, N) = {self.actions.shape}")
 
     @property
     def n(self) -> int:
-        return self.states.shape[0]
+        return self.states.shape[1]

@@ -24,20 +24,21 @@ def lq_fixture(seed, n=6, gamma=1.0):
 
 
 def array_batch(states, actions=None):
-    """A batch over ``states`` (N, T+1, state_dim) and ``actions`` (N, T),
-    zero actions when none are given; noise, costs and log-probabilities
-    are zero."""
+    """A batch over ``states`` (T+1, N, state_dim) and ``actions`` (T, N),
+    zero actions when none are given; costs and log-likelihood ratios are
+    zero."""
     states = np.asarray(states, dtype=float)
-    zeros = np.zeros((states.shape[0], states.shape[1] - 1))
+    n = states.shape[1]
     return RolloutBatch(states=states,
-                        actions=zeros if actions is None else actions,
-                        noises=zeros, state_costs=zeros,
-                        logp_policy=zeros, logp_base=zeros, gamma=1.0)
+                        actions=(np.zeros((states.shape[0] - 1, n))
+                                 if actions is None else actions),
+                        state_cost=np.zeros(n), log_ratio=np.zeros(n),
+                        gamma=1.0)
 
 
 def batch_of(xs):
-    """A batch whose ``xs`` equals ``xs`` (N, T, state_dim)."""
-    return array_batch(np.concatenate([xs, xs[:, -1:]], axis=1))
+    """A batch whose ``xs`` equals ``xs`` (T, N, state_dim)."""
+    return array_batch(np.concatenate([xs, xs[-1:]], axis=0))
 
 
 def full_rank_fixture(seed, num_steps=4, n=16):
@@ -52,8 +53,8 @@ def full_rank_fixture(seed, num_steps=4, n=16):
                                      params=rng.normal(size=2 * num_steps))
     draws = [(rng.normal(size=(num_steps + 1, 1)),
               rng.normal(size=num_steps)) for _ in range(n)]
-    batch = array_batch(np.stack([s for s, _ in draws]),
-                        np.stack([a for _, a in draws]))
+    batch = array_batch(np.stack([s for s, _ in draws], axis=1),
+                        np.stack([a for _, a in draws], axis=1))
     return batch, policy
 
 

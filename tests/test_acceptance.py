@@ -103,12 +103,12 @@ def test_criterion_4_gradient_oracles(capsys):
     batch, policy = lq_fixture(3)
     alpha = 1.5
     xs, acts = batch.xs, batch.actions
-    lp_old = np.sum(policy.log_prob_steps(xs, acts), axis=-1)
+    lp_old = np.sum(policy.log_prob_steps(xs, acts), axis=0)
     s = batch.stochastic_costs
 
     def reweighted_value(params):
         pol = policy.with_params(params)
-        lp_new = np.sum(pol.log_prob_steps(xs, acts), axis=-1)
+        lp_new = np.sum(pol.log_prob_steps(xs, acts), axis=0)
         frozen = replace(batch,
                          stochastic_costs=s - alpha * (lp_new - lp_old))
         return smoothed_cost_value(frozen, alpha)

@@ -10,8 +10,19 @@ from aspic import (Acrobot, LqViapoints, MlpPolicy, Pendulum,
                    acrobot_features, lq_features, make_env, pendulum_features,
                    rollout, sample_batch)
 
-SEQUENCES = ("states", "actions", "noises", "state_costs", "logp_policy",
-             "logp_base")
+# Each array of a rollout and its rollout axis in a batch.
+ROLLOUT_AXES = {"states": 1, "actions": 1, "state_cost": 0, "log_ratio": 0}
+
+
+def rollouts(batch, name, idx):
+    """Rollouts ``idx`` of the batch array ``name``."""
+    return np.take(getattr(batch, name), idx, axis=ROLLOUT_AXES[name])
+
+
+def noise_draw(env, n, seed, scale=1.0):
+    """The (n, T) noise ``sample_batch`` draws for ``seed``."""
+    return scale * np.random.default_rng(seed).normal(
+        0.0, np.sqrt(env.noise_var), (n, env.num_steps))
 
 
 class ZeroPolicy:
@@ -151,7 +162,7 @@ class TestCosts:
         targets = np.array([-10, 10, -10, -20, -100, -50, 10, 20, 30.0])
         expected = float(np.sum(targets ** 2) / (2 * 0.1 ** 2))
         assert expected == pytest.approx(730000.0, rel=1e-12)
-        assert float(np.sum(traj.state_costs)) == pytest.approx(expected)
+        assert float(traj.state_cost) == pytest.approx(expected)
 
     def test_pendulum_terminal_cost_sign(self):
         env = Pendulum()
@@ -179,9 +190,13 @@ class TestEventIndices:
 
     def test_costs_only_at_event_indices(self):
         env = LqViapoints()
+        charged, event_cost = [], env.event_cost
+        env.event_cost = lambda index, x: (charged.append(index)
+                                           or event_cost(index, x))
         batch = sample_batch(env, ZeroPolicy(env.noise_var), 4, 0, gamma=1.0)
-        charged = np.flatnonzero(np.any(batch.state_costs != 0.0, axis=0))
-        np.testing.assert_array_equal(charged + 1, env.event_indices)
+        assert tuple(charged) == env.event_indices
+        want = sum(event_cost(k, batch.states[k]) for k in env.event_indices)
+        np.testing.assert_array_equal(batch.state_cost, want)
 
 
 class TestRollout:
@@ -201,8 +216,8 @@ class TestRollout:
             size=pol.params.size))
         traj = rollout(env, pol, 7)
         means = pol.mean_steps(traj.states[:-1])
-        np.testing.assert_allclose(traj.actions - means, traj.noises,
-                                   atol=1e-12)
+        np.testing.assert_allclose(traj.actions - means,
+                                   noise_draw(env, 1, 7)[0], atol=1e-12)
 
     def test_log_ratio_is_girsanov_form(self):
         env = LqViapoints()
@@ -212,10 +227,9 @@ class TestRollout:
             scale=0.5, size=pol.params.size))
         traj = rollout(env, pol, 11)
         u = pol.mean_steps(traj.states[:-1])
-        xi = traj.noises
+        xi = noise_draw(env, 1, 11)[0]
         girsanov = np.sum((0.5 * u ** 2 + u * xi) * env.dt / env.nu)
-        log_ratio = np.sum(traj.logp_policy - traj.logp_base)
-        assert log_ratio == pytest.approx(girsanov, rel=1e-10)
+        assert traj.log_ratio == pytest.approx(girsanov, rel=1e-10)
 
     @pytest.mark.parametrize("name", ["lq_viapoints", "pendulum", "acrobot"])
     def test_is_first_rollout_of_a_batch(self, name):
@@ -225,29 +239,29 @@ class TestRollout:
         single = rollout(env, zero, (3, 1))
         small = sample_batch(env, zero, 2, (3, 1), gamma=1.0)
         large = sample_batch(env, zero, 5, (3, 1), gamma=1.0)
-        for seq in SEQUENCES:
+        for seq in ROLLOUT_AXES:
             np.testing.assert_array_equal(getattr(single, seq),
-                                          getattr(small, seq)[0])
-            # The first rows of a larger batch are the smaller batch, which
-            # gives an n-axis sweep its common random numbers.
+                                          rollouts(small, seq, 0))
+            # The first rollouts of a larger batch are the smaller batch,
+            # which gives an n-axis sweep its common random numbers.
             np.testing.assert_array_equal(getattr(small, seq),
-                                          getattr(large, seq)[:2])
+                                          rollouts(large, seq, [0, 1]))
         # A matmul over a different row count may take another BLAS kernel,
-        # so with a network mean only the noise is equal bit for bit.
+        # so with a network mean the rollouts agree to rounding only.
         mlp = MlpPolicy([env.state_dim, 8, 1], env.noise_var,
                         rng=np.random.default_rng(0))
         single = rollout(env, mlp, 4)
         batch = sample_batch(env, mlp, 5, 4, gamma=1.0)
-        np.testing.assert_array_equal(single.noises, batch.noises[0])
-        for seq in SEQUENCES:
+        for seq in ROLLOUT_AXES:
             np.testing.assert_allclose(getattr(single, seq),
-                                       getattr(batch, seq)[0],
+                                       rollouts(batch, seq, 0),
                                        rtol=1e-12, atol=1e-12)
 
     def test_noise_variance_scaling(self):
         env = Pendulum()
+        # Under the zero policy an action is its noise.
         draws = np.concatenate([rollout(env, ZeroPolicy(env.noise_var),
-                                        seed).noises.ravel()
+                                        seed).actions
                                 for seed in range(400)])
         target = env.nu / env.dt
         se = target * np.sqrt(2.0 / draws.size)
@@ -293,18 +307,17 @@ class TestSampleBatch:
         env = LqViapoints()
         batch = sample_batch(env, ZeroPolicy(env.noise_var), 6, seed,
                              gamma=1.0)
-        expected = np.random.default_rng(seed).normal(
-            0.0, np.sqrt(env.noise_var), (6, env.num_steps))
-        np.testing.assert_array_equal(batch.noises, expected)
+        # Under the zero policy an action is its noise; rollout i is row i.
+        np.testing.assert_array_equal(batch.actions,
+                                      noise_draw(env, 6, seed).T)
 
     @pytest.mark.parametrize("scale", [0.0, 1.0, 2.5])
     def test_noise_is_the_draw_times_the_scale(self, scale):
         env = LqViapoints()
         batch = sample_batch(env, ZeroPolicy(env.noise_var), 4, 9, gamma=1.0,
                              noise_scale=scale)
-        draw = np.random.default_rng(9).normal(
-            0.0, np.sqrt(env.noise_var), (4, env.num_steps))
-        np.testing.assert_array_equal(batch.noises, scale * draw)
+        np.testing.assert_array_equal(batch.actions,
+                                      noise_draw(env, 4, 9, scale).T)
 
     @pytest.mark.parametrize("name, feature_fn, k", [
         ("lq_viapoints", lq_features, 2),
@@ -312,8 +325,8 @@ class TestSampleBatch:
         ("acrobot", acrobot_features, 9)])
     def test_batch_features_are_the_policy_features(self, name, feature_fn,
                                                     k):
-        # N = 7 rollouts of T = 5 or 50 steps: a (N, T, K) matrix in place
-        # of the step-major (T, N, K) one cannot pass for it.
+        # N = 7 rollouts of T = 5 or 50 steps: a (N, T, K) matrix cannot
+        # pass for the step-major (T, N, K) one.
         env = make_env(name, {"horizon": 0.5, "viapoints": ((0.2, 1.0),)}
                        if name == "lq_viapoints" else {"horizon": 0.5})
         pol = TimeVaryingLinearPolicy(feature_fn, k, env.num_steps,
@@ -323,12 +336,14 @@ class TestSampleBatch:
         batch = sample_batch(env, pol, 7, 3, gamma=1.0)
         assert env.num_steps != 7
         assert not batch.features.flags.writeable
-        np.testing.assert_array_equal(batch.features,
-                                      pol.features(batch.xs).swapaxes(0, 1))
+        np.testing.assert_array_equal(batch.features, pol.features(batch.xs))
         # Read from the batch or evaluated from its states, the same floats.
         y = np.random.default_rng(1).normal(size=pol.params.size)
         np.testing.assert_array_equal(pol.mean_steps(batch),
                                       pol.mean_steps(batch.xs))
+        # The batch's mean is kept, so no caller may write to it.
+        assert pol.mean_steps(batch) is pol.mean_steps(batch)
+        assert not pol.mean_steps(batch).flags.writeable
         np.testing.assert_array_equal(pol.jac_y_steps(batch, y),
                                       pol.jac_y_steps(batch.xs, y))
         mlp = MlpPolicy([env.state_dim, 4, 1], env.noise_var,
@@ -369,8 +384,8 @@ class TestSampleBatch:
 
 class TestShapeContract:
     """Actions are scalars: every per-step array of a batch and every
-    stacked policy output is (N, T), and a trailing action axis is
-    refused."""
+    stacked policy output is (T, N), every per-rollout array (N,), and a
+    trailing action axis is refused."""
 
     @staticmethod
     def policy(family, env, feature_fn, k):
@@ -391,26 +406,27 @@ class TestShapeContract:
         ("lq_viapoints", lq_features, 2),
         ("pendulum", pendulum_features, 4),
         ("acrobot", acrobot_features, 9)])
-    def test_per_step_arrays_are_n_by_t(self, name, feature_fn, k, family):
+    def test_per_step_arrays_are_t_by_n(self, name, feature_fn, k, family):
         env = make_env(name, {"horizon": 0.5, "viapoints": ((0.2, 1.0),)}
                        if name == "lq_viapoints" else {"horizon": 0.5})
         pol, rng = self.policy(family, env, feature_fn, k)
         n, t = 3, env.num_steps
         batch = sample_batch(env, pol, n, 5, gamma=1.0)
-        assert batch.states.shape == (n, t + 1, env.state_dim)
-        for seq in SEQUENCES[1:]:
-            assert getattr(batch, seq).shape == (n, t), seq
+        assert batch.states.shape == (t + 1, n, env.state_dim)
+        assert batch.actions.shape == (t, n)
+        for seq in ("state_cost", "log_ratio", "stochastic_costs"):
+            assert getattr(batch, seq).shape == (n,), seq
         traj = rollout(env, pol, 5)
-        for seq in SEQUENCES[1:]:
-            assert getattr(traj, seq).shape == (t,), seq
-        assert pol.mean(batch.xs[:, 0], 0).shape == (n,)
+        assert traj.actions.shape == (t,)
+        assert traj.state_cost.shape == traj.log_ratio.shape == ()
+        assert pol.mean(batch.xs[0], 0).shape == (n,)
         y = rng.normal(size=pol.params.size)
-        v = rng.normal(size=(n, t))
+        v = rng.normal(size=(t, n))
         for xs in (batch, batch.xs):
-            assert pol.mean_steps(xs).shape == (n, t)
-            assert pol.log_prob_steps(xs, batch.actions).shape == (n, t)
+            assert pol.mean_steps(xs).shape == (t, n)
+            assert pol.log_prob_steps(xs, batch.actions).shape == (t, n)
             jy = pol.jac_y_steps(xs, y)
-            assert jy.shape == (n, t)
+            assert jy.shape == (t, n)
             jtv = pol.jac_t_v_steps(xs, v)
             assert jtv.shape == pol.params.shape
             assert float(np.sum(jy * v)) == pytest.approx(float(y @ jtv),
@@ -424,9 +440,9 @@ class TestShapeContract:
     @pytest.mark.parametrize("on_batch", [True, False],
                              ids=["batch", "array"])
     def test_misshaped_inputs_are_refused(self, family, on_batch):
-        """A ``v`` or ``actions`` off the means' (N, T), or a ``y`` off the
-        parameter count, is a ValueError naming it.  N = T = 4, so an
-        (N, T, 1) array would broadcast against (N, T)."""
+        """A ``v`` or ``actions`` off the means' (T, N), or a ``y`` off the
+        parameter count, is a ValueError naming it.  N = T = 4, so a
+        (T, N, 1) array would broadcast against (T, N)."""
         env = make_env("pendulum", {"horizon": 0.04})
         pol, rng = self.policy(family, env, pendulum_features, 4)
         batch = sample_batch(env, pol, 4, 5, gamma=1.0)

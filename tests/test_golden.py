@@ -40,15 +40,15 @@ CASES = {
 
 GOLDEN = {
     "acrobot_smoothed_pinv":
-        "be633c8f307d089803b3c201339a56e053a5de26e87bed0e68d757de345b7820",
+        "e5cee29a1de885b96d6c7db381e545fe645722aa006a6cabbb594acccc0a6d82",
     "lq_direct_pinv":
-        "eacdc12139d511e2bd6071b72b995335db5f660ecbb6dfa6ec239e8fb9895de6",
+        "9a9ce91eb7025a048c954397e579ef1bf4be698d42af287b7ce23900ebf046e3",
     "lq_smoothed_cg":
-        "bf7bc95a8bb1b82c4e1fdf964c451f7d91f2632c71a20ea918c90d04da046a71",
+        "e9f2039c507370314f8ed84dc574275570511c1790673c7410583db405123ef7",
     "pendulum_mlp_cg":
-        "28468be9d6bdfe82d7d2bdae7032646f65491f5abcb0303924dfa41b109190b2",
+        "5620a68340e312b650990f38d39c5177a017b85328f95c84df24e02755fe074f",
     "pendulum_pice_pinv":
-        "2cfc65d373ef5824994972d68b3c8cd45d079b8194475bf805cb2870ad630871",
+        "788664653a9d2cfdbc0c7d2393735517ba7e37c7bb30af61c7441654d82ec21c",
 }
 
 

@@ -36,7 +36,7 @@ class TestSmoothedGradient:
         grad = smoothed_gradient(equal_cost_batch(batch), policy, alpha,
                                  whiten=False)
         xs, acts = batch.xs, batch.actions
-        scores = np.stack([score_sum(policy, xs[i], acts[i])
+        scores = np.stack([score_sum(policy, xs[:, i], acts[:, i])
                            for i in range(batch.n)])
         np.testing.assert_allclose(grad, alpha * scores.mean(axis=0),
                                    rtol=1e-10)
@@ -45,12 +45,12 @@ class TestSmoothedGradient:
         batch, policy = lq_fixture(3)
         alpha = 1.5
         xs, acts = batch.xs, batch.actions
-        lp_old = np.sum(policy.log_prob_steps(xs, acts), axis=-1)
+        lp_old = np.sum(policy.log_prob_steps(xs, acts), axis=0)
         s = batch.stochastic_costs
 
         def reweighted_value(params):
             pol = policy.with_params(params)
-            lp_new = np.sum(pol.log_prob_steps(xs, acts), axis=-1)
+            lp_new = np.sum(pol.log_prob_steps(xs, acts), axis=0)
             adjusted = s - alpha * (lp_new - lp_old)
             frozen = replace(batch, stochastic_costs=adjusted)
             return smoothed_cost_value(frozen, alpha)
@@ -97,7 +97,7 @@ class TestDirectGradient:
         loaded = replace(batch, stochastic_costs=costs)
         grad = direct_gradient(loaded, policy, whiten=False)
         xs, acts = batch.xs, batch.actions
-        score = score_sum(policy, xs[2], acts[2])
+        score = score_sum(policy, xs[:, 2], acts[:, 2])
         cos = grad @ score / (np.linalg.norm(grad) * np.linalg.norm(score))
         assert cos < -0.999
 
@@ -123,7 +123,7 @@ class TestPiceGradient:
         batch, policy = lq_fixture(0)
         grad = pice_gradient(equal_cost_batch(batch), policy)
         xs, acts = batch.xs, batch.actions
-        scores = np.stack([score_sum(policy, xs[i], acts[i])
+        scores = np.stack([score_sum(policy, xs[:, i], acts[:, i])
                            for i in range(batch.n)])
         np.testing.assert_allclose(grad, scores.mean(axis=0),
                                    rtol=1e-10)
@@ -136,7 +136,7 @@ class TestPiceGradient:
         grad = pice_gradient(loaded, policy)
         xs, acts = batch.xs, batch.actions
         np.testing.assert_allclose(grad,
-                                   score_sum(policy, xs[1], acts[1]),
+                                   score_sum(policy, xs[:, 1], acts[:, 1]),
                                    rtol=1e-8)
 
     def test_gamma_zero_rejected(self):

@@ -107,8 +107,8 @@ class TestFisherVectorProduct:
         # unit variance: F block = [[4, 2], [2, 1]].
         pol = TimeVaryingLinearPolicy(lq_features, 2, 1, 1.0,
                                       params=np.zeros(2))
-        batch = array_batch(np.array([[[2.0], [0.0]]] * 2),
-                            np.zeros((2, 1)))
+        batch = array_batch(np.array([[[2.0]] * 2, [[0.0]] * 2]),
+                            np.zeros((1, 2)))
         out = fisher_vector_product(batch, pol, np.array([1.0, 0.0]))
         np.testing.assert_allclose(out, [4.0, 2.0])
 
@@ -142,8 +142,8 @@ class TestFisherTrace:
         policy = MlpPolicy(sizes, noise_var=2.0, rng=rng)
         policy = policy.with_params(policy.params + rng.normal(
             scale=0.1, size=policy.params.size))  # nonzero biases
-        batch = array_batch(rng.normal(size=(n, steps + 1, 2)),
-                            rng.normal(size=(n, steps)))
+        batch = array_batch(rng.normal(size=(steps + 1, n, 2)),
+                            rng.normal(size=(steps, n)))
         if n == 30:
             assert n * steps > policies.BLOCK_ROWS
         assert policy.fisher_trace(batch) == pytest.approx(
@@ -195,7 +195,7 @@ class TestPerTimestepDirection:
                                       params=np.zeros(4))
 
         # States +1 and -1: sum of [x,1][x,1]^T over the two samples is 2I.
-        batch = array_batch(np.array([[[x], [x], [0.0]] for x in (1.0, -1.0)]),
+        batch = array_batch(np.array([[[1.0], [-1.0]]] * 2 + [[[0.0]] * 2]),
                             np.zeros((2, 2)))
         g = np.array([1.0, 2.0, -3.0, 4.0])
         out = per_timestep_natural_direction(batch, pol, g, rcond=1e-12)
@@ -206,8 +206,8 @@ class TestPerTimestepDirection:
         # component of g orthogonal to the feature direction must vanish.
         pol = TimeVaryingLinearPolicy(lq_features, 2, 1, 1.0,
                                       params=np.zeros(2))
-        batch = array_batch(np.array([[[2.0], [0.0]]] * 3),
-                            np.zeros((3, 1)))
+        batch = array_batch(np.array([[[2.0]] * 3, [[0.0]] * 3]),
+                            np.zeros((1, 3)))
         g_null = np.array([1.0, -2.0])  # orthogonal to phi = [2, 1]
         out = per_timestep_natural_direction(batch, pol, g_null, rcond=1e-4)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
@@ -219,7 +219,7 @@ class TestPerTimestepDirection:
 
         pol = TimeVaryingLinearPolicy(single_feature, 1, 1, 1.0,
                                       params=np.zeros(1))
-        batch = array_batch(np.zeros((2, 2, 1)), np.zeros((2, 1)))
+        batch = array_batch(np.zeros((2, 2, 1)), np.zeros((1, 2)))
         out = per_timestep_natural_direction(batch, pol, np.array([8.0]))
         np.testing.assert_allclose(out, [2.0])
 
@@ -243,11 +243,11 @@ class TestPerTimestepDirection:
 def pinv_direction(batch, policy, g, rcond):
     """pinv(F_t, rcond) g_t block by block, each F_t formed from the
     features of the batch's states."""
-    phi = policy.features(batch.xs)  # (N, T, K)
+    phi = policy.features(batch.xs)  # (T, N, K)
     g_blocks = g.reshape(policy.num_steps, -1)
     return np.concatenate([
         np.linalg.pinv(p.T @ p / (batch.n * policy.noise_var), rcond=rcond)
-        @ g_t for p, g_t in zip(phi.swapaxes(0, 1), g_blocks)])
+        @ g_t for p, g_t in zip(phi, g_blocks)])
 
 
 def state_features(x, out=None):
@@ -295,8 +295,8 @@ class TestPerTimestepPinvOracle:
         rng = np.random.default_rng(52)
         policy = TimeVaryingLinearPolicy(feature_fn, k, 4, 1.3,
                                          params=np.zeros(4 * k))
-        batch = array_batch(rng.normal(size=(7, 5, state_dim)),
-                            np.zeros((7, 4)))
+        batch = array_batch(rng.normal(size=(5, 7, state_dim)),
+                            np.zeros((4, 7)))
         g = rng.normal(size=policy.params.size)
         np.testing.assert_allclose(
             per_timestep_natural_direction(batch, policy, g, rcond=rcond),
@@ -305,11 +305,11 @@ class TestPerTimestepPinvOracle:
     @pytest.mark.parametrize("rcond", [1e-4, 0.0])
     def test_all_zero_block_gives_zero(self, rcond):
         rng = np.random.default_rng(53)
-        states = rng.normal(size=(7, 4, 3))
-        states[:, 1] = 0.0  # block 1 is all zero
+        states = rng.normal(size=(4, 7, 3))
+        states[1] = 0.0  # block 1 is all zero
         policy = TimeVaryingLinearPolicy(state_features, 3, 3, 1.0,
                                          params=np.zeros(9))
-        batch = array_batch(states, np.zeros((7, 3)))
+        batch = array_batch(states, np.zeros((3, 7)))
         g = rng.normal(size=9)
         got = per_timestep_natural_direction(batch, policy, g, rcond=rcond)
         np.testing.assert_array_equal(got[3:6], 0.0)
@@ -390,7 +390,7 @@ class TestTrustRegionStep:
         # ridge alone gives them a natural direction, which moves no mean.
         pol = TimeVaryingLinearPolicy(lq_features, 2, 2, 1.0,
                                       params=np.zeros(4))
-        batch = array_batch(np.zeros((3, 3, 1)), np.ones((3, 2)))
+        batch = array_batch(np.zeros((3, 3, 1)), np.ones((2, 3)))
         with pytest.raises(LineSearchError, match="from above"):
             trust_region_step(batch, pol, np.array([1.0, 0.0, -1.0, 0.0]),
                               epsilon=0.1)
@@ -448,8 +448,7 @@ class TestTrustRegionStep:
 
 def _zero_residual_batch(batch, policy):
     """Replace actions by the policy mean so the sampled KL cross term is 0."""
-    return replace(batch, actions=policy.mean_steps(batch.xs),
-                   noises=np.zeros_like(batch.noises))
+    return replace(batch, actions=policy.mean_steps(batch.xs))
 
 
 class KlStubPolicy:
@@ -482,7 +481,8 @@ class KlStubPolicy:
         return self.params.size / batch.n
 
     def log_prob_steps(self, xs, acts):
-        return np.full(len(acts), -self.kl(self.params))
+        """-kl once per rollout, the last axis of the (T, N) actions."""
+        return np.full(np.shape(acts)[-1], -self.kl(self.params))
 
 
 class TestLineSearch:
@@ -490,7 +490,7 @@ class TestLineSearch:
     N = 4
 
     def step(self, kl):
-        batch = array_batch(np.zeros((self.N, 3, 1)), np.zeros((self.N, 2)))
+        batch = array_batch(np.zeros((3, self.N, 1)), np.zeros((2, self.N)))
         log = []
         policy = KlStubPolicy(np.zeros(2), kl, log)
         up = trust_region_step(batch, policy, np.array([1.0, 0.0]),

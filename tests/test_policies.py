@@ -125,9 +125,9 @@ class TestLinearPolicy:
     def test_jacobian_products_consistent(self):
         pol = make_linear(num_steps=4, seed=10)
         rng = np.random.default_rng(11)
-        xs = rng.normal(size=(6, 4, 1))
+        xs = rng.normal(size=(4, 6, 1))
         y = rng.normal(size=pol.params.size)
-        v = rng.normal(size=(6, 4))
+        v = rng.normal(size=(4, 6))
         # <J y, v> == <y, J^T v> (adjoint identity).
         lhs = float(np.sum(pol.jac_y_steps(xs, y) * v))
         rhs = float(y @ pol.jac_t_v_steps(xs, v))
@@ -150,8 +150,8 @@ LINEAR_MAPS = [(lq_features, 1, 2), (pendulum_features, 2, 4),
 
 class TestLinearProductsOracle:
     """The step-major products against explicit per-step loops over
-    ``feature_fn(x_t)``, at T = 5 steps with 0, 1 (N = 7) and 2 leading
-    axes."""
+    ``feature_fn(x_t)``, at T = 5 steps with 0, 1 (N = 7) and 2 rollout
+    axes after the time axis."""
 
     T = 5
 
@@ -159,7 +159,7 @@ class TestLinearProductsOracle:
         rng = np.random.default_rng(k * 10 + len(lead))
         pol = TimeVaryingLinearPolicy(feature_fn, k, self.T, 1.7,
                                       params=rng.normal(size=k * self.T))
-        xs = rng.normal(size=lead + (self.T, state_dim))
+        xs = rng.normal(size=(self.T,) + lead + (state_dim,))
         return pol, xs, rng
 
     @pytest.mark.parametrize("lead", [(), (7,), (3, 2)])
@@ -170,12 +170,12 @@ class TestLinearProductsOracle:
         y = rng.normal(size=pol.params.size)
         for coef, got in ((pol.params, pol.mean_steps(xs)),
                           (y, pol.jac_y_steps(xs, y))):
-            assert got.shape == lead + (self.T,)
+            assert got.shape == (self.T,) + lead
             for t, c in enumerate(coef.reshape(self.T, k)):
-                phi = feature_fn(xs[..., t, :])
+                phi = feature_fn(xs[t])
                 # rtol 1e-13 of the sum of the terms' magnitudes
                 bound = 1e-13 * (np.abs(phi) @ np.abs(c))
-                assert np.all(np.abs(got[..., t] - phi @ c) <= bound)
+                assert np.all(np.abs(got[t] - phi @ c) <= bound)
 
     @pytest.mark.parametrize("lead", [(), (7,), (3, 2)])
     @pytest.mark.parametrize("feature_fn, state_dim, k", LINEAR_MAPS)
@@ -183,9 +183,9 @@ class TestLinearProductsOracle:
                                               k, lead):
         pol, xs, rng = self.case(feature_fn, state_dim, k, lead)
         y = rng.normal(size=pol.params.size)
-        v = rng.normal(size=lead + (self.T,))
+        v = rng.normal(size=(self.T,) + lead)
         jtv = pol.jac_t_v_steps(xs, v)
-        want = [np.sum(feature_fn(xs[..., t, :]) * v[..., t, None],
+        want = [np.sum(feature_fn(xs[t]) * v[t][..., None],
                        axis=tuple(range(len(lead)))) for t in range(self.T)]
         np.testing.assert_allclose(jtv, np.concatenate(want), rtol=1e-13,
                                    atol=1e-13 * np.abs(jtv).max())
@@ -197,11 +197,11 @@ class TestLinearProductsOracle:
     def test_fisher_trace_is_the_dense_trace(self, feature_fn, state_dim,
                                              k):
         pol, xs, rng = self.case(feature_fn, state_dim, k, (7,))
-        batch = array_batch(rng.normal(size=(7, self.T + 1, state_dim)))
-        phi = feature_fn(batch.xs)  # (N, T, K)
+        batch = array_batch(rng.normal(size=(self.T + 1, 7, state_dim)))
+        phi = feature_fn(batch.xs)  # (T, N, K)
         jac = np.zeros((7, self.T, self.T, k))  # row (i, t), block t
         for t in range(self.T):
-            jac[:, t, t] = phi[:, t]
+            jac[:, t, t] = phi[t]
         jac = jac.reshape(7 * self.T, self.T * k)
         dense = jac.T @ jac / (7 * pol.noise_var)
         assert pol.fisher_trace(batch) == pytest.approx(np.trace(dense),

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 import aspic.cli
 import aspic.runner
 from aspic import (ExperimentConfig, MlpPolicy, RolloutBlowupError,
-                   RunError, config_hash, export, make_env, resolve_delta,
-                   run_aspic, sample_batch, sweep, trust_region_step)
+                   RunError, TimeVaryingLinearPolicy, config_hash, export,
+                   make_env, resolve_delta, run_aspic, sample_batch, sweep,
+                   trust_region_step)
 from aspic.cli import main as cli_main
 from aspic.runner import CSV_COLUMNS
 
@@ -271,6 +273,59 @@ class TestRun:
         assert str(err).startswith("run terminated in repeat 1 at iteration 2")
         assert _strip_wall(err.partial.records) == _strip_wall(
             run_aspic(small_config()).records)
+
+    def test_errors_survive_pickling(self):
+        # A worker process hands its failure back pickled.
+        blowup = RolloutBlowupError(3, 7)
+        back = pickle.loads(pickle.dumps(blowup))
+        assert type(back) is RolloutBlowupError
+        assert (str(back), back.step, back.index) == (str(blowup), 3, 7)
+        partial = run_aspic(small_config(iterations=2))
+        err = RunError(blowup, partial, 1, 2)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is RunError
+        assert str(back) == str(err) == ("run terminated in repeat 1 at "
+                                         "iteration 2: state blow-up at "
+                                         "rollout 7, step 3")
+        assert (back.run, back.iteration) == (1, 2)
+        assert type(back.cause) is RolloutBlowupError
+        assert (back.cause.step, back.cause.index) == (3, 7)
+        assert back.partial.config == partial.config
+        assert back.partial.records == partial.records
+        assert len(back.partial.records[0]) == 2
+
+    def test_linear_policy_forms_its_batch_mean_once(self, monkeypatch):
+        # Per iteration: the mean over the batch, shared by the gradient
+        # and the closed-form KL root, one J y per CG iteration and one for
+        # the root.  Forming the mean once more would add a product.
+        log, products = [], TimeVaryingLinearPolicy._step_products
+
+        def counted_products(self, xs, coef):
+            log[-1]["products"] += 1
+            return products(self, xs, coef)
+
+        def counted_sample(*args, **kwargs):
+            log.append({"products": 0, "cg": 0})
+            return sample_batch(*args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            update = trust_region_step(*args, **kwargs)
+            log[-1]["cg"] = update.cg_iterations or 0
+            return update
+
+        monkeypatch.setattr(TimeVaryingLinearPolicy, "_step_products",
+                            counted_products)
+        monkeypatch.setattr(aspic.runner, "sample_batch", counted_sample)
+        monkeypatch.setattr(aspic.runner, "trust_region_step", counted_step)
+        for solver in ({"kind": "per_timestep_pinv"},
+                       {"kind": "cg", "iters": 3}):
+            log.clear()
+            run_aspic(small_config(solver=solver))
+            assert len(log) == 3
+            for counts in log:
+                assert counts["products"] == 2 + counts["cg"]
+            assert (sum(counts["cg"] for counts in log) > 0) == (
+                solver["kind"] == "cg")
 
     def test_mlp_policy_runs(self):
         res = run_aspic(small_config(policy="mlp",

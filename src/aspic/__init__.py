@@ -13,7 +13,8 @@ from .natural_gradient import (LineSearchError, TrustRegionUpdate,
 from .policies import (GaussianPolicy, MlpPolicy, TimeVaryingLinearPolicy,
                        acrobot_features, lq_features, pendulum_features)
 from .runner import (ExperimentConfig, IterationRecord, RunError, RunResult,
-                     config_hash, export, resolve_delta, run_aspic, sweep)
+                     config_hash, export, resolve_delta, run_aspic, sweep,
+                     sweep_cells)
 from .smoothing import (SmoothingResult, find_alpha, kl_estimate,
                         normalized_weights, weight_entropy)
 from .trajectory import RolloutBatch, Trajectory, stochastic_cost

@@ -3,7 +3,8 @@
 Output directory resolution: --out flag, else the ASPIC_OUTDIR environment
 variable when it is not empty, else ./aspic_results; it is created before any
 run starts.  Exit 1 if any run failed; exit 2 if an input cannot be read, the
-config or sweep values are invalid, or the output directory cannot be made.
+config or sweep values are invalid (two values with one cell label
+included), or the output directory cannot be made.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import json
 import os
 import sys
 
-from .runner import ExperimentConfig, RunError, export, run_aspic, sweep
+from .runner import (ExperimentConfig, RunError, export, run_aspic, sweep,
+                     sweep_cells)
 
 
 def _read_json(path):
@@ -72,6 +74,7 @@ def cmd_sweep(args) -> int:
     if not isinstance(values, list) or not values:
         raise ValueError("sweep values must be a non-empty JSON list, "
                          f"got {values!r}")
+    sweep_cells(config, args.axis, values)  # invalid labels exit 2 here
     out = _outdir(args)
     return _write(sweep(config, args.axis, values), out)
 

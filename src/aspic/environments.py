@@ -24,7 +24,9 @@ at another row count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -55,13 +57,26 @@ class RolloutBlowupError(RuntimeError):
         return type(self), (self.step, self.index)
 
 
+def _check_finite(name: str, value) -> None:
+    """A ValueError naming ``name`` unless ``value`` is a finite real number
+    that is not a bool."""
+    try:
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(kw_only=True, eq=False)
 class Environment:
     """Base class: a task is its parameters, its rate and its cost events.
 
-    The fields are the task's parameters, the keys ``env_overrides`` takes.
-    Building a task sets ``num_steps``, ``noise_var = nu/dt`` and the start
-    ``x0``, at rest at the origin unless the task sets another.  ``xdot`` and
+    The fields are the task's parameters, the keys ``env_overrides`` takes;
+    each scalar one must be a finite number, not a bool.  Building a task
+    sets ``num_steps``, ``noise_var = nu/dt`` and the start ``x0``, at rest
+    at the origin unless the task sets another.  ``xdot`` and
     ``event_cost`` are vectorized over leading batch dimensions of the state;
     ``xdot`` writes the rate into ``out`` when given, else into a new array.
     Event costs are keyed by grid index (1..num_steps), with event times
@@ -75,6 +90,9 @@ class Environment:
     nu: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float":
+                _check_finite(f.name, getattr(self, f.name))
         for name in ("dt", "horizon", "nu"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, "
@@ -127,6 +145,8 @@ class LqViapoints(Environment):
         # Viapoint times snap to the nearest grid index, one viapoint each.
         self._events = {}
         for t, target in self.viapoints:
+            _check_finite("viapoints time", t)
+            _check_finite("viapoints target", target)
             index = int(round(t / self.dt))
             if index in self._events or not 1 <= index <= self.num_steps:
                 raise ValueError(

@@ -27,7 +27,8 @@ from .policies import (MlpPolicy, TimeVaryingLinearPolicy, acrobot_features,
 from .smoothing import find_alpha
 
 __all__ = ["ExperimentConfig", "IterationRecord", "RunResult", "RunError",
-           "run_aspic", "sweep", "export", "resolve_delta", "config_hash"]
+           "run_aspic", "sweep", "sweep_cells", "export", "resolve_delta",
+           "config_hash"]
 
 CSV_COLUMNS = ("run", "iter", "mean_cost", "std_cost", "alpha", "kl_est",
                "eta", "achieved_kl", "wall_ms", "seed")
@@ -239,7 +240,7 @@ def _run_single(config: ExperimentConfig, run_index: int,
         alpha = kl_est = None
         if config.estimator == "smoothed":
             delta = resolve_delta(config.delta, config.n_rollouts)
-            sr = find_alpha(batch.stochastic_costs, config.gamma, delta)
+            sr = find_alpha(batch.stochastic_costs, batch.gamma, delta)
             grad = smoothed_gradient(batch, policy, sr.alpha)
             alpha, kl_est = sr.alpha, sr.kl_estimate
         elif config.estimator == "direct":
@@ -317,14 +318,15 @@ def _sweep_cell(config: ExperimentConfig, axis: str, v):
     return label, _with_delta(config, dv, epsilon=eps)
 
 
-def sweep(config: ExperimentConfig, axis: str, values) -> dict:
-    """Run one cell per value; per-cell failures are recorded, not fatal.
+def sweep_cells(config: ExperimentConfig, axis: str, values) -> dict:
+    """Each sweep cell's label -> its config, built before any cell runs.
 
     ``axis``: "delta" (values are delta specs), "n" (values are batch sizes;
     with ``rollout_budget`` set the iteration count adjusts to keep the
     budget), or "grid" (values are (delta, epsilon) pairs).  On both delta
     axes a delta of 0 switches the cell to the direct estimator.  A value
-    whose cell cannot be built is recorded under ``"<axis>=<value>"``.
+    whose cell cannot be built maps ``"<axis>=<value>"`` to its exception.
+    Two values with one label are a ValueError naming it.
     """
     if not values:
         raise ValueError("sweep needs a non-empty value list")
@@ -332,12 +334,27 @@ def sweep(config: ExperimentConfig, axis: str, values) -> dict:
         raise ValueError(f"unknown sweep axis {axis!r}")
     cells = {}
     for v in values:
-        label = f"{axis}={v}"
         try:
-            label, cfg = _sweep_cell(config, axis, v)
-            cells[label] = run_aspic(cfg)
-        except Exception as exc:  # keep sweeping, record the failure
-            cells[label] = exc
+            label, cell = _sweep_cell(config, axis, v)
+        except Exception as exc:  # recorded, not fatal
+            label, cell = f"{axis}={v}", exc
+        if label in cells:
+            raise ValueError(f"two sweep values give the cell label {label!r}")
+        cells[label] = cell
+    return cells
+
+
+def sweep(config: ExperimentConfig, axis: str, values) -> dict:
+    """Each label of ``sweep_cells`` -> its ``RunResult``, or the exception
+    of a cell that could not be built or whose run failed; a failed cell
+    does not stop the sweep."""
+    cells = sweep_cells(config, axis, values)
+    for label, cell in cells.items():
+        if not isinstance(cell, Exception):
+            try:
+                cells[label] = run_aspic(cell)
+            except Exception as exc:  # keep sweeping, record the failure
+                cells[label] = exc
     return cells
 
 

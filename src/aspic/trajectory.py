@@ -6,7 +6,8 @@ at their grid index) and its Girsanov log-likelihood ratio against the
 uncontrolled base policy, log_ratio = sum_t (a_t^2 - xi_t^2) / (2 sigma^2)
 with a_t = u_t + xi_t: all the stochastic path cost needs.  A
 ``RolloutBatch`` is the same schema with a rollout axis after the time
-axis, plus the stochastic costs and a linear policy's feature matrix.
+axis, plus the stochastic costs it derives from them and a linear policy's
+feature matrix.
 """
 
 from __future__ import annotations
@@ -68,33 +69,29 @@ class RolloutBatch(Trajectory):
     """N rollouts as step-major read-only arrays.
 
     Shapes: ``states`` (T+1, N, state_dim); ``actions`` (T, N);
-    ``state_cost``, ``log_ratio`` and ``stochastic_costs`` (N,).  ``xs`` is
-    the view ``states[:-1]``, (T, N, state_dim).  Stochastic costs default
-    to ``stochastic_cost(batch, gamma)``.  ``features`` is the (T, N, K)
-    feature matrix of the linear policy that sampled the batch, equal to
-    ``policy.features(xs)`` (None for other policies).  A ``replace`` with
-    new ``states`` must pass new features or None.
+    ``state_cost`` and ``log_ratio`` (N,).  Derived, not passed, so that
+    every ``replace`` derives them again: ``xs``, the view ``states[:-1]``
+    (T, N, state_dim), and ``stochastic_costs``, ``stochastic_cost(batch,
+    gamma)`` (N,).  ``features`` is the (T, N, K) feature matrix of the
+    linear policy that sampled the batch, equal to ``policy.features(xs)``
+    (None for other policies).  A ``replace`` with new ``states`` must pass
+    new features or None.
     """
 
     gamma: float
-    stochastic_costs: np.ndarray = field(default=None)  # type: ignore[assignment]
     features: np.ndarray | None = field(default=None, repr=False)
     xs: np.ndarray = field(init=False, repr=False, compare=False)
+    stochastic_costs: np.ndarray = field(init=False, repr=False,
+                                         compare=False)
     _batch_axes: ClassVar[int] = 1
 
     def __post_init__(self):
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         super().__post_init__()
         if self.n < 2:
             raise ValueError("a rollout batch needs at least 2 trajectories")
         object.__setattr__(self, "xs", self.states[:-1])
-        object.__setattr__(self, "stochastic_costs", _frozen(
-            stochastic_cost(self, self.gamma) if self.stochastic_costs is None
-            else self.stochastic_costs))
-        if self.stochastic_costs.shape != (self.n,):
-            raise ValueError("stochastic_costs length does not match "
-                             "the batch size")
+        object.__setattr__(self, "stochastic_costs",
+                           _frozen(stochastic_cost(self, self.gamma)))
         if self.features is not None:
             object.__setattr__(self, "features", _frozen(self.features))
             if self.features.shape[:2] != self.actions.shape:

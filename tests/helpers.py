@@ -1,5 +1,8 @@
 """Fixtures shared by the test modules: the small LQ task and seeded batches
-on it, synthetic batches over given states, and the summed score."""
+on it, synthetic batches over given states, re-weighted batches, and the
+summed score."""
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,6 +42,14 @@ def array_batch(states, actions=None):
 def batch_of(xs):
     """A batch whose ``xs`` equals ``xs`` (T, N, state_dim)."""
     return array_batch(np.concatenate([xs, xs[-1:]], axis=0))
+
+
+def with_costs(batch, costs, **changes):
+    """``batch`` (with ``changes``) whose stochastic costs are ``costs``:
+    they become its state costs and its log-likelihood ratios are zeroed,
+    and x + gamma * 0.0 is x bit for bit."""
+    return replace(batch, state_cost=costs, log_ratio=np.zeros(batch.n),
+                   **changes)
 
 
 def full_rank_fixture(seed, num_steps=4, n=16):

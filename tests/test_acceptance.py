@@ -7,8 +7,6 @@ one 5-cell smoothing-strength sweep; the three training experiments
 cores.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,7 @@ from aspic import (ExperimentConfig, MlpPolicy, conjugate_gradient,
                    normalized_weights, per_timestep_natural_direction,
                    pice_gradient, run_aspic, smoothed_cost_value,
                    smoothed_gradient, sweep, trust_region_step)
-from helpers import full_rank_fixture, lq_fixture
+from helpers import full_rank_fixture, lq_fixture, with_costs
 
 
 def announce(capsys, number, ok, detail):
@@ -109,8 +107,7 @@ def test_criterion_4_gradient_oracles(capsys):
     def reweighted_value(params):
         pol = policy.with_params(params)
         lp_new = np.sum(pol.log_prob_steps(xs, acts), axis=0)
-        frozen = replace(batch,
-                         stochastic_costs=s - alpha * (lp_new - lp_old))
+        frozen = with_costs(batch, s - alpha * (lp_new - lp_old))
         return smoothed_cost_value(frozen, alpha)
 
     grad = smoothed_gradient(batch, policy, alpha, whiten=False)
@@ -164,9 +161,8 @@ def test_criterion_5_limit_cases(capsys):
     mean = float(np.mean(batch.stochastic_costs))
     mean_err = abs(smoothed_cost_value(batch, 1e9) - mean) / abs(mean)
 
-    frozen = replace(batch, gamma=0.0,
-                     stochastic_costs=np.array(
-                         [0.0, 1.0, 2.0] + [1.0] * (batch.n - 3)))
+    frozen = with_costs(batch, np.array([0.0, 1.0, 2.0]
+                                        + [1.0] * (batch.n - 3)), gamma=0.0)
     risk = smoothed_cost_value(frozen, 1.0)
     expected = -np.log(np.mean(np.exp(-frozen.stochastic_costs)))
     risk_err = abs(risk - expected)

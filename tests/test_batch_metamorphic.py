@@ -39,7 +39,7 @@ def take_rollouts(batch, idx):
     return RolloutBatch(
         states=batch.states[:, idx], actions=batch.actions[:, idx],
         state_cost=batch.state_cost[idx], log_ratio=batch.log_ratio[idx],
-        gamma=batch.gamma, stochastic_costs=batch.stochastic_costs[idx],
+        gamma=batch.gamma,
         features=None if batch.features is None else batch.features[:, idx])
 
 

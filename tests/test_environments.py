@@ -523,12 +523,34 @@ class TestParameters:
         ({"dt": -0.1}, "dt must be > 0"),
         ({"horizon": 0.0}, "horizon must be > 0"),
         ({"nu": 0}, "nu must be > 0"),
-        ({"nu": float("nan")}, "nu must be > 0"),
+        ({"nu": float("nan")}, "nu must be a finite number"),
         ({"horizon": 1e-12}, "whole number of steps"),
     ])
     def test_out_of_range_parameters_rejected(self, name, overrides, message):
         with pytest.raises(ValueError, match=message):
             make_env(name, overrides)
+
+    @pytest.mark.parametrize("name, key", [
+        (name, key) for name, keys in sorted(OVERRIDE_KEYS.items())
+        for key in sorted(keys - {"viapoints"})])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), "0.5", True])
+    def test_scalar_parameter_must_be_a_finite_number(self, name, key,
+                                                      value):
+        with pytest.raises(ValueError,
+                           match=f"^{key} must be a finite number"):
+            make_env(name, {key: value})
+
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), "0.5", True])
+    def test_lq_viapoint_must_be_finite_numbers(self, at, value):
+        point = [0.5, 1.0]
+        point[at] = value
+        with pytest.raises(ValueError,
+                           match=f"viapoints {('time', 'target')[at]}"):
+            make_env("lq_viapoints", {"horizon": 1.0,
+                                      "viapoints": (tuple(point),)})
 
     def test_lq_zero_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):

@@ -17,11 +17,11 @@ import pytest
 from aspic import (direct_gradient, find_alpha, normalized_weights,
                    pice_gradient, smoothed_cost_value, smoothed_gradient,
                    stochastic_cost)
-from helpers import lq_fixture, score_sum
+from helpers import lq_fixture, score_sum, with_costs
 
 
 def equal_cost_batch(batch, value=3.0):
-    return replace(batch, stochastic_costs=np.full(batch.n, value))
+    return with_costs(batch, np.full(batch.n, value))
 
 
 class TestSmoothedGradient:
@@ -52,7 +52,7 @@ class TestSmoothedGradient:
             pol = policy.with_params(params)
             lp_new = np.sum(pol.log_prob_steps(xs, acts), axis=0)
             adjusted = s - alpha * (lp_new - lp_old)
-            frozen = replace(batch, stochastic_costs=adjusted)
+            frozen = with_costs(batch, adjusted)
             return smoothed_cost_value(frozen, alpha)
 
         grad = smoothed_gradient(batch, policy, alpha, whiten=False)
@@ -69,8 +69,7 @@ class TestSmoothedGradient:
 
     def test_whitened_direction_shift_invariant(self):
         batch, policy = lq_fixture(5)
-        shifted = replace(batch,
-                          stochastic_costs=batch.stochastic_costs + 77.0)
+        shifted = with_costs(batch, batch.stochastic_costs + 77.0)
         g1 = smoothed_gradient(batch, policy, alpha=1e6)
         g2 = smoothed_gradient(shifted, policy, alpha=1e6)
         np.testing.assert_allclose(g1, g2, rtol=1e-9)
@@ -94,7 +93,7 @@ class TestDirectGradient:
         batch, policy = lq_fixture(0, n=4)
         costs = np.zeros(4)
         costs[2] = 1e6
-        loaded = replace(batch, stochastic_costs=costs)
+        loaded = with_costs(batch, costs)
         grad = direct_gradient(loaded, policy, whiten=False)
         xs, acts = batch.xs, batch.actions
         score = score_sum(policy, xs[:, 2], acts[:, 2])
@@ -132,7 +131,7 @@ class TestPiceGradient:
         batch, policy = lq_fixture(0, n=4)
         costs = np.full(4, 1e4)
         costs[1] = 0.0  # gap >> gamma: weight collapses onto sample 1
-        loaded = replace(batch, stochastic_costs=costs)
+        loaded = with_costs(batch, costs)
         grad = pice_gradient(loaded, policy)
         xs, acts = batch.xs, batch.actions
         np.testing.assert_allclose(grad,
@@ -160,16 +159,14 @@ class TestSmoothedCostValue:
 
     def test_risk_sensitive_hand_value(self):
         batch, _ = lq_fixture(0, n=3, gamma=0.0)
-        frozen = replace(batch, gamma=0.0,
-                         stochastic_costs=np.array([0.0, 1.0, 2.0]))
+        frozen = with_costs(batch, np.array([0.0, 1.0, 2.0]), gamma=0.0)
         expected = -np.log((1 + np.exp(-1.0) + np.exp(-2.0)) / 3.0)
         assert smoothed_cost_value(frozen, 1.0) == pytest.approx(
             expected, rel=1e-12)
 
     def test_non_finite_costs_rejected(self):
         batch, _ = lq_fixture(0)
-        frozen = replace(batch, stochastic_costs=np.array(
-            [np.nan] + [0.0] * (batch.n - 1)))
+        frozen = with_costs(batch, np.array([np.nan] + [0.0] * (batch.n - 1)))
         with pytest.raises(ValueError):
             smoothed_cost_value(frozen, 1.0)
 

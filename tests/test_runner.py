@@ -117,6 +117,10 @@ class TestConfig:
          "env_overrides.*viapoints"),
         (dict(env_overrides={"viapoints": ((1e308, 1.0),)}), "env_overrides"),
         (dict(env_overrides={"dt": 1e-320}), "env_overrides"),
+        (dict(env_overrides={"sigma": float("nan")}),
+         "env_overrides.*sigma must be a finite number"),
+        (dict(env_overrides={"viapoints": ((1.0, float("nan")),)}),
+         "env_overrides.*viapoints target"),
         (dict(seed=-1), "seed"),
     ])
     def test_invalid_config_rejected_at_construction(self, overrides, key):
@@ -439,6 +443,20 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(small_config(), "gamma", [1.0])
 
+    @pytest.mark.parametrize("axis, values, label", [
+        ("delta", [0.5, {"absolute": 0.5}, 0.2], "delta=0.5"),
+        ("n", [4, 4], "n=4"),
+        ("n", [4, "8", "8"], "n=8"),  # two cells that cannot be built
+        ("grid", [(0.5, 0.1), ({"absolute": 0.5}, 0.1)], "delta=0.5,eps=0.1"),
+    ])
+    def test_repeated_label_rejected_before_any_cell_runs(
+            self, monkeypatch, axis, values, label):
+        def never(config):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(aspic.runner, "run_aspic", never)
+        with pytest.raises(ValueError, match=f"label '{label}'"):
+            sweep(small_config(), axis, values)
+
 
 class TestExport:
     def test_csv_layout(self, tmp_path):
@@ -561,6 +579,14 @@ class TestCli:
             assert (out / label / "records.csv").exists()
             summary = json.loads((out / label / "summary.json").read_text())
             assert summary["error"].startswith("run terminated in repeat 0")
+
+    def test_repeated_sweep_label_exits_2_writing_nothing(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "s"
+        assert cli_main(["sweep", self.write_config(tmp_path), "--axis", "n",
+                         "--values", "[4, 4]", "--out", str(out)]) == 2
+        assert "'n=4'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["run"], ["sweep", "--axis", "delta", "--values", "[0]"]])

@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aspic import (RolloutBatch, TimeVaryingLinearPolicy, Trajectory,
-                   lq_features, make_env, rollout, sample_batch,
+from aspic import (MlpPolicy, RolloutBatch, TimeVaryingLinearPolicy,
+                   Trajectory, find_alpha, lq_features, make_env,
+                   pice_gradient, rollout, sample_batch, smoothed_gradient,
                    stochastic_cost)
+from helpers import LQ_SMALL, lq_fixture
 
 
 def make_traj(state_cost, log_ratio, steps=2, state_dim=1):
@@ -122,10 +124,24 @@ class TestRolloutBatch:
         with pytest.raises(ValueError):
             stack([make_traj(1.0, 0.0)], gamma=0.0)
 
-    def test_explicit_costs_checked_for_length(self):
+    def test_costs_cannot_be_supplied(self):
         trajs = [make_traj(1.0, 0.0) for _ in range(3)]
-        with pytest.raises(ValueError):
-            stack(trajs, gamma=0.0, stochastic_costs=np.zeros(2))
+        with pytest.raises(TypeError, match="stochastic_costs"):
+            stack(trajs, gamma=0.0, stochastic_costs=np.zeros(3))
+        with pytest.raises(ValueError, match="stochastic_costs"):
+            replace(stack(trajs, gamma=0.0), stochastic_costs=np.zeros(3))
+
+    def test_replace_rederives_the_costs(self):
+        batch, _ = lq_fixture(0, gamma=1.0)
+        for changes in ({"gamma": 5.0}, {"state_cost": batch.state_cost + 1},
+                        {"log_ratio": -batch.log_ratio}):
+            new = replace(batch, **changes)
+            np.testing.assert_array_equal(
+                new.stochastic_costs,
+                new.state_cost + new.gamma * new.log_ratio)
+        np.testing.assert_allclose(
+            replace(batch, gamma=5.0).stochastic_costs[:3],
+            [4.90, 4.05, 3.05], atol=0.005)
 
     def test_negative_gamma_rejected(self):
         trajs = [make_traj(1.0, 0.5) for _ in range(2)]
@@ -178,3 +194,35 @@ class TestRolloutBatch:
         assert np.shares_memory(batch.xs, batch.states)
         np.testing.assert_array_equal(batch.xs, batch.states[:-1])
         assert (batch.n, batch.actions.shape) == (2, (3, 2))
+
+
+@pytest.mark.parametrize("family", ["lq_linear", "pendulum_mlp"])
+def test_regamma_equals_sampling_at_the_new_gamma(family):
+    # Sampling does not read gamma, so re-weighting a batch sampled at
+    # gamma 1 to gamma 5 gives the batch sampled at gamma 5, bit for bit,
+    # and so do the alpha search and the estimators on it.
+    if family == "lq_linear":
+        env = make_env("lq_viapoints", LQ_SMALL)
+        policy = TimeVaryingLinearPolicy(lq_features, 2, env.num_steps,
+                                         env.noise_var)
+    else:
+        env = make_env("pendulum", {"horizon": 0.3})
+        policy = MlpPolicy([2, 8, 1], env.noise_var,
+                           rng=np.random.default_rng(0))
+    policy = policy.with_params(policy.params + np.random.default_rng(
+        1).normal(scale=0.3, size=policy.params.size))
+    regamma = replace(sample_batch(env, policy, 12, 7, 1.0), gamma=5.0)
+    fresh = sample_batch(env, policy, 12, 7, 5.0)
+    assert regamma.gamma == fresh.gamma
+    for name in ("states", "xs", "actions", "state_cost", "log_ratio",
+                 "stochastic_costs", "features"):
+        np.testing.assert_array_equal(getattr(regamma, name),
+                                      getattr(fresh, name), err_msg=name)
+    sr, sr_fresh = (find_alpha(b.stochastic_costs, b.gamma, 0.5)
+                    for b in (regamma, fresh))
+    assert (sr.alpha, sr.entropy, sr.kl_estimate) == (
+        sr_fresh.alpha, sr_fresh.entropy, sr_fresh.kl_estimate)
+    np.testing.assert_array_equal(sr.weights, sr_fresh.weights)
+    for grad in (lambda b: smoothed_gradient(b, policy, sr.alpha),
+                 lambda b: pice_gradient(b, policy)):
+        np.testing.assert_array_equal(grad(regamma), grad(fresh))

@@ -142,9 +142,16 @@ class LqViapoints(Environment):
         super().__post_init__()
         if self.sigma == 0:
             raise ValueError("sigma must be != 0")
+        try:
+            points = [tuple(point) for point in self.viapoints]
+        except TypeError:
+            points = None
+        if points is None or any(len(point) != 2 for point in points):
+            raise ValueError("viapoints must be a sequence of (time, target) "
+                             f"pairs, got {self.viapoints!r}")
         # Viapoint times snap to the nearest grid index, one viapoint each.
         self._events = {}
-        for t, target in self.viapoints:
+        for t, target in points:
             _check_finite("viapoints time", t)
             _check_finite("viapoints target", target)
             index = int(round(t / self.dt))

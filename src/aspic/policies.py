@@ -22,8 +22,6 @@ nowhere.  The parameter count is fixed when a policy is built.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .trajectory import RolloutBatch
@@ -232,7 +230,9 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
 # MLP mean
 # ---------------------------------------------------------------------------
 
-BLOCK_ROWS = 2048  # rows per pass through the scratch buffers
+# Rows per MLP block: caps every block temporary at BLOCK_ROWS x width and
+# fixes the order in which ``jac_t_v_steps`` sums its blocks.
+BLOCK_ROWS = 2048
 
 
 class MlpPolicy(GaussianPolicy):
@@ -250,9 +250,11 @@ class MlpPolicy(GaussianPolicy):
     arrays of rows x width, keyed on the batch, and a product on it is then
     one matrix product per layer.  A batch is frozen and its arrays are
     read-only, so a kept evaluation cannot go stale.  A bare array is
-    evaluated afresh on every call and kept nowhere.  Every temporary as wide
-    as a hidden layer lives in two per-thread buffers of ``BLOCK_ROWS`` x
-    width, kept for the thread's life.
+    evaluated afresh on every call and kept nowhere.  Every other temporary
+    as wide as a hidden layer (an unkept forward's hidden layers, the tanh
+    slopes, a product's scaled factor) is formed ``BLOCK_ROWS`` rows at a
+    time, so a call holds at most two of ``BLOCK_ROWS`` x width besides its
+    outputs and the activations and sensitivities it evaluates.
     """
 
     def __init__(self, layer_sizes, noise_var: float,
@@ -309,8 +311,8 @@ class MlpPolicy(GaussianPolicy):
         return acts, self._sensitivities(acts)
 
     def _forward(self, xs, keep: bool) -> list:
-        """[x, h_1, ..., u] over xs by row blocks; without ``keep`` the
-        hidden layers pass through scratch and their entries are None."""
+        """[x, h_1, ..., u] over xs by row blocks; without ``keep`` each
+        hidden layer is a block-sized temporary and its entry is None."""
         x = np.asarray(xs, dtype=float).reshape(-1, self.layer_sizes[0])
         acts = [x] + [np.empty((len(x), n)) if keep else None
                       for n in self.layer_sizes[1:-1]]
@@ -318,8 +320,7 @@ class MlpPolicy(GaussianPolicy):
         for r in _blocks(len(x)):
             h = x[r]
             for i, ((w, b), out) in enumerate(zip(self._wb, acts[1:])):
-                h = np.matmul(h, w, out=_scratch(i % 2, len(h), w.shape[1])
-                              if out is None else out[r])
+                h = np.matmul(h, w, out=None if out is None else out[r])
                 h += b
                 if i < len(self._wb) - 1:
                     np.tanh(h, out=h)
@@ -332,10 +333,10 @@ class MlpPolicy(GaussianPolicy):
         for h, (w, _) in zip(acts[-2:0:-1], self._wb[:0:-1]):
             d = np.empty_like(h)
             for r in _blocks(len(h)):
-                g = np.matmul(sens[-1][r], w.T, out=_scratch(1, *d[r].shape))
-                slope = np.square(h[r], out=_scratch(0, *d[r].shape))
+                g = np.matmul(sens[-1][r], w.T, out=d[r])
+                slope = np.square(h[r])
                 np.subtract(1.0, slope, out=slope)  # tanh' = 1 - h^2
-                np.multiply(slope, g, out=d[r])
+                g *= slope
             sens.append(d)
         return sens[::-1]
 
@@ -359,8 +360,7 @@ class MlpPolicy(GaussianPolicy):
             p, q = (d, a) if swap else (a, d)
             gw, gb = np.zeros((p.shape[1], q.shape[1])), np.zeros(d.shape[1])
             for r in _blocks(len(v)):
-                gw += np.multiply(p[r], v[r], out=_scratch(
-                    0, *p[r].shape)).T @ q[r]
+                gw += (p[r] * v[r]).T @ q[r]
                 gb += v[r, 0] @ d[r]
             grads += [(gw.T if swap else gw).ravel(), gb]
         return np.concatenate(grads)
@@ -385,25 +385,9 @@ class MlpPolicy(GaussianPolicy):
                 _checked("y", y, self._params.shape))):
             p, q, m = (a, d, dw.T) if a.shape[1] < d.shape[1] else (d, a, dw)
             for r in _blocks(len(out)):
-                t = np.matmul(q[r], m, out=_scratch(0, *p[r].shape))
-                out[r] += np.einsum("ij,ij->i", t, p[r]) + d[r] @ db
+                out[r] += np.einsum("ij,ij->i", q[r] @ m, p[r]) + d[r] @ db
         return out.reshape(np.shape(_states(xs))[:-1])
-
-
-_SCRATCH = threading.local()
 
 
 def _blocks(rows: int) -> list:
     return [slice(i, i + BLOCK_ROWS) for i in range(0, rows, BLOCK_ROWS)]
-
-
-def _scratch(slot: int, rows: int, cols: int) -> np.ndarray:
-    """A (rows, cols) view of this thread's flat buffer ``slot`` (0 or 1),
-    grown when a request is larger.  Only temporaries that never leave their
-    call may live here: never a returned or kept array."""
-    bufs = getattr(_SCRATCH, "bufs", None)
-    if bufs is None:
-        bufs = _SCRATCH.bufs = [np.empty(0), np.empty(0)]
-    if bufs[slot].size < rows * cols:
-        bufs[slot] = np.empty(rows * cols)
-    return bufs[slot][:rows * cols].reshape(rows, cols)

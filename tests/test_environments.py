@@ -552,6 +552,12 @@ class TestParameters:
             make_env("lq_viapoints", {"horizon": 1.0,
                                       "viapoints": (tuple(point),)})
 
+    @pytest.mark.parametrize("viapoints", [
+        5, [5], [[1.0]], [[1.0, 2.0, 3.0]], "ab", {1.0: 2.0}])
+    def test_lq_viapoints_must_be_pairs(self, viapoints):
+        with pytest.raises(ValueError, match="viapoints"):
+            make_env("lq_viapoints", {"viapoints": viapoints})
+
     def test_lq_zero_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
             make_env("lq_viapoints", {"sigma": 0.0})

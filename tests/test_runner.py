@@ -121,6 +121,8 @@ class TestConfig:
          "env_overrides.*sigma must be a finite number"),
         (dict(env_overrides={"viapoints": ((1.0, float("nan")),)}),
          "env_overrides.*viapoints target"),
+        (dict(env_overrides={"viapoints": 5}),
+         "env_overrides.*: viapoints must be a sequence"),
         (dict(seed=-1), "seed"),
     ])
     def test_invalid_config_rejected_at_construction(self, overrides, key):

@@ -293,9 +293,10 @@ def sample_batch(env: Environment, policy, n: int, rng_seed, gamma: float, *,
 
     Each step writes its states, actions and a linear policy's features
     once, into contiguous slices: a linear mean goes straight into the
-    action buffer and the noise is added in place.  Rows are independent,
-    so the blow-up check after the loop names the step and row a check
-    after every step would.
+    action buffer and the noise is added in place.  The state costs are
+    charged after the loop, in ``event_indices`` order, on the stored
+    states.  Rows are independent, so the blow-up check after the loop
+    names the step and row a check after every step would.
     """
     if n < 2:
         raise ValueError("need at least 2 rollouts per batch")
@@ -308,7 +309,6 @@ def sample_batch(env: Environment, policy, n: int, rng_seed, gamma: float, *,
     state_cost = np.zeros(n)
     phi = (np.empty((t_steps, n, policy.num_features))
            if isinstance(policy, TimeVaryingLinearPolicy) else None)
-    is_event = [k in env.event_indices for k in range(t_steps + 1)]
     states[0] = env.x0
     with np.errstate(all="ignore"):  # non-finite states raise below
         for k in range(t_steps):
@@ -318,9 +318,9 @@ def sample_batch(env: Environment, policy, n: int, rng_seed, gamma: float, *,
             else:
                 policy.mean(states[k], k, features=phi[k], out=a)
                 a += step_noises[k]
-            x = env._euler(states[k], a, out=states[k + 1])
-            if is_event[k + 1]:
-                state_cost += env.event_cost(k + 1, x)
+            env._euler(states[k], a, out=states[k + 1])
+        for k in env.event_indices:
+            state_cost += env.event_cost(k, states[k])
     _raise_on_blowup(states[1:], 0)
     # sum_t (a^2 - xi^2) / (2 sigma^2), the sum of log pi - log p_base
     log_ratio = (np.einsum("tn,tn->n", actions, actions) - np.einsum(

@@ -27,23 +27,21 @@ __all__ = ["smoothed_gradient", "direct_gradient", "pice_gradient",
 _WHITEN_EPS = 1e-12
 
 
-def _whiten(values: np.ndarray) -> np.ndarray | None:
-    """(v - mean) / std with population std; None if degenerate."""
+def _whiten(values: np.ndarray) -> np.ndarray:
+    """(v - mean) / std with population std; zeros (all-equal values) if
+    the std is below ``_WHITEN_EPS``."""
     centered = values - values.mean()
     std = values.std()
     if std < _WHITEN_EPS:
-        return None
+        return np.zeros_like(centered)
     return centered / std
 
 
 def _weighted_score_sum(batch: RolloutBatch, policy,
-                        coeffs: np.ndarray | None) -> np.ndarray:
+                        coeffs: np.ndarray) -> np.ndarray:
     """sum_i c_i sum_t score(a_ti, x_ti, t), vectorized over the batch,
     with the (N,) coefficients broadcast along the rollout axis of the
-    (T, N) residual; the zero vector for ``coeffs = None`` (degenerate
-    whitening)."""
-    if coeffs is None:
-        return np.zeros(policy.params.size)
+    (T, N) residual; zero coefficients give the zero vector."""
     resid = (batch.actions - policy.mean_steps(batch)) / policy.noise_var
     return policy.jac_t_v_steps(batch, coeffs * resid)
 

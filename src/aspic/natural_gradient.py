@@ -35,6 +35,19 @@ GROWTH = 4.0  # largest step-size growth of a trial before any overshoots
 EDGE = 0.05  # share of the bracket a model trial keeps from either end
 
 
+# The least value of each solver keyword of ``trust_region_step``.
+SOLVER_MINIMA = {"iters": 1, "damping": 0.0, "rcond": 0.0}
+
+
+def check_solver_keywords(keywords: dict, prefix: str = "") -> None:
+    """A ValueError naming ``prefix + key`` for a solver keyword in
+    ``keywords`` that is below its ``SOLVER_MINIMA`` entry, or NaN."""
+    for key, least in SOLVER_MINIMA.items():
+        if key in keywords and not keywords[key] >= least:
+            raise ValueError(f"{prefix}{key} must be >= {least}, "
+                             f"got {keywords[key]!r}")
+
+
 class LineSearchError(RuntimeError):
     pass
 
@@ -145,11 +158,13 @@ def trust_region_step(batch: RolloutBatch, policy, g: np.ndarray,
     whitened gradient, which is more robust with small batches.  A
     vanishing natural direction returns the parameters unchanged with
     eta = 0, signalling convergence.  A non-finite or non-positive
-    ``epsilon``, or a ``g`` that is non-finite or not shaped like the
-    parameters, is a ``ValueError``.
+    ``epsilon``, a solver keyword out of its ``SOLVER_MINIMA`` range, or a
+    ``g`` that is non-finite or not shaped like the parameters, is a
+    ``ValueError``.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    check_solver_keywords(dict(iters=iters, damping=damping, rcond=rcond))
     theta = policy.params
     g = np.asarray(g, dtype=float)
     if g.shape != theta.shape:

@@ -178,10 +178,15 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
 
     def step_features(self, xs) -> np.ndarray:
         """Features (T, ..., K): a batch's stored feature matrix, else the
-        features of the states (T, ..., state_dim)."""
+        features of the states (T, ..., state_dim); a ValueError naming
+        ``xs`` unless T is ``num_steps``."""
+        states = _states(xs)
+        if np.shape(states)[:1] != (self.num_steps,):
+            raise ValueError(f"xs has shape {np.shape(states)}, expected "
+                             f"{self.num_steps} steps first")
         if isinstance(xs, RolloutBatch) and xs.features is not None:
             return xs.features
-        return self.features(_states(xs))
+        return self.features(states)
 
     def with_params(self, params: np.ndarray) -> "TimeVaryingLinearPolicy":
         return TimeVaryingLinearPolicy(self.feature_fn, self.num_features,

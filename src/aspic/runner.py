@@ -21,7 +21,7 @@ import numpy as np
 
 from .environments import make_env, sample_batch
 from .gradients import direct_gradient, pice_gradient, smoothed_gradient
-from .natural_gradient import trust_region_step
+from .natural_gradient import check_solver_keywords, trust_region_step
 from .policies import (MlpPolicy, TimeVaryingLinearPolicy, acrobot_features,
                        lq_features, pendulum_features)
 from .smoothing import find_alpha
@@ -109,7 +109,8 @@ class ExperimentConfig:
         self.solver = {key: value if key == "kind"
                        else _typed(f"solver.{key}", value, spec[key])
                        for key, value in self.solver.items()}
-        solver, budget = self.solver, self.rollout_budget
+        check_solver_keywords(self.solver, "solver.")
+        budget = self.rollout_budget
         for key, ok, rule in (
                 ("n_rollouts", self.n_rollouts >= 2, ">= 2"),
                 ("iterations", self.iterations >= 1, ">= 1"),
@@ -119,10 +120,7 @@ class ExperimentConfig:
                 ("gamma", self.gamma >= 0, ">= 0"),
                 ("gamma", self.gamma > 0 or self.estimator != "pice",
                  "> 0 for the pice estimator"),
-                ("rollout_budget", budget is None or budget >= 1, ">= 1"),
-                ("solver.iters", solver.get("iters", 1) >= 1, ">= 1"),
-                ("solver.damping", solver.get("damping", 0.0) >= 0, ">= 0"),
-                ("solver.rcond", solver.get("rcond", 0.0) >= 0, ">= 0")):
+                ("rollout_budget", budget is None or budget >= 1, ">= 1")):
             if not ok:
                 raise ValueError(f"{key} must be {rule}")
         if self.policy == "mlp" and kind == "per_timestep_pinv":

@@ -54,12 +54,12 @@ def normalized_weights(costs, gamma: float, alpha: float) -> np.ndarray:
 
 
 def weight_entropy(weights) -> float:
-    """Shannon entropy -sum w log w in nats, with 0*log(0) := 0."""
+    """Shannon entropy -sum w log w in nats, with 0*log(0) := 0: a zero
+    weight takes log 1 and adds an exact 0 to the sum."""
     w = np.asarray(weights, dtype=float)
     if not abs(w.sum() - 1.0) <= 1e-9:  # NaN weights fail too
         raise ValueError(f"weights not normalized: sum = {w.sum()}")
-    nz = w[w > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(-np.sum(w * np.log(np.where(w > 0.0, w, 1.0))))
 
 
 def kl_estimate(weights) -> float:
@@ -72,16 +72,13 @@ def _kl_estimates(neg: np.ndarray, gamma: float, alphas) -> np.ndarray:
     """kl_estimate(normalized_weights(costs, gamma, alpha)) for each alpha,
     with the same float operations, from ``neg = -(costs - costs.min())``.
 
-    A row reduction sums each row as the 1-D sum does; a row with an
-    underflowed weight sums its nonzero terms alone, as ``weight_entropy``.
+    A row reduction sums each row as the 1-D sum does, an underflowed
+    weight's exact 0 term included, as ``weight_entropy``.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         w = np.exp(neg / (gamma + np.asarray(alphas))[:, None])
-        w /= w.sum(axis=1, keepdims=True)
-        terms = w * np.log(w)  # NaN at a zero weight
-    entropy = -terms.sum(axis=1)
-    for r in np.flatnonzero(np.isnan(entropy)):
-        entropy[r] = -terms[r][w[r] > 0.0].sum()
+    w /= w.sum(axis=1, keepdims=True)
+    entropy = -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=1)
     # As max(0.0, kl) in kl_estimate: kl is never NaN or -0.0 here.
     return np.maximum(np.log(neg.size) - entropy, 0.0)
 

@@ -1,13 +1,13 @@
 """Fixtures shared by the test modules: the small LQ task and seeded batches
-on it, synthetic batches over given states, re-weighted batches, and the
-summed score."""
+on it, a seeded MLP batch on a short pendulum, synthetic batches over given
+states, re-weighted batches, and the summed score."""
 
 from dataclasses import replace
 
 import numpy as np
 
-from aspic import (RolloutBatch, TimeVaryingLinearPolicy, lq_features,
-                   make_env, sample_batch)
+from aspic import (MlpPolicy, RolloutBatch, TimeVaryingLinearPolicy,
+                   lq_features, make_env, sample_batch)
 
 # A small LQ: T = 5 steps, two viapoints.
 LQ_SMALL = dict(horizon=0.5, dt=0.1, viapoints=((0.2, 1.0), (0.5, -1.0)),
@@ -23,6 +23,15 @@ def lq_fixture(seed, n=6, gamma=1.0):
     rng = np.random.default_rng(seed)
     policy = policy.with_params(rng.normal(scale=0.3,
                                            size=policy.params.size))
+    return sample_batch(env, policy, n, seed, gamma), policy
+
+
+def mlp_fixture(seed, n=8, gamma=1.0):
+    """n rollouts on a half-second pendulum (T = 50) under a [2, 8, 1] MLP
+    policy; the parameters and the batch are both drawn from ``seed``."""
+    env = make_env("pendulum", {"horizon": 0.5})
+    policy = MlpPolicy([2, 8, 1], env.noise_var,
+                       rng=np.random.default_rng(seed))
     return sample_batch(env, policy, n, seed, gamma), policy
 
 

@@ -188,13 +188,17 @@ class TestEventIndices:
         assert Pendulum().event_indices == (300,)
         assert Acrobot(horizon=1.0).event_indices == (100,)
 
-    def test_costs_only_at_event_indices(self):
-        env = LqViapoints()
+    @pytest.mark.parametrize("name, overrides, events", [
+        ("lq_viapoints", {}, 9), ("pendulum", {"horizon": 0.5}, 1),
+        ("acrobot", {"horizon": 0.5}, 1)])
+    def test_costs_only_at_event_indices(self, name, overrides, events):
+        env = make_env(name, overrides)
         charged, event_cost = [], env.event_cost
         env.event_cost = lambda index, x: (charged.append(index)
                                            or event_cost(index, x))
         batch = sample_batch(env, ZeroPolicy(env.noise_var), 4, 0, gamma=1.0)
         assert tuple(charged) == env.event_indices
+        assert len(charged) == events
         want = sum(event_cost(k, batch.states[k]) for k in env.event_indices)
         np.testing.assert_array_equal(batch.state_cost, want)
 

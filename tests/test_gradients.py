@@ -17,16 +17,23 @@ import pytest
 from aspic import (direct_gradient, find_alpha, normalized_weights,
                    pice_gradient, smoothed_cost_value, smoothed_gradient,
                    stochastic_cost)
-from helpers import lq_fixture, score_sum, with_costs
+from helpers import lq_fixture, mlp_fixture, score_sum, with_costs
 
 
 def equal_cost_batch(batch, value=3.0):
     return with_costs(batch, np.full(batch.n, value))
 
 
+# All-equal costs whiten to zero coefficients, whose J^T is the zero
+# gradient: through the linear policy's products and the MLP's backprop.
+FIXTURES = pytest.mark.parametrize("fixture", [lq_fixture, mlp_fixture],
+                                   ids=["linear", "mlp"])
+
+
 class TestSmoothedGradient:
-    def test_equal_costs_whitened_is_zero(self):
-        batch, policy = lq_fixture(0)
+    @FIXTURES
+    def test_equal_costs_whitened_is_zero(self, fixture):
+        batch, policy = fixture(0)
         grad = smoothed_gradient(equal_cost_batch(batch), policy, alpha=2.0)
         assert np.all(grad == 0.0)
 
@@ -84,8 +91,9 @@ class TestSmoothedGradient:
 
 
 class TestDirectGradient:
-    def test_constant_costs_whitened_zero(self):
-        batch, policy = lq_fixture(0)
+    @FIXTURES
+    def test_constant_costs_whitened_zero(self, fixture):
+        batch, policy = fixture(0)
         grad = direct_gradient(equal_cost_batch(batch), policy)
         assert np.all(grad == 0.0)
 

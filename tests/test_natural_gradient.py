@@ -11,7 +11,7 @@ from aspic import (LineSearchError, MlpPolicy, TimeVaryingLinearPolicy,
                    per_timestep_natural_direction, policies, sample_batch,
                    sample_policy_kl, smoothed_gradient, trust_region_step)
 from aspic.natural_gradient import KL_REL_TOL
-from helpers import array_batch, full_rank_fixture
+from helpers import array_batch, full_rank_fixture, mlp_fixture
 
 LQ_SHORT = dict(horizon=0.4, dt=0.1, viapoints=((0.2, 1.0),), sigma=0.5)
 
@@ -318,8 +318,10 @@ class TestPerTimestepPinvOracle:
 
 
 class TestTrustRegionStep:
-    def test_zero_gradient_is_noop(self):
-        batch, policy = make_fixture()
+    @pytest.mark.parametrize("fixture", [make_fixture, mlp_fixture],
+                             ids=["linear", "mlp"])
+    def test_zero_gradient_is_noop(self, fixture):
+        batch, policy = fixture(0)
         up = trust_region_step(batch, policy, np.zeros(policy.params.size),
                                epsilon=0.1)
         np.testing.assert_array_equal(up.new_params, policy.params)
@@ -414,6 +416,18 @@ class TestTrustRegionStep:
         with pytest.raises(ValueError, match="epsilon"):
             trust_region_step(batch, policy, np.ones(policy.params.size),
                               epsilon=epsilon)
+
+    @pytest.mark.parametrize("solver, key, value", [
+        ("cg", "iters", 0), ("cg", "damping", -1.0),
+        ("per_timestep_pinv", "rcond", -1.0)])
+    def test_solver_keyword_out_of_range_rejected(self, solver, key, value):
+        # Unchecked, iters=0 reads as convergence (eta = 0), a negative
+        # damping steps on a negative ridge and a negative rcond inverts
+        # zero eigenvalues.
+        batch, policy = make_fixture(n=20)
+        with pytest.raises(ValueError, match=f"^{key} must be >= "):
+            trust_region_step(batch, policy, np.ones(policy.params.size),
+                              epsilon=0.1, solver=solver, **{key: value})
 
     @pytest.mark.parametrize("solver", ["cg", "per_timestep_pinv"])
     def test_non_finite_gradient_rejected(self, solver):

@@ -1,5 +1,6 @@
 """Tests for the Gaussian policy families and their parameter plumbing."""
 
+import dataclasses
 import itertools
 import sys
 import threading
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 from aspic import (MlpPolicy, TimeVaryingLinearPolicy, acrobot_features,
-                   lq_features, make_env, pendulum_features, policies,
-                   sample_batch, smoothed_gradient)
+                   lq_features, make_env, pendulum_features,
+                   per_timestep_natural_direction, policies, sample_batch,
+                   smoothed_gradient)
 from helpers import array_batch, batch_of, score_sum
 
 
@@ -146,6 +148,49 @@ class TestLinearPolicy:
 # (feature map, state_dim, K) of each task's linear controller
 LINEAR_MAPS = [(lq_features, 1, 2), (pendulum_features, 2, 4),
                (acrobot_features, 4, 9)]
+
+
+class TestLinearStepCount:
+    """The products read block theta_t at step t of ``xs``, so ``xs`` with
+    50 steps handed to a 100-step policy would read theta_0 for rollouts
+    0-1 and theta_1 for rollouts 2-3: each is a ValueError naming ``xs``,
+    for a bare array and for a 50-step batch with and without its stored
+    features.  ``fisher_trace`` and the per-timestep solve take a batch."""
+
+    policy = TimeVaryingLinearPolicy(lq_features, 2, 100, 1.0,
+                                     params=np.arange(200.0))
+    CALLS = {
+        "mean_steps": lambda pol, xs: pol.mean_steps(xs),
+        "jac_y_steps": lambda pol, xs: pol.jac_y_steps(xs, np.ones(200)),
+        "jac_t_v_steps": lambda pol, xs: pol.jac_t_v_steps(
+            xs, np.ones((50, 4))),
+        "fisher_trace": lambda pol, xs: pol.fisher_trace(xs),
+        "per_timestep_natural_direction":
+            lambda pol, xs: per_timestep_natural_direction(xs, pol,
+                                                           np.ones(200)),
+    }
+
+    @staticmethod
+    def short_xs(kind):
+        if kind == "array":
+            return np.ones((50, 4, 1))
+        env = make_env("lq_viapoints", {"horizon": 5.0,
+                                        "viapoints": ((1.0, -10.0),)})
+        sampler = TimeVaryingLinearPolicy(lq_features, 2, 50, env.noise_var)
+        batch = sample_batch(env, sampler, 4, 0, gamma=1.0)
+        assert batch.features.shape == (50, 4, 2)
+        return batch if kind == "batch" else dataclasses.replace(
+            batch, features=None)
+
+    @pytest.mark.parametrize("kind, call", [
+        (kind, call) for call in CALLS
+        for kind in ("array", "batch", "batch without features")
+        if kind != "array" or call in ("mean_steps", "jac_y_steps",
+                                       "jac_t_v_steps")])
+    def test_wrong_step_count_names_xs(self, kind, call):
+        xs = self.short_xs(kind)
+        with pytest.raises(ValueError, match=r"^xs has shape \(50, 4, 1\)"):
+            self.CALLS[call](self.policy, xs)
 
 
 class TestLinearProductsOracle:

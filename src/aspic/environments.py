@@ -24,14 +24,14 @@ at another row count).
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 
-from .policies import TimeVaryingLinearPolicy
+from ._numbers import number
+from .policies import (TimeVaryingLinearPolicy, acrobot_features,
+                       lq_features, pendulum_features)
 from .trajectory import RolloutBatch, Trajectory
 
 __all__ = ["Environment", "LqViapoints", "Pendulum", "Acrobot",
@@ -57,18 +57,6 @@ class RolloutBlowupError(RuntimeError):
         return type(self), (self.step, self.index)
 
 
-def _check_finite(name: str, value) -> None:
-    """A ValueError naming ``name`` unless ``value`` is a finite real number
-    that is not a bool."""
-    try:
-        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-              and math.isfinite(value))
-    except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
 @dataclass(kw_only=True, eq=False)
 class Environment:
     """Base class: a task is its parameters, its rate and its cost events.
@@ -81,10 +69,12 @@ class Environment:
     ``xdot`` writes the rate into ``out`` when given, else into a new array.
     Event costs are keyed by grid index (1..num_steps), with event times
     snapped to the nearest grid point; ``event_indices`` lists the indices
-    that carry one, by default the final index only.
+    that carry one, by default the final index only.  ``linear_basis`` is
+    the task's linear-policy basis, (feature map, number of features).
     """
 
     state_dim: ClassVar[int]
+    linear_basis: ClassVar[tuple]
     dt: float
     horizon: float
     nu: float = 1.0
@@ -92,7 +82,7 @@ class Environment:
     def __post_init__(self):
         for f in fields(self):
             if f.type == "float":
-                _check_finite(f.name, getattr(self, f.name))
+                number(f.name, getattr(self, f.name))
         for name in ("dt", "horizon", "nu"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, "
@@ -133,6 +123,7 @@ class LqViapoints(Environment):
     """1-D Brownian particle steered through quadratic viapoint penalties."""
 
     state_dim: ClassVar[int] = 1
+    linear_basis: ClassVar[tuple] = (lq_features, 2)
     dt: float = 0.1
     horizon: float = 10.0
     sigma: float = 0.1
@@ -152,8 +143,8 @@ class LqViapoints(Environment):
         # Viapoint times snap to the nearest grid index, one viapoint each.
         self._events = {}
         for t, target in points:
-            _check_finite("viapoints time", t)
-            _check_finite("viapoints target", target)
+            number("viapoints time", t)
+            number("viapoints target", target)
             index = int(round(t / self.dt))
             if index in self._events or not 1 <= index <= self.num_steps:
                 raise ValueError(
@@ -180,6 +171,7 @@ class Pendulum(Environment):
     """
 
     state_dim: ClassVar[int] = 2
+    linear_basis: ClassVar[tuple] = (pendulum_features, 4)
     dt: float = 0.01
     horizon: float = 3.0
     c_omega0: float = 0.1
@@ -214,6 +206,7 @@ class Acrobot(Environment):
     """
 
     state_dim: ClassVar[int] = 4
+    linear_basis: ClassVar[tuple] = (acrobot_features, 9)
     dt: float = 0.01
     horizon: float = 3.0
     lam: float = 0.2
@@ -296,19 +289,22 @@ def sample_batch(env: Environment, policy, n: int, rng_seed, gamma: float, *,
     action buffer and the noise is added in place.  The state costs are
     charged after the loop, in ``event_indices`` order, on the stored
     states.  Rows are independent, so the blow-up check after the loop
-    names the step and row a check after every step would.
-    """
+    names the step and row a check after every step would.  A linear
+    policy of another ``num_steps`` than the task's is refused first."""
     if n < 2:
         raise ValueError("need at least 2 rollouts per batch")
     t_steps = env.num_steps
+    linear = isinstance(policy, TimeVaryingLinearPolicy)
+    if linear and policy.num_steps != t_steps:
+        raise ValueError(f"the policy has num_steps {policy.num_steps}, "
+                         f"the task {t_steps}")
     noises = noise_scale * np.random.default_rng(rng_seed).normal(
         0.0, np.sqrt(env.noise_var), size=(n, t_steps))
     step_noises = noises.T
     states = np.empty((t_steps + 1, n, env.state_dim))
     actions = np.empty((t_steps, n))
     state_cost = np.zeros(n)
-    phi = (np.empty((t_steps, n, policy.num_features))
-           if isinstance(policy, TimeVaryingLinearPolicy) else None)
+    phi = np.empty((t_steps, n, policy.num_features)) if linear else None
     states[0] = env.x0
     with np.errstate(all="ignore"):  # non-finite states raise below
         for k in range(t_steps):
@@ -344,7 +340,7 @@ _ENVS = {"lq_viapoints": LqViapoints, "pendulum": Pendulum, "acrobot": Acrobot}
 
 
 def make_env(name: str, overrides: dict | None = None) -> Environment:
-    if name not in _ENVS:
+    if not isinstance(name, str) or name not in _ENVS:
         raise ValueError(f"unknown environment {name!r}; "
                          f"choose from {sorted(_ENVS)}")
     return _ENVS[name](**(overrides or {}))

@@ -21,12 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numbers import number
 from .policies import TimeVaryingLinearPolicy
 from .trajectory import RolloutBatch
 
 __all__ = ["TrustRegionUpdate", "sample_policy_kl", "fisher_vector_product",
            "conjugate_gradient", "per_timestep_natural_direction",
-           "trust_region_step", "LineSearchError"]
+           "trust_region_step", "LineSearchError", "SOLVERS",
+           "solver_options"]
 
 KL_REL_TOL = 0.1  # line-search exit: |achieved_kl - epsilon| <= 0.1 * epsilon
 MAX_BRACKET = 50  # trials without a bracket before the line search fails
@@ -35,17 +37,25 @@ GROWTH = 4.0  # largest step-size growth of a trial before any overshoots
 EDGE = 0.05  # share of the bracket a model trial keeps from either end
 
 
-# The least value of each solver keyword of ``trust_region_step``.
-SOLVER_MINIMA = {"iters": 1, "damping": 0.0, "rcond": 0.0}
+# Solver kind -> {keyword: (type, least value, default)}: every keyword
+# ``trust_region_step`` takes for that kind.
+SOLVERS = {"cg": {"iters": (int, 1, 10), "damping": (float, 0.0, 1e-6)},
+           "per_timestep_pinv": {"rcond": (float, 0.0, 1e-4)}}
 
 
-def check_solver_keywords(keywords: dict, prefix: str = "") -> None:
-    """A ValueError naming ``prefix + key`` for a solver keyword in
-    ``keywords`` that is below its ``SOLVER_MINIMA`` entry, or NaN."""
-    for key, least in SOLVER_MINIMA.items():
-        if key in keywords and not keywords[key] >= least:
-            raise ValueError(f"{prefix}{key} must be >= {least}, "
-                             f"got {keywords[key]!r}")
+def solver_options(kind, options: dict, prefix: str = "") -> dict:
+    """``options`` of solver ``kind``, each value as its ``SOLVERS`` type; a
+    ValueError for an unknown kind or key, or naming ``prefix + key`` for a
+    value not of its type or below its least value."""
+    if not isinstance(kind, str) or kind not in SOLVERS:
+        raise ValueError(f"unknown solver kind {kind!r}; "
+                         f"choose from {sorted(SOLVERS)}")
+    spec = SOLVERS[kind]
+    unknown = sorted(set(options) - set(spec))
+    if unknown:
+        raise ValueError(f"unknown solver keys {unknown} for kind {kind!r}")
+    return {key: number(prefix + key, value, *spec[key][:2])
+            for key, value in options.items()}
 
 
 class LineSearchError(RuntimeError):
@@ -145,26 +155,27 @@ def per_timestep_natural_direction(batch: RolloutBatch,
 
 
 def trust_region_step(batch: RolloutBatch, policy, g: np.ndarray,
-                      epsilon: float, solver: str = "cg", *,
-                      iters: int = 10, rcond: float = 1e-4,
-                      damping: float = 1e-6) -> TrustRegionUpdate:
+                      epsilon: float, kind: str = "cg",
+                      **options) -> TrustRegionUpdate:
     """One natural-gradient update with the sampled KL pinned to epsilon.
 
-    ``solver`` is "cg" (damped truncated conjugate gradient) or
-    "per_timestep_pinv"; ``iters`` caps the CG iterations.  ``damping``
-    scales the ridge added to the Fisher operator, relative to its mean
-    eigenvalue ``policy.fisher_trace(batch) / dim``; small values give the
-    near-exact natural direction, large values shrink it toward the raw
-    whitened gradient, which is more robust with small batches.  A
-    vanishing natural direction returns the parameters unchanged with
-    eta = 0, signalling convergence.  A non-finite or non-positive
-    ``epsilon``, a solver keyword out of its ``SOLVER_MINIMA`` range, or a
-    ``g`` that is non-finite or not shaped like the parameters, is a
-    ``ValueError``.
+    ``kind`` is "cg" (damped truncated conjugate gradient, ``iters`` its
+    cap) or "per_timestep_pinv" (``rcond`` its cutoff); ``options`` are its
+    keywords, defaulting as ``SOLVERS`` says.  CG's ``damping`` scales the
+    ridge added to the Fisher operator, relative to its mean eigenvalue
+    ``policy.fisher_trace(batch) / dim``; small values give the near-exact
+    natural direction, large values shrink it toward the raw whitened
+    gradient, which is more robust with small batches.  A vanishing natural
+    direction returns the parameters unchanged with eta = 0, signalling
+    convergence.  A non-finite or non-positive ``epsilon``, options that
+    ``solver_options`` refuses, or a ``g`` that is non-finite or not shaped
+    like the parameters, is a ``ValueError``.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    check_solver_keywords(dict(iters=iters, damping=damping, rcond=rcond))
+    options = solver_options(kind, options)
+    options = {key: options.get(key, spec[2])
+               for key, spec in SOLVERS[kind].items()}
     theta = policy.params
     g = np.asarray(g, dtype=float)
     if g.shape != theta.shape:
@@ -174,15 +185,14 @@ def trust_region_step(batch: RolloutBatch, policy, g: np.ndarray,
         raise ValueError("g has a non-finite entry")
 
     cg_used = None
-    if solver == "cg":
-        lam = damping * policy.fisher_trace(batch) / g.size
+    if kind == "cg":
+        lam = options["damping"] * policy.fisher_trace(batch) / g.size
         g_f, cg_used = conjugate_gradient(
             lambda y: fisher_vector_product(batch, policy, y) + lam * y,
-            g, max_iters=iters)
-    elif solver == "per_timestep_pinv":
-        g_f = per_timestep_natural_direction(batch, policy, g, rcond=rcond)
+            g, max_iters=options["iters"])
     else:
-        raise ValueError(f"unknown solver {solver!r}")
+        g_f = per_timestep_natural_direction(batch, policy, g,
+                                             rcond=options["rcond"])
 
     if np.linalg.norm(g_f) < 1e-12:
         return TrustRegionUpdate(theta, 0.0, 0.0, cg_used, 0)

@@ -179,12 +179,16 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
     def step_features(self, xs) -> np.ndarray:
         """Features (T, ..., K): a batch's stored feature matrix, else the
         features of the states (T, ..., state_dim); a ValueError naming
-        ``xs`` unless T is ``num_steps``."""
+        ``xs`` unless T is ``num_steps``, or ``features`` unless the stored
+        K is ``num_features``."""
         states = _states(xs)
         if np.shape(states)[:1] != (self.num_steps,):
             raise ValueError(f"xs has shape {np.shape(states)}, expected "
                              f"{self.num_steps} steps first")
         if isinstance(xs, RolloutBatch) and xs.features is not None:
+            if xs.features.shape[-1] != self.num_features:
+                raise ValueError(f"features has shape {xs.features.shape}, "
+                                 f"expected {self.num_features} columns")
             return xs.features
         return self.features(states)
 

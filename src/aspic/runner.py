@@ -19,11 +19,11 @@ from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
+from ._numbers import number
 from .environments import make_env, sample_batch
 from .gradients import direct_gradient, pice_gradient, smoothed_gradient
-from .natural_gradient import check_solver_keywords, trust_region_step
-from .policies import (MlpPolicy, TimeVaryingLinearPolicy, acrobot_features,
-                       lq_features, pendulum_features)
+from .natural_gradient import solver_options, trust_region_step
+from .policies import MlpPolicy, TimeVaryingLinearPolicy
 from .smoothing import find_alpha
 
 __all__ = ["ExperimentConfig", "IterationRecord", "RunResult", "RunError",
@@ -33,34 +33,12 @@ __all__ = ["ExperimentConfig", "IterationRecord", "RunResult", "RunError",
 CSV_COLUMNS = ("run", "iter", "mean_cost", "std_cost", "alpha", "kl_est",
                "eta", "achieved_kl", "wall_ms", "seed")
 
-# env -> (feature map, number of features) of its linear policy.
-_FEATURES = {"lq_viapoints": (lq_features, 2),
-             "pendulum": (pendulum_features, 4),
-             "acrobot": (acrobot_features, 9)}
-
-# Solver kind -> {trust_region_step keyword: type}.
-_SOLVER_KEYS = {"cg": {"iters": int, "damping": float},
-                "per_timestep_pinv": {"rcond": float}}
-
-# Top-level numbers: key -> (type, None allowed).
-_NUMBERS = {"n_rollouts": (int, False), "iterations": (int, False),
-            "repeats": (int, False), "seed": (int, False),
-            "epsilon": (float, False), "gamma": (float, False),
-            "cost_threshold": (float, True), "rollout_budget": (int, True)}
-
-
-def _typed(name: str, value, typ):
-    """``value`` as ``typ`` (a float must be finite); a ValueError naming
-    ``name`` if it is not one."""
-    try:
-        out = typ(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if (out is None or isinstance(value, bool) or out != value
-            or (typ is float and not math.isfinite(out))):
-        what = "a finite float" if typ is float else "an int"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return out
+# Top-level numbers: key -> (type, least value, None allowed).
+_NUMBERS = {"n_rollouts": (int, 2, False), "iterations": (int, 1, False),
+            "repeats": (int, 1, False), "seed": (int, 0, False),
+            "epsilon": (float, None, False), "gamma": (float, 0, False),
+            "cost_threshold": (float, None, True),
+            "rollout_budget": (int, 1, True)}
 
 
 @dataclass
@@ -81,46 +59,32 @@ class ExperimentConfig:
     rollout_budget: int | None = None    # used by the N-axis sweep
 
     def __post_init__(self):
-        for key, (typ, optional) in _NUMBERS.items():
+        for key, (typ, least, optional) in _NUMBERS.items():
             value = getattr(self, key)
             if not (optional and value is None):
-                setattr(self, key, _typed(key, value, typ))
+                setattr(self, key, number(key, value, typ, least))
         if not isinstance(self.solver, dict):
             raise ValueError(f"solver must be a dict, got {self.solver!r}")
-        kind = self.solver.get("kind", "cg")
+        options = dict(self.solver)
+        kind = options.pop("kind", "cg")
+        self.solver = {**self.solver,
+                       **solver_options(kind, options, "solver.")}
         for key, value, allowed in (
-                ("env", self.env, _FEATURES),
                 ("policy", self.policy, ("linear", "mlp")),
-                ("estimator", self.estimator, ("smoothed", "direct", "pice")),
-                ("solver kind", kind, _SOLVER_KEYS)):
+                ("estimator", self.estimator, ("smoothed", "direct", "pice"))):
             if not isinstance(value, str) or value not in allowed:
                 raise ValueError(f"unknown {key} {value!r}; "
                                  f"choose from {sorted(allowed)}")
+        make_env(self.env)  # an unknown name is its own ValueError
         try:
             make_env(self.env, self.env_overrides)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid env_overrides "
                              f"{self.env_overrides!r}: {exc}") from exc
-        spec = _SOLVER_KEYS[kind]
-        unknown = sorted(set(self.solver) - {"kind", *spec})
-        if unknown:
-            raise ValueError(f"unknown solver keys {unknown} "
-                             f"for kind {kind!r}")
-        self.solver = {key: value if key == "kind"
-                       else _typed(f"solver.{key}", value, spec[key])
-                       for key, value in self.solver.items()}
-        check_solver_keywords(self.solver, "solver.")
-        budget = self.rollout_budget
         for key, ok, rule in (
-                ("n_rollouts", self.n_rollouts >= 2, ">= 2"),
-                ("iterations", self.iterations >= 1, ">= 1"),
-                ("repeats", self.repeats >= 1, ">= 1"),
-                ("seed", self.seed >= 0, ">= 0"),
                 ("epsilon", self.epsilon > 0, "> 0"),
-                ("gamma", self.gamma >= 0, ">= 0"),
                 ("gamma", self.gamma > 0 or self.estimator != "pice",
-                 "> 0 for the pice estimator"),
-                ("rollout_budget", budget is None or budget >= 1, ">= 1")):
+                 "> 0 for the pice estimator")):
             if not ok:
                 raise ValueError(f"{key} must be {rule}")
         if self.policy == "mlp" and kind == "per_timestep_pinv":
@@ -168,10 +132,10 @@ def resolve_delta(delta, n: int) -> float:
             raise ValueError("delta dict needs one key, 'absolute' or "
                              f"'lognfrac', got {delta!r}")
         if "absolute" in delta:
-            return _typed("delta", delta["absolute"], float)
-        frac = _typed("delta", delta["lognfrac"], float)
-        return _typed("delta (lognfrac*log N)", frac * math.log(n), float)
-    return _typed("delta", delta, float)
+            return number("delta", delta["absolute"])
+        frac = number("delta", delta["lognfrac"])
+        return number("delta (lognfrac*log N)", frac * math.log(n))
+    return number("delta", delta)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -210,9 +174,8 @@ class RunResult:
 
 def _make_policy(config: ExperimentConfig, env, run_rng) -> object:
     if config.policy == "linear":
-        feature_fn, num_features = _FEATURES[config.env]
-        return TimeVaryingLinearPolicy(feature_fn, num_features,
-                                       env.num_steps, env.noise_var)
+        return TimeVaryingLinearPolicy(*env.linear_basis, env.num_steps,
+                                       env.noise_var)
     return MlpPolicy([env.state_dim, 32, 32, 1],
                      env.noise_var, rng=run_rng)
 
@@ -224,9 +187,6 @@ def _run_single(config: ExperimentConfig, run_index: int,
     run_seed = int(np.random.SeedSequence(
         (config.seed, run_index)).generate_state(1)[0])
     policy = _make_policy(config, env, np.random.default_rng(run_seed))
-
-    solver_kwargs = dict(config.solver)
-    kind = solver_kwargs.pop("kind", "cg")
 
     for it in range(config.iterations):
         t0 = time.perf_counter()
@@ -246,8 +206,8 @@ def _run_single(config: ExperimentConfig, run_index: int,
         else:
             grad = pice_gradient(batch, policy)
 
-        update = trust_region_step(batch, policy, grad, config.epsilon, kind,
-                                   **solver_kwargs)
+        update = trust_region_step(batch, policy, grad, config.epsilon,
+                                   **config.solver)
         policy = policy.with_params(update.new_params)
 
         records.append(IterationRecord(
@@ -303,7 +263,7 @@ def _with_delta(config: ExperimentConfig, delta, **kwargs):
 def _sweep_cell(config: ExperimentConfig, axis: str, v):
     """(label, config) of the sweep cell at value ``v`` on ``axis``."""
     if axis == "n":
-        n = _typed("n", v, int)
+        n = number("n", v, int)
         iters = (config.rollout_budget // n if config.rollout_budget
                  else config.iterations)
         return f"n={n}", config.replace(n_rollouts=n, iterations=max(1, iters))
@@ -311,7 +271,7 @@ def _sweep_cell(config: ExperimentConfig, axis: str, v):
         return (f"delta={resolve_delta(v, config.n_rollouts):.6g}",
                 _with_delta(config, v))
     dv, eps = v
-    eps = _typed("eps", eps, float)
+    eps = number("eps", eps)
     label = f"delta={resolve_delta(dv, config.n_rollouts):.6g},eps={eps:g}"
     return label, _with_delta(config, dv, epsilon=eps)
 

@@ -235,7 +235,7 @@ def test_criterion_7_natural_gradient_suite(capsys):
     for eps in (0.02, 0.1, 0.4):
         for solver in ("cg", "per_timestep_pinv"):
             up = trust_region_step(batch, policy, g, epsilon=eps,
-                                   solver=solver)
+                                   kind=solver)
             gap = abs(up.achieved_kl - eps) / eps
             worst_gap = max(worst_gap, gap)
             kl_ok &= gap <= 0.1

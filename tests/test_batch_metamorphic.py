@@ -50,12 +50,12 @@ def case(name):
         env = make_env("lq_viapoints", LQ_SMALL)
         policy = TimeVaryingLinearPolicy(lq_features, 2, env.num_steps,
                                          env.noise_var)
-        solver = dict(solver="per_timestep_pinv")
+        solver = dict(kind="per_timestep_pinv")
     elif name == "pendulum_cg":
         env = make_env("pendulum", {"horizon": 0.3})
         policy = TimeVaryingLinearPolicy(pendulum_features, 4,
                                          env.num_steps, env.noise_var)
-        solver = dict(solver="cg", iters=5)
+        solver = dict(kind="cg", iters=5)
     else:
         env = make_env("pendulum", {"horizon": 0.3})
         policy = MlpPolicy([2, 8, 1], env.noise_var,
@@ -63,7 +63,7 @@ def case(name):
         # Three CG iterations stop short of the residual test, whose exit
         # could fall either side of a rounding; the ridge keeps them well
         # conditioned.
-        solver = dict(solver="cg", iters=3, damping=0.3)
+        solver = dict(kind="cg", iters=3, damping=0.3)
     rtol = 1e-9 if name == "mlp_cg" else 1e-12
     rng = np.random.default_rng(1)
     policy = policy.with_params(policy.params + rng.normal(

@@ -354,6 +354,26 @@ class TestSampleBatch:
                         rng=np.random.default_rng(2))
         assert sample_batch(env, mlp, 3, 3, gamma=1.0).features is None
 
+    @pytest.mark.parametrize("steps", [3, 5])
+    def test_linear_policy_of_another_step_count_rejected(self, steps):
+        # Unchecked, a shorter policy failed on an out-of-range block and a
+        # longer one sampled, to fail later in the gradient.  The check
+        # comes before the first step: no feature is evaluated.
+        env = make_env("pendulum", {"horizon": 0.04})
+        calls = []
+
+        def features(x, out=None):
+            calls.append(x)
+            return pendulum_features(x, out)
+
+        pol = TimeVaryingLinearPolicy(features, 4, steps, env.noise_var)
+        with pytest.raises(ValueError, match=f"^the policy has num_steps "
+                           f"{steps}, the task 4"):
+            sample_batch(env, pol, 3, 0, gamma=1.0)
+        assert calls == []
+        matching = TimeVaryingLinearPolicy(features, 4, 4, env.noise_var)
+        assert sample_batch(env, matching, 3, 0, gamma=1.0).n == 3
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e12])
     @pytest.mark.parametrize("step, row", [(0, 3), (6, 1), (42, 4)])
     def test_blowup_names_the_step_and_rollout_of_a_per_step_check(
@@ -603,6 +623,19 @@ class TestMakeEnv:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_env("cartpole")
+
+    @pytest.mark.parametrize("name", [["pendulum"], None])
+    def test_name_that_is_not_a_string_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown environment"):
+            make_env(name)
+
+    @pytest.mark.parametrize("name, k", [
+        ("lq_viapoints", 2), ("pendulum", 4), ("acrobot", 9)])
+    def test_linear_basis_maps_a_state_to_its_features(self, name, k):
+        env = make_env(name)
+        feature_fn, num_features = env.linear_basis
+        assert num_features == k
+        assert feature_fn(np.zeros((3, env.state_dim))).shape == (3, k)
 
     def test_non_integer_horizon_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from aspic import (LineSearchError, MlpPolicy, TimeVaryingLinearPolicy,
                    lq_features, make_env, pendulum_features,
                    per_timestep_natural_direction, policies, sample_batch,
                    sample_policy_kl, smoothed_gradient, trust_region_step)
-from aspic.natural_gradient import KL_REL_TOL
+from aspic.natural_gradient import KL_REL_TOL, SOLVERS
 from helpers import array_batch, full_rank_fixture, mlp_fixture
 
 LQ_SHORT = dict(horizon=0.4, dt=0.1, viapoints=((0.2, 1.0),), sigma=0.5)
@@ -333,7 +333,7 @@ class TestTrustRegionStep:
             batch, policy = make_fixture(seed=11, n=12)
             g = np.random.default_rng(12).normal(size=policy.params.size)
             up = trust_region_step(batch, policy, g, epsilon=0.05,
-                                   solver=solver)
+                                   kind=solver)
             assert abs(up.achieved_kl - 0.05) <= 0.1 * 0.05
             achieved = sample_policy_kl(batch, policy,
                                         policy.with_params(up.new_params))
@@ -347,7 +347,7 @@ class TestTrustRegionStep:
         g = np.random.default_rng(14).normal(size=policy.params.size)
         eps = 0.1
         up = trust_region_step(zeroed, policy, g, epsilon=eps,
-                               solver="per_timestep_pinv")
+                               kind="per_timestep_pinv")
         g_f = (up.new_params - policy.params) / up.eta
         f = dense_fisher(zeroed, policy)
         eta_exact = np.sqrt(2 * eps / (g_f @ f @ g_f))
@@ -365,7 +365,7 @@ class TestTrustRegionStep:
         batch, policy = make_fixture()
         with pytest.raises(ValueError):
             trust_region_step(batch, policy, np.ones(policy.params.size),
-                              epsilon=0.1, solver="lbfgs")
+                              epsilon=0.1, kind="lbfgs")
 
     def test_nonpositive_epsilon_rejected(self):
         batch, policy = make_fixture()
@@ -380,7 +380,7 @@ class TestTrustRegionStep:
         g = np.random.default_rng(seed).normal(size=policy.params.size)
         for sign in (1.0, -1.0):  # the residual term changes sign with g
             up = trust_region_step(batch, policy, sign * g, epsilon=0.05,
-                                   solver=solver)
+                                   kind=solver)
             assert up.kl_evaluations == 0
             assert up.achieved_kl == pytest.approx(0.05, rel=1e-12)
             new = policy.with_params(up.new_params)
@@ -427,7 +427,39 @@ class TestTrustRegionStep:
         batch, policy = make_fixture(n=20)
         with pytest.raises(ValueError, match=f"^{key} must be >= "):
             trust_region_step(batch, policy, np.ones(policy.params.size),
-                              epsilon=0.1, solver=solver, **{key: value})
+                              epsilon=0.1, kind=solver, **{key: value})
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_iters_that_is_not_an_int_rejected(self, value):
+        # Unchecked, 2.5 failed inside CG with an unnamed TypeError and
+        # True ran one iteration.
+        batch, policy = make_fixture(n=20)
+        with pytest.raises(ValueError, match="^iters must be an int, got "):
+            trust_region_step(batch, policy, np.ones(policy.params.size),
+                              epsilon=0.1, kind="cg", iters=value)
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("per_timestep_pinv", "damping", 5.0),
+        ("per_timestep_pinv", "iters", 0), ("cg", "rcond", 1e-4)])
+    def test_keyword_the_kind_does_not_take_rejected(self, kind, key, value):
+        # Unchecked, per_timestep_pinv ignored damping and judged iters,
+        # neither of which it reads.
+        batch, policy = make_fixture(n=20)
+        with pytest.raises(ValueError, match=rf"^unknown solver keys "
+                           rf"\['{key}'\] for kind '{kind}'"):
+            trust_region_step(batch, policy, np.ones(policy.params.size),
+                              epsilon=0.1, kind=kind, **{key: value})
+
+    @pytest.mark.parametrize("kind", sorted(SOLVERS))
+    def test_omitted_keywords_take_the_table_defaults(self, kind):
+        batch, policy = make_fixture(seed=19, n=12)
+        g = np.random.default_rng(20).normal(size=policy.params.size)
+        defaults = {key: spec[2] for key, spec in SOLVERS[kind].items()}
+        implicit = trust_region_step(batch, policy, g, 0.05, kind)
+        explicit = trust_region_step(batch, policy, g, 0.05, kind, **defaults)
+        np.testing.assert_array_equal(implicit.new_params,
+                                      explicit.new_params)
+        assert implicit.cg_iterations == explicit.cg_iterations
 
     @pytest.mark.parametrize("solver", ["cg", "per_timestep_pinv"])
     def test_non_finite_gradient_rejected(self, solver):
@@ -435,7 +467,7 @@ class TestTrustRegionStep:
         g = np.ones(policy.params.size)
         g[3] = np.nan
         with pytest.raises(ValueError, match="g has a non-finite"):
-            trust_region_step(batch, policy, g, epsilon=0.1, solver=solver)
+            trust_region_step(batch, policy, g, epsilon=0.1, kind=solver)
 
     @pytest.mark.parametrize("size", [3, 9])
     def test_wrong_size_gradient_rejected(self, size):
@@ -443,7 +475,7 @@ class TestTrustRegionStep:
         assert policy.params.size == 8
         with pytest.raises(ValueError, match="g has shape"):
             trust_region_step(batch, policy, np.ones(size), epsilon=0.1,
-                              solver="per_timestep_pinv")
+                              kind="per_timestep_pinv")
 
     def test_heavier_damping_shrinks_toward_gradient(self):
         batch, policy = make_fixture(seed=17, n=12)

@@ -193,6 +193,40 @@ class TestLinearStepCount:
             self.CALLS[call](self.policy, xs)
 
 
+class TestLinearFeatureCount:
+    """A batch whose stored features have another column count than the
+    policy's ``num_features``, here a 4-feature pendulum policy handed a
+    9-feature acrobot batch of the same step count, is a ValueError naming
+    ``features`` wherever the policy reads them: unchecked, ``fisher_trace``
+    summed the wrong features and the products failed in a reshape."""
+
+    policy = TimeVaryingLinearPolicy(pendulum_features, 4, 10, 1.0)
+    CALLS = {
+        "mean_steps": lambda pol, b: pol.mean_steps(b),
+        "jac_y_steps": lambda pol, b: pol.jac_y_steps(b, np.ones(40)),
+        "jac_t_v_steps": lambda pol, b: pol.jac_t_v_steps(
+            b, np.ones((10, 4))),
+        "fisher_trace": lambda pol, b: pol.fisher_trace(b),
+        "per_timestep_natural_direction":
+            lambda pol, b: per_timestep_natural_direction(b, pol,
+                                                          np.ones(40)),
+    }
+
+    @staticmethod
+    def acrobot_batch():
+        env = make_env("acrobot", {"horizon": 0.1})
+        sampler = TimeVaryingLinearPolicy(acrobot_features, 9, env.num_steps,
+                                          env.noise_var)
+        return sample_batch(env, sampler, 4, 0, gamma=1.0)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_wrong_feature_count_names_features(self, call):
+        batch = self.acrobot_batch()
+        with pytest.raises(ValueError, match=r"^features has shape "
+                           r"\(10, 4, 9\), expected 4 columns"):
+            self.CALLS[call](self.policy, batch)
+
+
 class TestLinearProductsOracle:
     """The step-major products against explicit per-step loops over
     ``feature_fn(x_t)``, at T = 5 steps with 0, 1 (N = 7) and 2 rollout

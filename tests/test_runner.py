@@ -17,6 +17,7 @@ from aspic import (ExperimentConfig, MlpPolicy, RolloutBlowupError,
                    make_env, resolve_delta, run_aspic, sample_batch, sweep,
                    trust_region_step)
 from aspic.cli import main as cli_main
+from aspic.natural_gradient import SOLVERS
 from aspic.runner import CSV_COLUMNS
 
 SMALL_LQ = dict(env="lq_viapoints", n_rollouts=8, iterations=3, epsilon=0.1,
@@ -180,6 +181,45 @@ class TestConfig:
         clone = ExperimentConfig.from_dict(cfg.to_dict())
         assert config_hash(clone) == config_hash(cfg)
         assert config_hash(cfg.replace(seed=1)) != config_hash(cfg)
+
+    @pytest.mark.parametrize("solver", [{}, {"kind": "cg"}, {"iters": 4}])
+    def test_solver_keeps_only_the_given_keys(self, solver):
+        # The step fills in the defaults, so a config's hash does not move
+        # when a default does.
+        assert small_config(solver=solver).solver == solver
+
+
+def bad_solver_values(kind, key):
+    """Values of ``key`` that solver ``kind`` refuses: a key of another
+    kind, or a value of another type or below its least value."""
+    if key not in SOLVERS[kind]:
+        return [1]
+    typ, least, default = SOLVERS[kind][key]
+    bad = [least - 1, True, str(default), None, [default], float("nan"),
+           float("inf")]
+    return bad + [default + 0.5] if typ is int else bad
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    (kind, key, value) for kind in sorted(SOLVERS)
+    for key in sorted({k for spec in SOLVERS.values() for k in spec})
+    for value in bad_solver_values(kind, key)])
+def test_config_and_step_refuse_the_same_solver_values(kind, key, value):
+    """One table rules both: the config refuses a solver value, naming
+    ``solver.<key>``, exactly when the step refuses it, naming ``key``."""
+    with pytest.raises(ValueError) as config_error:
+        small_config(solver={"kind": kind, key: value})
+    env = make_env("lq_viapoints", SMALL_LQ["env_overrides"])
+    policy = TimeVaryingLinearPolicy(*env.linear_basis, env.num_steps,
+                                     env.noise_var)
+    batch = sample_batch(env, policy, 4, 0, gamma=1.0)
+    with pytest.raises(ValueError) as step_error:
+        trust_region_step(batch, policy, np.ones(policy.params.size), 0.1,
+                          kind, **{key: value})
+    message = str(step_error.value)
+    assert str(config_error.value) == (
+        message if message.startswith("unknown") else "solver." + message)
+    assert key in message
 
 
 positive = st.floats(1e-6, 1e6)

@@ -87,14 +87,11 @@ def cmd_export(args) -> int:
     missing = sorted({"config", "config_hash", "final_costs"} - set(payload))
     if missing:
         raise ValueError(f"summary is missing keys {missing}")
-    config = ExperimentConfig.from_dict(payload["config"])
-    # An older summary lacks the last two keys; they export as null.
-    print(json.dumps({"config_hash": payload["config_hash"],
-                      "final_costs": payload["final_costs"],
-                      "error": payload.get("error"),
-                      "iterations_to_threshold":
-                          payload.get("iterations_to_threshold"),
-                      "config": config.to_dict()}, indent=2))
+    payload["config"] = ExperimentConfig.from_dict(payload["config"]).to_dict()
+    # An older summary lacks these two keys; they export as null.
+    payload.setdefault("error", None)
+    payload.setdefault("iterations_to_threshold", None)
+    print(json.dumps(payload, indent=2))
     return 0
 
 

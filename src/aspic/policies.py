@@ -68,7 +68,9 @@ class GaussianPolicy:
     - ``fisher_trace(batch)``: trace F of the sampled Fisher, the squared
       norms of the Jacobian rows, summed, over (N noise_var).
 
-    A ``y``, ``v`` or ``actions`` of another shape is a ValueError naming it.
+    A ``y``, ``v`` or ``actions`` of another shape is a ValueError naming it,
+    and so are states ``xs`` whose last axis is not the state_dim that the
+    shipped feature maps or the network's input layer take.
     """
 
     noise_var: float  # nu/dt
@@ -99,11 +101,22 @@ class GaussianPolicy:
 # ---------------------------------------------------------------------------
 
 # Each map writes the features of states (..., state_dim) into ``out``
-# (..., K) when given, else into a new array.
+# (..., K) when given, else into a new array; states of another state_dim
+# are a ValueError naming ``xs``.
+
+def _state_array(xs, dim: int) -> np.ndarray:
+    """``xs`` as a float array, or a ValueError naming it unless its last
+    axis is ``dim``."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim == 0 or xs.shape[-1] != dim:
+        raise ValueError(f"xs has shape {xs.shape}, expected a last axis "
+                         f"of {dim}")
+    return xs
+
 
 def lq_features(x: np.ndarray, out=None) -> np.ndarray:
     """[x, 1] for the one-dimensional Brownian particle."""
-    x = np.asarray(x, dtype=float)
+    x = _state_array(x, 1)
     out = np.empty(x.shape[:-1] + (2,)) if out is None else out
     out[..., 0] = x[..., 0]
     out[..., 1] = 1.0
@@ -112,7 +125,7 @@ def lq_features(x: np.ndarray, out=None) -> np.ndarray:
 
 def pendulum_features(x: np.ndarray, out=None) -> np.ndarray:
     """[cos x, sin x, xdot, 1]."""
-    x = np.asarray(x, dtype=float)
+    x = _state_array(x, 2)
     out = np.empty(x.shape[:-1] + (4,)) if out is None else out
     np.cos(x[..., 0], out=out[..., 0])
     np.sin(x[..., 0], out=out[..., 1])
@@ -129,7 +142,7 @@ def acrobot_features(x: np.ndarray, out=None) -> np.ndarray:
     published controller lists it twice); the resulting per-block Fisher rank
     deficiency is handled by the pseudo-inverse / damping in the solvers.
     """
-    x = np.asarray(x, dtype=float)
+    x = _state_array(x, 4)
     out = np.empty(x.shape[:-1] + (9,)) if out is None else out
     both = x[..., 0] + x[..., 1]
     np.cos(x[..., 0], out=out[..., 0])
@@ -321,8 +334,10 @@ class MlpPolicy(GaussianPolicy):
 
     def _forward(self, xs, keep: bool) -> list:
         """[x, h_1, ..., u] over xs by row blocks; without ``keep`` each
-        hidden layer is a block-sized temporary and its entry is None."""
-        x = np.asarray(xs, dtype=float).reshape(-1, self.layer_sizes[0])
+        hidden layer is a block-sized temporary and its entry is None.  A
+        ValueError naming ``xs`` unless its last axis is ``layer_sizes[0]``."""
+        x = _state_array(xs, self.layer_sizes[0]).reshape(
+            -1, self.layer_sizes[0])
         acts = [x] + [np.empty((len(x), n)) if keep else None
                       for n in self.layer_sizes[1:-1]]
         acts.append(np.empty((len(x), 1)))

@@ -30,9 +30,6 @@ __all__ = ["ExperimentConfig", "IterationRecord", "RunResult", "RunError",
            "run_aspic", "sweep", "sweep_cells", "export", "resolve_delta",
            "config_hash"]
 
-CSV_COLUMNS = ("run", "iter", "mean_cost", "std_cost", "alpha", "kl_est",
-               "eta", "achieved_kl", "wall_ms", "seed")
-
 # Top-level numbers: key -> (type, least value, None allowed).
 _NUMBERS = {"n_rollouts": (int, 2, False), "iterations": (int, 1, False),
             "repeats": (int, 1, False), "seed": (int, 0, False),
@@ -321,10 +318,10 @@ def sweep(config: ExperimentConfig, axis: str, values) -> dict:
 # ---------------------------------------------------------------------------
 
 def _write_csv(path, records) -> None:
-    """One row per record, its fields in order: repr, or empty for None."""
+    """The record's field names, then its fields: repr, or empty for None."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(f.name for f in fields(IterationRecord))
         for run in records:
             for r in run:
                 writer.writerow(["" if v is None else repr(v)

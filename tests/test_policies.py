@@ -13,7 +13,7 @@ import pytest
 from aspic import (MlpPolicy, TimeVaryingLinearPolicy, acrobot_features,
                    lq_features, make_env, pendulum_features,
                    per_timestep_natural_direction, policies, sample_batch,
-                   smoothed_gradient)
+                   smoothed_gradient, trust_region_step)
 from helpers import array_batch, batch_of, score_sum
 
 
@@ -53,6 +53,16 @@ class TestFeatureMaps:
     def test_batched_evaluation(self):
         xs = np.random.default_rng(0).normal(size=(4, 7, 2))
         assert pendulum_features(xs).shape == (4, 7, 4)
+
+    @pytest.mark.parametrize("feature_fn, dim, wrong", [
+        (fn, dim, wrong) for fn, dim in ((lq_features, 1),
+                                         (pendulum_features, 2),
+                                         (acrobot_features, 4))
+        for wrong in (1, 2, 4) if wrong != dim])
+    def test_other_state_dim_names_xs(self, feature_fn, dim, wrong):
+        with pytest.raises(ValueError, match=rf"^xs has shape \(3, {wrong}\), "
+                           rf"expected a last axis of {dim}$"):
+            feature_fn(np.zeros((3, wrong)))
 
 
 class TestLogProb:
@@ -227,6 +237,32 @@ class TestLinearFeatureCount:
             self.CALLS[call](self.policy, batch)
 
 
+class TestLinearStateDim:
+    """A batch without stored features of another task's states, here a
+    4-feature pendulum policy handed a 10-step acrobot batch with
+    ``features=None``, is a ValueError naming ``xs``: unchecked, the
+    pendulum map read the 4-d states, ``fisher_trace`` returned 20.0008 and
+    the per-timestep solve took a step."""
+
+    policy = TimeVaryingLinearPolicy(pendulum_features, 4, 10, 1.0)
+
+    @staticmethod
+    def acrobot_batch():
+        return dataclasses.replace(TestLinearFeatureCount.acrobot_batch(),
+                                   features=None)
+
+    @pytest.mark.parametrize("call", [
+        lambda pol, b: pol.fisher_trace(b),
+        lambda pol, b: trust_region_step(b, pol, np.ones(40), 0.1,
+                                         "per_timestep_pinv"),
+        lambda pol, b: trust_region_step(b, pol, np.ones(40), 0.1, "cg")],
+        ids=["fisher_trace", "per_timestep_pinv", "cg"])
+    def test_other_task_states_name_xs(self, call):
+        with pytest.raises(ValueError, match=r"^xs has shape \(10, 4, 4\), "
+                           r"expected a last axis of 2$"):
+            call(self.policy, self.acrobot_batch())
+
+
 class TestLinearProductsOracle:
     """The step-major products against explicit per-step loops over
     ``feature_fn(x_t)``, at T = 5 steps with 0, 1 (N = 7) and 2 rollout
@@ -349,6 +385,19 @@ class TestMlpPolicy:
     def test_vector_output_rejected(self, sizes):
         with pytest.raises(ValueError, match="layer_sizes"):
             MlpPolicy(sizes, 1.0, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("task, dim", [("acrobot", 4),
+                                           ("lq_viapoints", 1)])
+    def test_other_state_dim_names_xs(self, task, dim):
+        # Unchecked, a 2-input network failed in an unnamed numpy reshape.
+        env = make_env(task)
+        pol = MlpPolicy([2, 8, 1], env.noise_var,
+                        rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=rf"^xs has shape \(4, {dim}\), "
+                           r"expected a last axis of 2$"):
+            sample_batch(env, pol, 4, 0, gamma=1.0)
+        with pytest.raises(ValueError, match=r"^xs has shape"):
+            pol.jac_t_v_steps(np.zeros((3, 4, dim)), np.zeros((3, 4)))
 
     def test_needs_params_or_rng(self):
         with pytest.raises(ValueError, match="params or a seeded rng"):

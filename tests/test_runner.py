@@ -3,6 +3,8 @@
 import csv
 import json
 import pickle
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +14,14 @@ from hypothesis import strategies as st
 
 import aspic.cli
 import aspic.runner
-from aspic import (ExperimentConfig, MlpPolicy, RolloutBlowupError,
-                   RunError, TimeVaryingLinearPolicy, config_hash, export,
-                   make_env, resolve_delta, run_aspic, sample_batch, sweep,
-                   trust_region_step)
+from aspic import (ExperimentConfig, IterationRecord, MlpPolicy,
+                   RolloutBlowupError, RunError, TimeVaryingLinearPolicy,
+                   config_hash, export, make_env, resolve_delta, run_aspic,
+                   sample_batch, sweep, trust_region_step)
 from aspic.cli import main as cli_main
 from aspic.natural_gradient import SOLVERS
-from aspic.runner import CSV_COLUMNS
+
+RECORD_FIELDS = [f.name for f in fields(IterationRecord)]
 
 SMALL_LQ = dict(env="lq_viapoints", n_rollouts=8, iterations=3, epsilon=0.1,
                 gamma=1.0, delta={"lognfrac": 0.2},
@@ -508,7 +511,8 @@ class TestExport:
                            str(tmp_path / "summary.json")]
         with open(written[0]) as fh:
             rows = list(csv.reader(fh))
-        assert tuple(rows[0]) == CSV_COLUMNS
+        assert rows[0] == RECORD_FIELDS
+        assert rows[0][:2] == ["run", "iteration"]
         assert len(rows) == 1 + 2 * 3  # header + repeats * iterations
         first = res.records[0][0]
         assert rows[1][:3] == ["0", "0", repr(first.mean_cost)]
@@ -530,9 +534,15 @@ class TestExport:
         res = run_aspic(small_config(estimator="direct", delta=None))
         export(res, tmp_path)
         with open(tmp_path / "records.csv") as fh:
-            row = dict(zip(CSV_COLUMNS, list(csv.reader(fh))[1]))
+            row = dict(zip(RECORD_FIELDS, list(csv.reader(fh))[1]))
         assert (row["alpha"], row["kl_est"]) == ("", "")
         assert float(row["eta"]) == res.records[0][0].eta
+
+    def test_readme_lists_the_record_fields(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = re.search(r"`records\.csv` \(columns `([^`]*)`", readme)
+        assert listed is not None
+        assert re.split(r",\s*", listed.group(1)) == RECORD_FIELDS
 
     def test_outdir_that_cannot_be_made_is_an_os_error(self, tmp_path):
         (tmp_path / "file").write_text("")
@@ -606,8 +616,22 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["export", str(path)]) == 0
         printed = json.loads(capsys.readouterr().out)
-        assert printed["error"] is None
-        assert printed["iterations_to_threshold"] is None
+        assert printed == {**saved, "error": None,
+                           "iterations_to_threshold": None}
+
+    def test_export_prints_the_validated_config(self, tmp_path, capsys):
+        # A config key left out of the file takes its default on export.
+        out = tmp_path / "r"
+        assert cli_main(["run", self.write_config(tmp_path),
+                         "--out", str(out)]) == 0
+        path = out / "summary.json"
+        saved = json.loads(path.read_text())
+        del saved["config"]["repeats"]
+        path.write_text(json.dumps(saved))
+        capsys.readouterr()
+        assert cli_main(["export", str(path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["config"] == {**saved["config"], "repeats": 1}
 
     def test_failed_sweep_cells_write_their_partial_results(self, tmp_path,
                                                             capsys):
@@ -648,11 +672,9 @@ class TestCli:
         assert cli_main(["export", str(out / "summary.json")]) == 0
         printed = json.loads(capsys.readouterr().out)
         saved = json.loads((out / "summary.json").read_text())
-        assert printed["config_hash"] == saved["config_hash"]
-        assert printed["final_costs"] == saved["final_costs"]
+        assert printed == saved
+        assert list(printed) == list(saved)
         assert printed["error"] is None
-        assert (printed["iterations_to_threshold"]
-                == saved["iterations_to_threshold"])
         with pytest.raises(SystemExit):
             cli_main(["export", str(out / "summary.json"), "--format", "csv"])
 

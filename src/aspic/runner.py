@@ -320,7 +320,7 @@ def sweep(config: ExperimentConfig, axis: str, values) -> dict:
 def _write_csv(path, records) -> None:
     """The record's field names, then its fields: repr, or empty for None."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(f.name for f in fields(IterationRecord))
         for run in records:
             for r in run:

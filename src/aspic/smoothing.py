@@ -11,6 +11,7 @@ log N - H_N(w) <= delta is found by bracketing and bisection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,6 @@ __all__ = ["SmoothingResult", "normalized_weights", "weight_entropy",
 ALPHA_REL_TOL = 1e-3
 # Bisection levels one pass of the search evaluates: 2**levels - 1 alphas.
 BISECT_LEVELS = 4
-# Ladder rungs the first pass evaluates, start * 2**0 .. 2**15 after the
-# floor; the rest of the ladder only when none of them meets delta.
-FIRST_RUNGS = 16
 
 
 @dataclass(frozen=True)
@@ -33,6 +31,19 @@ class SmoothingResult:
     weights: np.ndarray
     entropy: float
     kl_estimate: float
+
+
+def _softmax(neg, scale):
+    """Softmax of neg / scale along the last axis, a row per row of scale."""
+    with np.errstate(over="ignore"):  # -inf on overflow: weight 0
+        w = np.exp(neg / scale)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _entropy(w):
+    """-sum w log w along the last axis, with 0*log(0) := 0: a zero weight
+    takes log 1 and adds an exact 0 to the sum."""
+    return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
 
 
 def normalized_weights(costs, gamma: float, alpha: float) -> np.ndarray:
@@ -46,20 +57,15 @@ def normalized_weights(costs, gamma: float, alpha: float) -> np.ndarray:
         raise ValueError(f"gamma + alpha must be positive, got {gamma + alpha}")
     if not np.all(np.isfinite(costs)):
         raise ValueError("non-finite cost in weight computation")
-    # An overflow sends z to -inf, whose weight exp(-inf) = 0 is right.
-    with np.errstate(over="ignore"):
-        z = -(costs - costs.min()) / (gamma + alpha)
-    w = np.exp(z)
-    return w / w.sum()
+    return _softmax(-(costs - costs.min()), gamma + alpha)
 
 
 def weight_entropy(weights) -> float:
-    """Shannon entropy -sum w log w in nats, with 0*log(0) := 0: a zero
-    weight takes log 1 and adds an exact 0 to the sum."""
-    w = np.asarray(weights, dtype=float)
+    """Shannon entropy -sum w log w in nats, with 0*log(0) := 0."""
+    w = np.asarray(weights, dtype=float).ravel()
     if not abs(w.sum() - 1.0) <= 1e-9:  # NaN weights fail too
         raise ValueError(f"weights not normalized: sum = {w.sum()}")
-    return float(-np.sum(w * np.log(np.where(w > 0.0, w, 1.0))))
+    return float(_entropy(w))
 
 
 def kl_estimate(weights) -> float:
@@ -70,17 +76,10 @@ def kl_estimate(weights) -> float:
 
 def _kl_estimates(neg: np.ndarray, gamma: float, alphas) -> np.ndarray:
     """kl_estimate(normalized_weights(costs, gamma, alpha)) for each alpha,
-    with the same float operations, from ``neg = -(costs - costs.min())``.
-
-    A row reduction sums each row as the 1-D sum does, an underflowed
-    weight's exact 0 term included, as ``weight_entropy``.
-    """
-    with np.errstate(over="ignore"):
-        w = np.exp(neg / (gamma + np.asarray(alphas))[:, None])
-    w /= w.sum(axis=1, keepdims=True)
-    entropy = -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=1)
+    from ``neg = -(costs - costs.min())``: one row of weights per alpha."""
+    w = _softmax(neg, (gamma + np.asarray(alphas))[:, None])
     # As max(0.0, kl) in kl_estimate: kl is never NaN or -0.0 here.
-    return np.maximum(np.log(neg.size) - entropy, 0.0)
+    return np.maximum(np.log(neg.size) - _entropy(w), 0.0)
 
 
 def find_alpha(costs, gamma: float, delta: float) -> SmoothingResult:
@@ -91,11 +90,12 @@ def find_alpha(costs, gamma: float, delta: float) -> SmoothingResult:
     interval from the last alpha known to violate it (at first the floor) is
     bisected to relative tolerance ``ALPHA_REL_TOL``.
 
-    The costs are validated and shifted once.  One vectorized pass
-    evaluates the floor and the first ``FIRST_RUNGS`` rungs of the doubling
-    ladder, a second the rest of the ladder if none of them meets delta,
-    and each further pass every midpoint of the next ``BISECT_LEVELS``
-    levels.  Each evaluation has the float operations of
+    The estimate is at most log(max w / min w) = spread / (gamma + alpha),
+    so the ladder ends at its first rung at or above 2 * spread / delta,
+    where the estimate is at most delta / 2.  The costs are validated and
+    shifted once.  One vectorized pass evaluates the floor and that whole
+    ladder, and each further pass every midpoint of the next
+    ``BISECT_LEVELS`` levels.  Each evaluation has the float operations of
     ``kl_estimate(normalized_weights(...))``, so alpha is the one the
     step-by-step search finds, bit for bit.
     """
@@ -114,20 +114,19 @@ def find_alpha(costs, gamma: float, delta: float) -> SmoothingResult:
 
     # gamma = 0 needs a strictly positive divisor; scale with the cost spread.
     floor = 0.0 if gamma > 0 else 1e-8 * (spread + 1.0)
-    # Finite even when 1e12 * spread overflows, so the ladder is finite;
-    # ldexp doubles exactly, as repeated doubling does.
-    ceiling = min(1e12 * max(1.0, spread), np.finfo(float).max)
     start = max(1.0, 2.0 * floor)
+    top = min(2.0 * spread / delta, np.finfo(float).max)
+    # Exact doublings, as repeated doubling, to past top (frexp: top / start
+    # < 2**e); a rung past the float maximum overflows to inf, dropped.
     with np.errstate(over="ignore"):
-        ladder = np.ldexp(start, np.arange(int(np.log2(ceiling / start)) + 2))
-    alphas = np.concatenate([[floor], ladder[ladder <= ceiling]])
-    ok = _kl_estimates(neg, gamma, alphas[:FIRST_RUNGS + 1]) <= delta
+        ladder = np.ldexp(start, np.arange(
+            max(0, math.frexp(top / start)[1]) + 2))
+    ladder = ladder[:ladder.searchsorted(top) + 1]
+    alphas = np.concatenate([[floor], ladder[np.isfinite(ladder)]])
+    ok = _kl_estimates(neg, gamma, alphas) <= delta
     if not ok.any():
-        ok = np.concatenate([ok, _kl_estimates(
-            neg, gamma, alphas[FIRST_RUNGS + 1:]) <= delta])
-    if not ok.any():
-        raise ValueError("smoothing constraint unsatisfiable below the "
-                         "alpha ceiling; check the costs for outliers")
+        raise ValueError(f"smoothing constraint unsatisfiable: delta = "
+                         f"{delta} is below the float KL estimate's rounding")
     i = int(np.argmax(ok))
     alpha = float(alphas[i])
     if i > 0:

@@ -520,6 +520,12 @@ class TestExport:
         assert json.loads((tmp_path / "summary.json").read_text())[
             "final_costs"] == res.final_costs()
 
+    def test_csv_rows_end_in_a_bare_newline(self, tmp_path):
+        export(run_aspic(small_config(iterations=2)), tmp_path)
+        data = (tmp_path / "records.csv").read_bytes()
+        assert b"\r" not in data
+        assert data.count(b"\n") == 3  # header + 2 iterations
+
     def test_summary_round_trip(self, tmp_path):
         res = run_aspic(small_config())
         export(res, tmp_path)

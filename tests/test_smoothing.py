@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aspic import find_alpha, kl_estimate, normalized_weights, weight_entropy
@@ -270,15 +270,59 @@ def test_find_alpha_is_the_step_by_step_search(n, spread, seed, outliers,
 
 
 @pytest.mark.parametrize("gamma, delta", [(0.0, 0.1), (1.0, 1.0)])
-def test_find_alpha_is_the_step_by_step_search_past_the_first_rungs(gamma,
-                                                                    delta):
-    # A 1e9 cost spread puts the answer far above start * 2**15, so the
-    # search reads the rest of the ladder in its second pass.
+def test_find_alpha_is_the_step_by_step_search_far_up_the_ladder(gamma,
+                                                                 delta):
+    # A 1e9 cost spread puts the answer more than 15 doublings above the
+    # ladder's start, on a ladder of 31 and 32 rungs.
     costs = _spread_costs(100, 1e9, 0)
     alpha = reference_alpha(costs, gamma, delta)
     start = max(1.0, 2e-8 * (1e9 + 1.0)) if gamma == 0 else 1.0
-    assert alpha > start * 2.0 ** (smoothing.FIRST_RUNGS - 1)
+    assert alpha > start * 2.0 ** 15
     res = find_alpha(costs, gamma, delta)
     assert res.alpha == alpha
     np.testing.assert_array_equal(res.weights,
                                   normalized_weights(costs, gamma, alpha))
+
+
+@pytest.mark.parametrize("spread, gamma, delta, rows", [
+    (1.0, 1.0, 1.0, 3), (3e2, 1.0, 0.2 * np.log(100), 12),
+    (1e9, 0.0, 0.1, 32), (0.0, 1.0, 0.1, 2)])
+def test_first_pass_reads_the_ladder_up_to_the_bound(monkeypatch, spread,
+                                                     gamma, delta, rows):
+    # The floor, then start * 2**k up to the first rung at or above
+    # 2 * spread / delta, where kl <= spread / (gamma + alpha) <= delta / 2.
+    costs = _spread_costs(100, spread, 0)
+    spread = float(costs.max() - costs.min())
+    passes, kl_estimates = [], smoothing._kl_estimates
+
+    def recorded(neg, gamma, alphas):
+        passes.append(list(alphas))
+        return kl_estimates(neg, gamma, alphas)
+    monkeypatch.setattr(smoothing, "_kl_estimates", recorded)
+    find_alpha(costs, gamma, delta)
+    floor = 0.0 if gamma > 0 else 1e-8 * (spread + 1.0)
+    rungs = [max(1.0, 2.0 * floor)]
+    while rungs[-1] < 2.0 * spread / delta:
+        rungs.append(2.0 * rungs[-1])
+    assert passes[0] == [floor] + rungs
+    assert len(passes[0]) == rows
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(deadline=None, max_examples=200)
+@given(adversarial_costs, st.floats(0.0, 1e300), st.floats(0.0, 1e300))
+def test_kl_estimate_is_bounded_by_the_weight_ratio(costs, gamma, alpha):
+    # log N - H(w) <= log(max w / min w) = spread / (gamma + alpha), up to
+    # the rounding of log N - H: a few ulps for every N here.
+    assume(gamma + alpha > 0)
+    costs = np.asarray(costs)
+    spread = float(costs.max() - costs.min())
+    kl = kl_estimate(normalized_weights(costs, gamma, alpha))
+    assert kl <= spread / (gamma + alpha) + costs.size * np.finfo(float).eps
+
+
+def test_unresolvable_delta_is_named():
+    # Equal costs: every alpha's estimate is the rounding of log 3 - H,
+    # 2**-52, which no delta of 1e-300 admits.
+    with pytest.raises(ValueError, match="delta = 1e-300"):
+        find_alpha([1.0, 1.0, 1.0], gamma=1.0, delta=1e-300)

@@ -64,9 +64,9 @@ class Environment:
     The fields are the task's parameters, the keys ``env_overrides`` takes;
     each scalar one must be a finite number, not a bool.  Building a task
     sets ``num_steps``, ``noise_var = nu/dt`` and the start ``x0``, at rest
-    at the origin unless the task sets another.  ``xdot`` and
-    ``event_cost`` are vectorized over leading batch dimensions of the state;
-    ``xdot`` writes the rate into ``out`` when given, else into a new array.
+    at the origin unless the task sets another.  ``xdot(x, a, out)`` writes
+    the rate into the buffer ``out``, shaped like x, and returns it; it and
+    ``event_cost`` are vectorized over leading batch dimensions of the state.
     Event costs are keyed by grid index (1..num_steps), with event times
     snapped to the nearest grid point; ``event_indices`` lists the indices
     that carry one, by default the final index only.  ``linear_basis`` is
@@ -81,7 +81,7 @@ class Environment:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float":
+            if f.type in (float, "float"):
                 number(f.name, getattr(self, f.name))
         for name in ("dt", "horizon", "nu"):
             if not getattr(self, name) > 0:
@@ -98,12 +98,12 @@ class Environment:
     def step(self, x: np.ndarray, a: np.ndarray, t: int) -> np.ndarray:
         """Euler step x + dt * xdot(x, a); raises ``RolloutBlowupError``
         naming the first row whose next state is non-finite or too large."""
-        nxt = self._euler(np.asarray(x, dtype=float),
-                          np.asarray(a, dtype=float))
+        x = np.asarray(x, dtype=float)
+        nxt = self._euler(x, np.asarray(a, dtype=float), np.empty(x.shape))
         _raise_on_blowup(nxt.reshape(1, -1, nxt.shape[-1]), t)
         return nxt
 
-    def _euler(self, x, a, out=None):
+    def _euler(self, x, a, out):
         nxt = self.xdot(x, a, out)
         nxt *= self.dt
         nxt += x
@@ -153,8 +153,7 @@ class LqViapoints(Environment):
             self._events[index] = target
         self.event_indices = tuple(sorted(self._events))
 
-    def xdot(self, x, a, out=None):
-        out = np.empty(x.shape) if out is None else out
+    def xdot(self, x, a, out):
         out[..., 0] = a
         return out
 
@@ -178,8 +177,7 @@ class Pendulum(Environment):
     omega0_sq: float = 10.0
     lam: float = 0.2
 
-    def xdot(self, x, a, out=None):
-        out = np.empty(x.shape) if out is None else out
+    def xdot(self, x, a, out):
         ang, vel = x[..., 0], x[..., 1]
         acc = -self.c_omega0 * vel - self.omega0_sq * np.sin(ang)
         np.add(acc, self.lam * a, out=out[..., 1])
@@ -252,8 +250,7 @@ class Acrobot(Environment):
         acc2 = (d11 * rhs2 - d12 * rhs1) / det
         return acc1, acc2
 
-    def xdot(self, x, a, out=None):
-        out = np.empty(x.shape) if out is None else out
+    def xdot(self, x, a, out):
         out[..., 2], out[..., 3] = self.accelerations(x, self.lam * a)
         out[..., :2] = x[..., 2:]
         return out

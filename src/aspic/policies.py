@@ -100,33 +100,34 @@ class GaussianPolicy:
 # Feature maps for the time-varying linear controllers
 # ---------------------------------------------------------------------------
 
-# Each map writes the features of states (..., state_dim) into ``out``
-# (..., K) when given, else into a new array; states of another state_dim
-# are a ValueError naming ``xs``.
+# Each map writes the features of states (..., state_dim) into its buffer
+# ``out`` (..., K) and returns it.
 
-def _state_array(xs, dim: int) -> np.ndarray:
+def _state_array(xs, dim: int, out=None, width: int = 0) -> np.ndarray:
     """``xs`` as a float array, or a ValueError naming it unless its last
-    axis is ``dim``."""
+    axis is ``dim``; a ValueError naming ``num_features`` if ``out`` is
+    given and its last axis is not ``width``."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 0 or xs.shape[-1] != dim:
         raise ValueError(f"xs has shape {xs.shape}, expected a last axis "
                          f"of {dim}")
+    if out is not None and out.shape[-1:] != (width,):
+        raise ValueError(f"the feature buffer has shape {out.shape}; "
+                         f"this map writes num_features = {width}")
     return xs
 
 
-def lq_features(x: np.ndarray, out=None) -> np.ndarray:
+def lq_features(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """[x, 1] for the one-dimensional Brownian particle."""
-    x = _state_array(x, 1)
-    out = np.empty(x.shape[:-1] + (2,)) if out is None else out
+    x = _state_array(x, 1, out, 2)
     out[..., 0] = x[..., 0]
     out[..., 1] = 1.0
     return out
 
 
-def pendulum_features(x: np.ndarray, out=None) -> np.ndarray:
+def pendulum_features(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """[cos x, sin x, xdot, 1]."""
-    x = _state_array(x, 2)
-    out = np.empty(x.shape[:-1] + (4,)) if out is None else out
+    x = _state_array(x, 2, out, 4)
     np.cos(x[..., 0], out=out[..., 0])
     np.sin(x[..., 0], out=out[..., 1])
     out[..., 2] = x[..., 1]
@@ -134,7 +135,7 @@ def pendulum_features(x: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def acrobot_features(x: np.ndarray, out=None) -> np.ndarray:
+def acrobot_features(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The 9-term acrobot controller basis.
 
     Order: [cos x1, sin x2, cos x2, sin x2, sin(x1+x2), cos(x1+x2),
@@ -142,8 +143,7 @@ def acrobot_features(x: np.ndarray, out=None) -> np.ndarray:
     published controller lists it twice); the resulting per-block Fisher rank
     deficiency is handled by the pseudo-inverse / damping in the solvers.
     """
-    x = _state_array(x, 4)
-    out = np.empty(x.shape[:-1] + (9,)) if out is None else out
+    x = _state_array(x, 4, out, 9)
     both = x[..., 0] + x[..., 1]
     np.cos(x[..., 0], out=out[..., 0])
     np.sin(x[..., 1], out=out[..., 1])
@@ -159,8 +159,8 @@ def acrobot_features(x: np.ndarray, out=None) -> np.ndarray:
 class TimeVaryingLinearPolicy(GaussianPolicy):
     """u(x, t) = theta_t . phi(x), one coefficient block per grid time.
 
-    ``feature_fn(x, out=None)`` maps states to ``num_features`` features,
-    into ``out`` when the sampler passes one.  Parameters
+    ``feature_fn(x, out)`` writes the ``num_features`` features of states
+    x into the buffer ``out`` and returns it.  Parameters
     flatten to shape (num_steps * num_features,) and default to zeros; the
     block for time t only influences step t, which makes the Fisher matrix
     exactly block-diagonal across time.
@@ -186,8 +186,10 @@ class TimeVaryingLinearPolicy(GaussianPolicy):
         self._theta = self._params.reshape(self.num_steps, self.num_features)
 
     def features(self, xs: np.ndarray, out=None) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return self.feature_fn(xs) if out is None else self.feature_fn(xs, out)
+        """Features (..., num_features) of xs, into ``out`` or a new array."""
+        if out is None:
+            out = np.empty(np.shape(xs)[:-1] + (self.num_features,))
+        return self.feature_fn(np.asarray(xs, dtype=float), out)
 
     def step_features(self, xs) -> np.ndarray:
         """Features (T, ..., K): a batch's stored feature matrix, else the

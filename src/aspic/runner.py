@@ -90,6 +90,9 @@ class ExperimentConfig:
         delta = resolve_delta(self.delta, self.n_rollouts)  # checks its type
         if self.estimator == "smoothed" and delta <= 0:
             raise ValueError("the smoothed estimator needs delta > 0")
+        if self.estimator != "smoothed" and self.delta is not None:
+            raise ValueError(f"delta is for the smoothed estimator only, "
+                             f"got {self.delta!r} with {self.estimator}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -184,6 +187,7 @@ def _run_single(config: ExperimentConfig, run_index: int,
     run_seed = int(np.random.SeedSequence(
         (config.seed, run_index)).generate_state(1)[0])
     policy = _make_policy(config, env, np.random.default_rng(run_seed))
+    delta = resolve_delta(config.delta, config.n_rollouts)
 
     for it in range(config.iterations):
         t0 = time.perf_counter()
@@ -194,7 +198,6 @@ def _run_single(config: ExperimentConfig, run_index: int,
 
         alpha = kl_est = None
         if config.estimator == "smoothed":
-            delta = resolve_delta(config.delta, config.n_rollouts)
             sr = find_alpha(batch.stochastic_costs, batch.gamma, delta)
             grad = smoothed_gradient(batch, policy, sr.alpha)
             alpha, kl_est = sr.alpha, sr.kl_estimate

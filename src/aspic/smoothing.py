@@ -29,7 +29,6 @@ BISECT_LEVELS = 4
 class SmoothingResult:
     alpha: float
     weights: np.ndarray
-    entropy: float
     kl_estimate: float
 
 
@@ -133,8 +132,7 @@ def find_alpha(costs, gamma: float, delta: float) -> SmoothingResult:
         alpha = _bisect(neg, gamma, delta, float(alphas[i - 1]), alpha)
 
     w = normalized_weights(costs, gamma, alpha)
-    return SmoothingResult(alpha=alpha, weights=w, entropy=weight_entropy(w),
-                           kl_estimate=kl_estimate(w))
+    return SmoothingResult(alpha=alpha, weights=w, kl_estimate=kl_estimate(w))
 
 
 def _bisect(neg, gamma, delta, lo, hi) -> float:

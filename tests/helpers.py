@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules: the small LQ task and seeded batches
 on it, a seeded MLP batch on a short pendulum, synthetic batches over given
-states, re-weighted batches, and the summed score."""
+states, re-weighted batches, the summed score and a feature map's output in
+a new buffer."""
 
 from dataclasses import replace
 
@@ -76,6 +77,12 @@ def full_rank_fixture(seed, num_steps=4, n=16):
     batch = array_batch(np.stack([s for s, _ in draws], axis=1),
                         np.stack([a for _, a in draws], axis=1))
     return batch, policy
+
+
+def features_of(feature_fn, k, xs):
+    """``feature_fn``'s k features of states xs, in a new (..., k) buffer."""
+    xs = np.asarray(xs, dtype=float)
+    return feature_fn(xs, np.empty(xs.shape[:-1] + (k,)))
 
 
 def score_sum(policy, xs, actions):

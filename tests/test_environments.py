@@ -7,8 +7,8 @@ import pytest
 
 from aspic import (Acrobot, LqViapoints, MlpPolicy, Pendulum,
                    RolloutBlowupError, TimeVaryingLinearPolicy,
-                   acrobot_features, lq_features, make_env, pendulum_features,
-                   rollout, sample_batch)
+                   acrobot_features, environments, lq_features, make_env,
+                   pendulum_features, rollout, sample_batch)
 
 # Each array of a rollout and its rollout axis in a batch.
 ROLLOUT_AXES = {"states": 1, "actions": 1, "state_cost": 0, "log_ratio": 0}
@@ -116,8 +116,8 @@ class TestControlAffineRate:
         rng = np.random.default_rng(0)
         x = random_states(rng, 1000, 4)
         a = rng.normal(0.0, 3.0, 1000)
-        free = env.xdot(x, np.zeros_like(a))
-        effect = env.xdot(x, a) - free
+        free = env.xdot(x, np.zeros_like(a), np.empty(x.shape))
+        effect = env.xdot(x, a, np.empty(x.shape)) - free
         # The two-link arm's mass matrix, written out from the textbook
         # formulas rather than taken from the environment.
         m1, m2, l1, lc1, lc2 = env.m1, env.m2, env.l1, env.lc1, env.lc2
@@ -141,8 +141,8 @@ class TestControlAffineRate:
         rng = np.random.default_rng(1)
         x = random_states(rng, 1000, 2)
         a = rng.normal(0.0, 3.0, 1000)
-        free = env.xdot(x, np.zeros_like(a))
-        effect = env.xdot(x, a) - free
+        free = env.xdot(x, np.zeros_like(a), np.empty(x.shape))
+        effect = env.xdot(x, a, np.empty(x.shape)) - free
         np.testing.assert_array_equal(effect[:, 0], 0.0)
         np.testing.assert_allclose(effect[:, 1], env.lam * a,
                                    rtol=1e-12,
@@ -151,7 +151,8 @@ class TestControlAffineRate:
     def test_lq_rate_is_the_action(self):
         env = LqViapoints()
         a = np.random.default_rng(2).normal(size=5)
-        np.testing.assert_array_equal(env.xdot(np.ones((5, 1)), a)[:, 0], a)
+        rate = env.xdot(np.ones((5, 1)), a, np.empty((5, 1)))
+        np.testing.assert_array_equal(rate[:, 0], a)
 
 
 class TestCosts:
@@ -362,7 +363,7 @@ class TestSampleBatch:
         env = make_env("pendulum", {"horizon": 0.04})
         calls = []
 
-        def features(x, out=None):
+        def features(x, out):
             calls.append(x)
             return pendulum_features(x, out)
 
@@ -630,13 +631,61 @@ class TestMakeEnv:
             make_env(name)
 
     @pytest.mark.parametrize("name, k", [
-        ("lq_viapoints", 2), ("pendulum", 4), ("acrobot", 9)])
+        (name, {"lq_viapoints": 2, "pendulum": 4, "acrobot": 9}[name])
+        for name in sorted(environments._ENVS)])
     def test_linear_basis_maps_a_state_to_its_features(self, name, k):
+        # The map fills the caller's (..., K) buffer and returns it.
         env = make_env(name)
         feature_fn, num_features = env.linear_basis
         assert num_features == k
-        assert feature_fn(np.zeros((3, env.state_dim))).shape == (3, k)
+        for lead in [(), (3,), (2, 3)]:
+            out = np.full(lead + (k,), np.nan)
+            x = np.random.default_rng(7).normal(size=lead + (env.state_dim,))
+            assert feature_fn(x, out) is out
+            assert np.isfinite(out).all()
+
+    def test_parameters_checked_without_postponed_annotations(self):
+        # A task declared without ``from __future__ import annotations``
+        # types its fields float, not the string "float".
+        heavy = dataclasses.make_dataclass(
+            "HeavyPendulum", [("mass", float, dataclasses.field(default=1.0))],
+            bases=(Pendulum,), kw_only=True, eq=False)
+        assert heavy(mass=2.0).mass == 2.0
+        for bad in (np.nan, True, "x"):
+            with pytest.raises(ValueError,
+                               match="^mass must be a finite number"):
+                heavy(mass=bad)
 
     def test_non_integer_horizon_rejected(self):
         with pytest.raises(ValueError):
             make_env("lq_viapoints", {"horizon": 0.35})
+
+
+class TestHookContract:
+    """Every task in ``make_env``'s registry: its rate writes into the
+    caller's buffer and returns it, and its linear-basis map, which fills
+    a (..., K) buffer (``TestMakeEnv``), refuses one of another width
+    before writing to it."""
+
+    TASKS = sorted(environments._ENVS)
+
+    @pytest.mark.parametrize("name", TASKS)
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_map_refuses_a_wider_buffer(self, name, lead):
+        env = make_env(name)
+        feature_fn, k = env.linear_basis
+        out = np.full(lead + (k + 1,), np.nan)
+        with pytest.raises(ValueError, match=rf"num_features = {k}$"):
+            feature_fn(np.zeros(lead + (env.state_dim,)), out)
+        assert np.isnan(out).all()
+
+    @pytest.mark.parametrize("name", TASKS)
+    def test_rate_fills_its_buffer(self, name):
+        env = make_env(name)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(5, env.state_dim))
+        a = rng.normal(size=5)
+        out = np.full(x.shape, np.nan)
+        assert env.xdot(x, a, out) is out
+        assert np.isfinite(out).all()
+        np.testing.assert_array_equal(env.step(x, a, 0), x + env.dt * out)

@@ -214,8 +214,9 @@ class TestPerTimestepDirection:
 
     def test_scalar_block(self):
         # Single feature phi = 2 with unit variance: block F = 4, g = 8 -> 2.
-        def single_feature(x):
-            return 2.0 * np.ones(np.asarray(x).shape[:-1] + (1,))
+        def single_feature(x, out):
+            out[...] = 2.0
+            return out
 
         pol = TimeVaryingLinearPolicy(single_feature, 1, 1, 1.0,
                                       params=np.zeros(1))
@@ -250,10 +251,8 @@ def pinv_direction(batch, policy, g, rcond):
         @ g_t for p, g_t in zip(phi, g_blocks)])
 
 
-def state_features(x, out=None):
+def state_features(x, out):
     """The state itself: its Fisher block is zero where every state is."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape) if out is None else out
     out[...] = x
     return out
 

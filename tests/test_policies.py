@@ -14,7 +14,7 @@ from aspic import (MlpPolicy, TimeVaryingLinearPolicy, acrobot_features,
                    lq_features, make_env, pendulum_features,
                    per_timestep_natural_direction, policies, sample_batch,
                    smoothed_gradient, trust_region_step)
-from helpers import array_batch, batch_of, score_sum
+from helpers import array_batch, batch_of, features_of, score_sum
 
 
 def make_linear(num_steps=3, noise_var=1.0, seed=None):
@@ -36,23 +36,27 @@ def step_score(pol, a, x, t):
 
 class TestFeatureMaps:
     def test_lq(self):
-        np.testing.assert_allclose(lq_features(np.array([2.5])), [2.5, 1.0])
+        np.testing.assert_allclose(lq_features(np.array([2.5]), np.empty(2)),
+                                   [2.5, 1.0])
 
     def test_pendulum(self):
-        f = pendulum_features(np.array([np.pi / 2, 3.0]))
+        f = pendulum_features(np.array([np.pi / 2, 3.0]), np.empty(4))
         np.testing.assert_allclose(f, [np.cos(np.pi / 2), 1.0, 3.0, 1.0],
                                    atol=1e-15)
 
     def test_acrobot_has_nine_terms(self):
-        f = acrobot_features(np.array([0.3, 0.7, -1.0, 2.0]))
-        assert f.shape == (9,)
+        out = np.empty(9)
+        f = acrobot_features(np.array([0.3, 0.7, -1.0, 2.0]), out)
+        assert f is out
         # The basis repeats sin(x2); the solvers handle the rank deficiency.
         assert f[1] == f[3] == pytest.approx(np.sin(0.7))
         assert f[8] == 1.0
 
     def test_batched_evaluation(self):
         xs = np.random.default_rng(0).normal(size=(4, 7, 2))
-        assert pendulum_features(xs).shape == (4, 7, 4)
+        out = np.empty((4, 7, 4))
+        assert pendulum_features(xs, out) is out
+        np.testing.assert_array_equal(out[..., 2], xs[..., 1])
 
     @pytest.mark.parametrize("feature_fn, dim, wrong", [
         (fn, dim, wrong) for fn, dim in ((lq_features, 1),
@@ -60,9 +64,10 @@ class TestFeatureMaps:
                                          (acrobot_features, 4))
         for wrong in (1, 2, 4) if wrong != dim])
     def test_other_state_dim_names_xs(self, feature_fn, dim, wrong):
+        k = {fn: k for fn, _, k in LINEAR_MAPS}[feature_fn]
         with pytest.raises(ValueError, match=rf"^xs has shape \(3, {wrong}\), "
                            rf"expected a last axis of {dim}$"):
-            feature_fn(np.zeros((3, wrong)))
+            feature_fn(np.zeros((3, wrong)), np.empty((3, k)))
 
 
 class TestLogProb:
@@ -83,7 +88,7 @@ class TestLogProb:
         lp = pol.log_prob_steps(xs, acts)
         theta = pol.params.reshape(4, 2)
         for t in range(4):
-            u = theta[t] @ lq_features(xs[t])
+            u = theta[t] @ features_of(lq_features, 2, xs[t])
             single = (-(acts[t] - u) ** 2 / (2 * 2.5)
                       - 0.5 * np.log(2 * np.pi * 2.5))
             assert lp[t] == pytest.approx(single)
@@ -237,6 +242,35 @@ class TestLinearFeatureCount:
             self.CALLS[call](self.policy, batch)
 
 
+class TestLinearFeatureWidth:
+    """A linear policy whose ``num_features`` is not its map's width is a
+    ValueError naming ``num_features`` at the map's first call, before a
+    feature is used: unchecked, ``sample_batch`` with a 3-feature
+    ``lq_features`` policy sampled an uninitialised third feature column
+    (it read 4.6e-310), and ``mean_steps`` failed in a matmul."""
+
+    @staticmethod
+    def policy(num_steps, calls):
+        def features(x, out):
+            calls.append(np.shape(out))
+            return lq_features(x, out)
+        return TimeVaryingLinearPolicy(features, 3, num_steps, 1.0)
+
+    def test_sampler_refuses_at_the_first_step(self):
+        env = make_env("lq_viapoints", {"horizon": 1.0, "viapoints": ()})
+        calls = []
+        with pytest.raises(ValueError, match=r"num_features = 2$"):
+            sample_batch(env, self.policy(env.num_steps, calls), 4, 0,
+                         gamma=1.0)
+        assert calls == [(4, 3)]
+
+    def test_mean_steps_on_an_array_refuses(self):
+        calls = []
+        with pytest.raises(ValueError, match=r"num_features = 2$"):
+            self.policy(5, calls).mean_steps(np.zeros((5, 4, 1)))
+        assert calls == [(5, 4, 3)]
+
+
 class TestLinearStateDim:
     """A batch without stored features of another task's states, here a
     4-feature pendulum policy handed a 10-step acrobot batch with
@@ -265,8 +299,8 @@ class TestLinearStateDim:
 
 class TestLinearProductsOracle:
     """The step-major products against explicit per-step loops over
-    ``feature_fn(x_t)``, at T = 5 steps with 0, 1 (N = 7) and 2 rollout
-    axes after the time axis."""
+    ``feature_fn``'s features of x_t, at T = 5 steps with 0, 1 (N = 7) and 2
+    rollout axes after the time axis."""
 
     T = 5
 
@@ -287,7 +321,7 @@ class TestLinearProductsOracle:
                           (y, pol.jac_y_steps(xs, y))):
             assert got.shape == (self.T,) + lead
             for t, c in enumerate(coef.reshape(self.T, k)):
-                phi = feature_fn(xs[t])
+                phi = features_of(feature_fn, k, xs[t])
                 # rtol 1e-13 of the sum of the terms' magnitudes
                 bound = 1e-13 * (np.abs(phi) @ np.abs(c))
                 assert np.all(np.abs(got[t] - phi @ c) <= bound)
@@ -300,7 +334,7 @@ class TestLinearProductsOracle:
         y = rng.normal(size=pol.params.size)
         v = rng.normal(size=(self.T,) + lead)
         jtv = pol.jac_t_v_steps(xs, v)
-        want = [np.sum(feature_fn(xs[t]) * v[t][..., None],
+        want = [np.sum(features_of(feature_fn, k, xs[t]) * v[t][..., None],
                        axis=tuple(range(len(lead)))) for t in range(self.T)]
         np.testing.assert_allclose(jtv, np.concatenate(want), rtol=1e-13,
                                    atol=1e-13 * np.abs(jtv).max())
@@ -313,7 +347,7 @@ class TestLinearProductsOracle:
                                              k):
         pol, xs, rng = self.case(feature_fn, state_dim, k, (7,))
         batch = array_batch(rng.normal(size=(self.T + 1, 7, state_dim)))
-        phi = feature_fn(batch.xs)  # (T, N, K)
+        phi = features_of(feature_fn, k, batch.xs)  # (T, N, K)
         jac = np.zeros((7, self.T, self.T, k))  # row (i, t), block t
         for t in range(self.T):
             jac[:, t, t] = phi[t]

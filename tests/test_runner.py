@@ -128,6 +128,8 @@ class TestConfig:
         (dict(env_overrides={"viapoints": 5}),
          "env_overrides.*: viapoints must be a sequence"),
         (dict(seed=-1), "seed"),
+        (dict(estimator="direct"), "^delta is for the smoothed estimator"),
+        (dict(estimator="pice"), "^delta is for the smoothed estimator"),
     ])
     def test_invalid_config_rejected_at_construction(self, overrides, key):
         with pytest.raises(ValueError, match=key):
@@ -234,14 +236,14 @@ solvers = st.one_of(
                            "rcond": st.floats(1e-12, 1.0)}))
 deltas = st.one_of(positive, st.fixed_dictionaries({"absolute": positive}),
                    st.fixed_dictionaries({"lognfrac": positive}))
-# pice weights by gamma alone, so it needs gamma > 0.
+# pice weights by gamma alone, so it needs gamma > 0; only the smoothed
+# estimator takes a delta.
 configs = st.fixed_dictionaries({
     "env": st.sampled_from(["lq_viapoints", "pendulum", "acrobot"]),
     "n_rollouts": st.integers(2, 10**6),
     "iterations": st.integers(1, 10**6),
     "epsilon": positive,
     "gamma": st.floats(0.0, 1e6),
-    "delta": deltas,
     "estimator": st.sampled_from(["smoothed", "direct", "pice"]),
     "solver": solvers,
     "seed": st.integers(0, 2**63),
@@ -249,9 +251,11 @@ configs = st.fixed_dictionaries({
     "cost_threshold": st.none() | st.floats(-1e9, 1e9),
     "rollout_budget": st.none() | st.integers(2, 10**9),
 }).filter(lambda d: d["gamma"] > 0 or d["estimator"] != "pice").flatmap(
-    lambda d: st.sampled_from(
-    ["linear"] if d["solver"]["kind"] == "per_timestep_pinv"
-    else ["linear", "mlp"]).map(lambda policy: {**d, "policy": policy}))
+    lambda d: st.tuples(st.sampled_from(
+        ["linear"] if d["solver"]["kind"] == "per_timestep_pinv"
+        else ["linear", "mlp"]),
+        deltas if d["estimator"] == "smoothed" else st.none()).map(
+        lambda pd: {**d, "policy": pd[0], "delta": pd[1]}))
 
 
 @settings(deadline=None, max_examples=100)
@@ -689,6 +693,14 @@ class TestCli:
                                                       "itrs": 3}})
         assert cli_main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "itrs" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_direct_config_with_a_delta_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {"estimator": "direct",
+                                           "delta": {"absolute": 0.5}})
+        assert cli_main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "delta is for the smoothed estimator" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "r").exists()
 
     def test_invalid_env_parameter_exits_2(self, tmp_path, capsys):

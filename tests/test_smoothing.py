@@ -145,7 +145,7 @@ class TestFindAlpha:
         res = find_alpha(costs, gamma=0.5, delta=0.2)
         assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert res.kl_estimate == pytest.approx(
-            max(0.0, np.log(10) - res.entropy), abs=1e-12)
+            max(0.0, np.log(10) - weight_entropy(res.weights)), abs=1e-12)
 
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(ValueError):
